@@ -31,17 +31,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import sympy as sp
 
-from .errors import NonOrthonormalFrame, ToleranceExceeded
+from .errors import ToleranceExceeded
 from .geometry import (
     FrameField,
     ProductMetric3,
+    _require_orthonormal,
     base_gauss_curvature,
+    cached_on_owner,
     frame_contraction,
     riemann_chart,
 )
@@ -131,7 +132,7 @@ def semi_geodesic_frame(metric) -> FrameField:
     return FrameField(tuple(rows), metric, coeff)
 
 
-@lru_cache(maxsize=None)
+@cached_on_owner
 def adapted_frame(spec: AdaptedFrameSpec, metric: ProductMetric3) -> FrameField:
     """Adapted frame of the angle spec, with rotation coefficients attached."""
     if metric.weighted_axis != 0:
@@ -151,7 +152,7 @@ def adapted_frame(spec: AdaptedFrameSpec, metric: ProductMetric3) -> FrameField:
     return FrameField(rows, metric, coeff)
 
 
-@lru_cache(maxsize=None)
+@cached_on_owner
 def integrability_data(spec: AdaptedFrameSpec,
                        metric: ProductMetric3) -> IntegrabilityData:
     """Closed-form integrability data of the adapted frame."""
@@ -297,9 +298,7 @@ def validate_frame(frame: FrameField, data: IntegrabilityData, points,
     points = list(points)
     batch = as_batch(points)
     metric = frame.metric
-    defect = float(np.max(frame.orthonormality_defect(batch)))
-    if defect > max(tol, 1e-8):
-        raise NonOrthonormalFrame(f"orthonormality defect {defect:.3e}")
+    _require_orthonormal(frame, batch, max(tol, 1e-8))
 
     # opaque views keep the exact derivative routes of the data while
     # sparing sympy from code-generating every combined identity

@@ -17,9 +17,9 @@ The Laplacian convention is Delta f = sum_i [e_i e_i f - (grad_{e_i} e_i) f].
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .numkernel import (
     ChartBox,
     ScalarField,
     as_batch,
+    compose,
     directional_field,
     fexp,
     lift,
@@ -35,6 +36,18 @@ from .numkernel import (
 )
 
 PRODUCT_AXIS = 2  # the flat R factor of a 3-chart
+
+
+def cached_on_owner(fn):
+    """Memoize ``fn(owner, *rest)`` on ``owner`` itself, so a result lives
+    exactly as long as the object it was made for."""
+    @functools.wraps(fn)
+    def cached(owner, *rest):
+        memo = owner.__dict__.setdefault("_memo_" + fn.__name__, {})
+        if rest not in memo:
+            memo[rest] = fn(owner, *rest)
+        return memo[rest]
+    return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,15 +97,10 @@ class ProductMetric3:
         """The 2-dimensional base factor e^{2q} dt^2 + ds^2."""
         q = self.conformal_exponent
         zmid = self.box.midpoint()[2]
-
-        def fn(batch):
-            z = np.full((len(batch), 1), zmid)
-            return q(as_batch(np.hstack([batch[:, :2], z])))
-
-        if q.expr is not None:
-            q2 = ScalarField(dim=2, expr=q.expr, name=q.name)
-        else:
-            q2 = ScalarField(fn=fn, dim=2, name=q.name)
+        # q at the middle of the flat factor, with its derivative rules
+        q2 = compose(q, (ScalarField.coordinate(0, 2),
+                         ScalarField.coordinate(1, 2),
+                         ScalarField.constant(zmid, 2)))
         box2 = ChartBox(self.box.lower[:2], self.box.upper[:2], self.box.guard)
         return SurfaceMetric(q2, box2, self.weighted_axis)
 
@@ -222,7 +230,7 @@ class CurvatureComponents:
 # -- Christoffel symbols ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached_on_owner
 def _christoffel_fields(metric):
     """Nonzero Christoffel fields {(k,i,j): field} of a diagonal metric.
 
@@ -353,7 +361,7 @@ def curvature_components(metric, frame, point, check_tol=1e-6):
 # -- frame Laplacian ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached_on_owner
 def _connection_vector_fields(frame):
     """Chart components of grad_{e_i} e_i for each leg, as fields."""
     metric = frame.metric
@@ -373,7 +381,7 @@ def _connection_vector_fields(frame):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cached_on_owner
 def laplacian_field(frame, field) -> ScalarField:
     """Delta f = sum_i [e_i(e_i f) - (grad_{e_i} e_i) f] as a field."""
     conn = _connection_vector_fields(frame)

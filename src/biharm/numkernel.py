@@ -3,18 +3,17 @@
 A :class:`ScalarField` is a real-valued function of 1 to 3 chart coordinates
 that evaluates a whole batch of points at once: an (n, dim) array of points
 gives n values, and a single point (a sequence of dim floats) is a batch of
-one that gives a float.  Derivatives are taken through the best route
-available, in order:
+one that gives a float.  Leaf fields are of three kinds: symbolic (a sympy
+expression), explicit (an evaluator with per-axis derivative callables) and
+opaque (a bare evaluator, such as every ``numeric_only()`` field).
 
-* a sympy expression attached to the field (exact, any order, mixed indices),
-* explicit per-axis derivative callables supplied at construction,
-* central finite differences on the bare evaluator, one shifted evaluation
-  of the whole batch per stencil leg.
-
-Derived fields (sums, products, directional derivatives along a frame) keep
-exact derivative information whenever their inputs carry it, so long
-differentiation chains stay at round-off accuracy in analytic mode and
-degrade gracefully to stencils in finite-difference mode.
+``ScalarField.diff`` is the only place a derivative field is made.  Symbolic
+fields differentiate their expression.  Every other field that is not an
+opaque leaf carries one derivative rule: its explicit partials, or the chain
+rule of the operation that derived it, so long differentiation chains stay
+at round-off accuracy in analytic mode.  An opaque leaf is differenced by a
+stencil node, one shifted evaluation of the whole batch per stencil leg.
+Pure partials, and the stencil reach they need, follow from ``diff``.
 """
 
 from __future__ import annotations
@@ -245,15 +244,11 @@ def sweep():
         _SWEEP.reset(token)
 
 
-def _in_sweep(fn, *args):
-    if _SWEEP.get() is not None:
-        return fn(*args)
-    with sweep():
-        return fn(*args)
-
-
 class ScalarField:
     """Real-valued function of chart coordinates, evaluated batch-wise.
+
+    A symbolic, explicit or opaque leaf, or a field derived by a rule;
+    ``diff`` makes every derivative field (see the module docstring).
 
     Parameters
     ----------
@@ -267,32 +262,26 @@ class ScalarField:
         Number of chart coordinates (1, 2 or 3).
     partials : dict, optional
         ``{axis: (d1, d2[, d3])}`` explicit derivative callables per axis,
-        with the same calling convention as ``fn``.
+        with the same calling convention as ``fn``; they become the field's
+        derivative rule.  Along an axis without them the field is differenced.
     expr : sympy expression, optional
-        Exact form in CHART_SYMBOLS[:dim]; wins over ``partials``.
-    diff_hook : callable axis -> ScalarField, optional
-        Derivative constructor for derived fields (product rules etc.).
+        Exact form in CHART_SYMBOLS[:dim]; wins over ``fn`` and ``partials``.
     """
 
-    __slots__ = ("dim", "expr", "partials", "name", "fd_depth", "_fn",
-                 "_diff_hook", "_lambdified", "_diff_cache")
+    __slots__ = ("dim", "expr", "name", "_fn", "_lambdified", "_diff_cache")
 
-    def __init__(self, fn=None, dim=None, partials=None, expr=None,
-                 diff_hook=None, name="", fd_depth=0):
+    def __init__(self, fn=None, dim=None, partials=None, expr=None, name=""):
         if expr is not None and dim is None:
             raise ValueError("dim is required")
         self.dim = int(dim)
         self.expr = expr
-        self.partials = dict(partials) if partials else None
         self.name = name
-        self._diff_hook = diff_hook
+        if partials and expr is None:
+            fn = _Rule(_explicit_values, _explicit_diff,
+                       (fn, dict(partials), self.dim))
         self._fn = fn
         self._lambdified = None
         self._diff_cache = {}
-        # number of central differences stacked in a stencil field (0 for
-        # every other field); a third stacked difference switches to the
-        # wider step H_FD3 to keep round-off amplification in check.
-        self.fd_depth = fd_depth
 
     # -- constructors -------------------------------------------------------
 
@@ -322,17 +311,25 @@ class ScalarField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, point):
-        return _in_sweep(self._values, point)
+    # Each level of a field graph costs few Python frames (a rule is called
+    # directly): on CPython 3.11 a hot call on a frame-stack chunk boundary
+    # maps and unmaps a chunk every time (page faults in fd sweeps).
 
-    def _values(self, point):
+    def __call__(self, point):
+        current = _SWEEP.get()
+        if current is None:
+            with sweep():
+                return self(point)
         batch = as_batch(point)
-        values = _SWEEP.get().values(self, batch)
+        values = current.values(self, batch)
         return values if batch is point else _result(values, point)
 
     def _evaluate(self, batch):
-        if self._fn is not None:
-            return _checked(_apply(self._fn, batch), batch)
+        fn = self._fn
+        if type(fn) is _Rule:
+            return _checked(fn.evaluate(batch, *fn.args), batch)
+        if self.expr is None:
+            return _checked(_apply(fn, batch), batch)
         if self._lambdified is None:
             self._lambdified = _compile(self.expr, self.dim)
         return _checked(self._lambdified(batch), batch)
@@ -349,70 +346,38 @@ class ScalarField:
             out = ScalarField.from_sympy(
                 sp.diff(self.expr, CHART_SYMBOLS[axis]), self.dim
             )
-        elif self.partials and axis in self.partials:
-            derivs = self.partials[axis]
-            rest = tuple(derivs[1:])
-            out = ScalarField(
-                fn=derivs[0],
-                dim=self.dim,
-                partials={axis: rest} if rest else None,
-            )
-        elif self._diff_hook is not None:
-            out = self._diff_hook(axis)
         else:
-            out = _fd_first_difference(self, axis)
+            out = self._fn.diff(axis) if type(self._fn) is _Rule else None
+        if out is None:  # opaque, or a rule that does not cover this axis
+            out = _stencil(self, axis, 1)
         self._diff_cache[axis] = out
+        return out
+
+    def _partial(self, axis, order):
+        """The field whose values are the pure partial of the given order.
+
+        An opaque leaf takes one direct stencil (a second difference, where
+        two nested first differences would amplify round-off more); every
+        other field follows its ``diff`` chain.
+        """
+        if self.expr is None and type(self._fn) is not _Rule:
+            out = _stencil(self, axis, min(order, 2), H_FD)
+            return _stencil(out, axis, 1, H_FD3) if order == 3 else out
+        out = self
+        for _ in range(order):
+            out = out.diff(axis)
         return out
 
     def partial(self, point, axis, order=1):
         """Pure partial of the given order (1..3) at a point or a batch."""
         if order not in (1, 2, 3):
             raise ValueError("order must be 1, 2 or 3")
-        batch = as_batch(point)
-        return _result(_in_sweep(self._partial, batch, axis, order), point)
-
-    def _partial(self, batch, axis, order):
-        if self.expr is not None:
-            fld = self
-            for _ in range(order):
-                fld = fld.diff(axis)
-            return fld(batch)
-        if self.partials and axis in self.partials:
-            derivs = self.partials[axis]
-            if order <= len(derivs) and derivs[order - 1] is not None:
-                return _checked(_apply(derivs[order - 1], batch), batch)
-            if order == 3:
-                # nest a first difference of the analytic second derivative
-                second = lambda q: self.partial(q, axis, 2)
-                return _central1(second, batch, axis, H_FD3)
-            # fall through to stencils on whatever is available
-        if self._diff_hook is not None:
-            fld = self.diff(axis)
-            if order == 1:
-                return fld(batch)
-            fld = fld.diff(axis)
-            if order == 2:
-                return fld(batch)
-            return _central1(fld, batch, axis, H_FD3)
-        if order == 1:
-            return _central1(self, batch, axis, H_FD)
-        if order == 2:
-            return _central2(self, batch, axis, H_FD)
-        return _central1(lambda q: self.partial(q, axis, 2), batch, axis,
-                         H_FD3)
+        return self._partial(axis, order)(point)
 
     def stencil_reach(self, axis, order):
-        """Half-width of the evaluation stencil partial() will use."""
-        if self.expr is not None:
-            return 0.0
-        if self.partials and axis in self.partials:
-            derivs = self.partials[axis]
-            if order <= len(derivs) and derivs[order - 1] is not None:
-                return 0.0
-            return H_FD3
-        if order <= 2:
-            return order * H_FD
-        return H_FD3 + 2 * H_FD
+        """Half-width of the set of points that partial() evaluates this
+        field at (0 when no stencil is involved)."""
+        return _reach(self._partial(axis, order), {})
 
     # -- structure-stripping (finite-difference mode) ------------------------
 
@@ -423,12 +388,11 @@ class ScalarField:
         constant is exactly zero, so both routes give the same values, and
         the terms it multiplies fold away.
         """
-        hook = None
+        name = self.name and self.name + "[fd]"
         if self.expr is not None and not self.expr.free_symbols:
-            zero = ScalarField.constant(0.0, self.dim)
-            hook = lambda axis: zero
-        return ScalarField(fn=self.__call__, dim=self.dim, diff_hook=hook,
-                           name=self.name and self.name + "[fd]")
+            return _derived(self.dim, _view_values, _zero_diff, self,
+                            name=name)
+        return ScalarField(fn=self.__call__, dim=self.dim, name=name)
 
     # -- algebra -------------------------------------------------------------
 
@@ -502,27 +466,44 @@ def _number(field):
 
 
 class _Rule:
-    """Evaluator and derivative of a derived field, as functions of fixed
-    arguments (lighter to keep than a pair of closures)."""
+    """Evaluator and derivative rule of a field as functions of fixed
+    arguments (lighter to keep than a pair of closures); ``derive`` gives
+    None along an axis it does not cover, which is then differenced."""
 
     __slots__ = ("evaluate", "derive", "args")
 
     def __init__(self, evaluate, derive, args):
         self.evaluate, self.derive, self.args = evaluate, derive, args
 
-    def __call__(self, batch):
-        return self.evaluate(batch, *self.args)
-
     def diff(self, axis):
         return self.derive(axis, *self.args)
 
 
-def _derived(dim, evaluate, derive, *args, name="", fd_depth=0):
+def _derived(dim, evaluate, derive, *args, name=""):
     """Field evaluated as ``evaluate(batch, *args)`` whose partial along an
-    axis is ``derive(axis, *args)`` (stencils when ``derive`` is None)."""
-    rule = _Rule(evaluate, derive, args)
-    return ScalarField(fn=rule, dim=dim, name=name, fd_depth=fd_depth,
-                       diff_hook=rule.diff if derive else None)
+    axis is ``derive(axis, *args)``."""
+    return ScalarField(fn=_Rule(evaluate, derive, args), dim=dim, name=name)
+
+
+def _explicit_values(batch, fn, partials, dim):
+    return _apply(fn, batch)
+
+
+def _explicit_diff(axis, fn, partials, dim):
+    derivs = partials.get(axis)
+    if derivs is None:
+        return None
+    rest = tuple(derivs[1:])
+    return ScalarField(fn=derivs[0], dim=dim,
+                       partials={axis: rest} if rest else None)
+
+
+def _view_values(batch, field):
+    return field(batch)
+
+
+def _zero_diff(axis, field):
+    return ScalarField.constant(0.0, field.dim)
 
 
 def _algebra_values(batch, op, f, g):
@@ -540,15 +521,52 @@ def _algebra_diff(axis, op, f, g):
     return (f.diff(axis) * g - f * g.diff(axis)) / (g * g)
 
 
-def _fd_first_difference(field, axis):
-    depth = field.fd_depth + 1
-    h = H_FD3 if depth >= 3 else H_FD
-    return _derived(field.dim, _stencil_values, None, field, axis, h,
-                    name=f"d{axis}[fd]", fd_depth=depth)
+class _Stencil:
+    """Evaluator of a stencil node: one central difference (first or second,
+    ``order``) of ``field`` along ``axis`` with step ``h``."""
+
+    __slots__ = ("field", "axis", "order", "h")
+
+    def __init__(self, field, axis, order, h):
+        self.field, self.axis, self.order, self.h = field, axis, order, h
+
+    def __call__(self, batch):
+        # looked up on every call, so a rebound _central1/_central2 is used
+        central = _central1 if self.order == 1 else _central2
+        return central(self.field, batch, self.axis, self.h)
 
 
-def _stencil_values(batch, field, axis, h):
-    return _central1(field, batch, axis, h)
+def _stencil(field, axis, order, h=None):
+    """Stencil node differencing ``field``.  Without a step, a first
+    difference in a ``diff`` chain: H_FD, widened to H_FD3 from the third
+    stacked difference on to keep round-off amplification in check."""
+    if h is None:
+        depth, inner = 1, field._fn
+        while type(inner) is _Stencil:
+            depth, inner = depth + 1, inner.field._fn
+        h = H_FD3 if depth >= 3 else H_FD
+    return ScalarField(fn=_Stencil(field, axis, order, h), dim=field.dim,
+                       name=f"d{axis}[fd]")
+
+
+def _reach(field, memo):
+    """Half-width of the set of points an evaluation of ``field`` touches:
+    the steps of its stencils, the largest reach of a rule's inputs."""
+    fn = field._fn
+    if type(fn) is _Stencil:
+        return fn.h + _reach(fn.field, memo)
+    if type(fn) is not _Rule:
+        return 0.0
+    if id(field) not in memo:
+        if fn.evaluate is _directional_values:  # it takes first partials
+            comps, f = fn.args
+            inputs = comps + tuple(f._partial(a, 1) for a in range(f.dim))
+        else:
+            inputs = [f for arg in fn.args
+                      for f in (arg if type(arg) is tuple else (arg,))
+                      if isinstance(f, ScalarField)]
+        memo[id(field)] = max((_reach(f, memo) for f in inputs), default=0.0)
+    return memo[id(field)]
 
 
 def _shifted(batch, axis, h):
@@ -576,8 +594,6 @@ def _central2(f, batch, axis, h):
 def partial_derivative(field, point, axis, order=1, box=None):
     """Partial derivative of ``field`` at ``point`` (or a batch) along ``axis``.
 
-    Uses the analytic route when the field carries one, otherwise central
-    differences (step H_FD for orders 1-2, an H_FD3 outer step for order 3).
     When ``box`` is given every point must keep guard+stencil clearance from
     the boundary.
     """
@@ -618,11 +634,7 @@ def directional_field(vector_components, field) -> ScalarField:
     if len(comps) != field.dim:
         raise ValueError("component count must equal the chart dimension")
     if field.expr is not None and all(c.expr is not None for c in comps):
-        expr = sum(
-            c.expr * sp.diff(field.expr, CHART_SYMBOLS[ax])
-            for ax, c in enumerate(comps)
-        )
-        return ScalarField.from_sympy(expr, field.dim)
+        return sum(c * field.diff(ax) for ax, c in enumerate(comps))
 
     return _derived(field.dim, _directional_values, _directional_diff,
                     comps, field)
@@ -644,39 +656,15 @@ def lift(field, dim, axes: Sequence[int]) -> ScalarField:
     """Reinterpret ``field`` on a higher-dimensional chart.
 
     ``axes[i]`` names the new-chart axis carrying the i-th original
-    coordinate; the new field is constant along all other axes.
+    coordinate; the new field is constant along all other axes.  This is
+    ``compose`` with coordinate fields.
     """
     axes = tuple(axes)
     if len(axes) != field.dim:
         raise ValueError("axes must list one target axis per original axis")
-    if field.expr is not None:
-        sub = {
-            CHART_SYMBOLS[i]: CHART_SYMBOLS[axes[i]] for i in range(field.dim)
-        }
-        return ScalarField(dim=dim, expr=field.expr.subs(sub, simultaneous=True),
-                           name=field.name)
-
-    def restrict(batch):
-        return _new_batch(batch[:, axes])
-
-    def fn(batch):
-        return field(restrict(batch))
-
-    partials = None
-    if field.partials:
-        partials = {}
-        for old_axis, derivs in field.partials.items():
-            partials[axes[old_axis]] = tuple(
-                (lambda b, d=d: _apply(d, restrict(b))) if d else None
-                for d in derivs
-            )
-        # constant along the remaining axes
-        zero = lambda b: 0.0
-        for new_axis in range(dim):
-            if new_axis not in axes:
-                partials[new_axis] = (zero, zero, zero)
-
-    return ScalarField(fn=fn, dim=dim, partials=partials, name=field.name)
+    out = compose(field, [ScalarField.coordinate(a, dim) for a in axes])
+    out.name = field.name
+    return out
 
 
 def opaque(field) -> ScalarField:
@@ -687,12 +675,8 @@ def opaque(field) -> ScalarField:
     where combining many exact fields symbolically would spend more time
     code-generating giant expressions than evaluating them.
     """
-    return _derived(field.dim, _opaque_values, _opaque_diff, field,
+    return _derived(field.dim, _view_values, _opaque_diff, field,
                     name=field.name)
-
-
-def _opaque_values(batch, field):
-    return field(batch)
 
 
 def _opaque_diff(axis, field):
@@ -749,11 +733,15 @@ def _compile(expr, dim):
     """Batch evaluator of a sympy expression in CHART_SYMBOLS[:dim], shared
     by every field with an equal expression.
 
-    A constant expression is evaluated once, without code generation.
+    A constant expression is evaluated once, and a coordinate reads its
+    column, without code generation.
     """
     if not expr.free_symbols:
         value = _constant_value(expr)
         return lambda batch: value
+    if expr in CHART_SYMBOLS:
+        axis = CHART_SYMBOLS.index(expr)
+        return lambda batch: batch[:, axis]
     at_point = sp.lambdify(CHART_SYMBOLS[:dim], expr, modules=["math"])
     return lambda batch: [at_point(*p) for p in batch[:, :dim].tolist()]
 

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from biharm.errors import ToleranceExceeded
+from biharm.errors import NonOrthonormalFrame, ToleranceExceeded
 from biharm.frames import (
     AdaptedFrameSpec,
     adapted_frame,
@@ -16,7 +17,7 @@ from biharm.frames import (
     validate_frame,
     _verification_points,
 )
-from biharm.geometry import ProductMetric3, base_gauss_curvature
+from biharm.geometry import FrameField, ProductMetric3, base_gauss_curvature
 from biharm.numkernel import (
     CHART_SYMBOLS,
     ChartBox,
@@ -198,6 +199,22 @@ class TestValidateFrame:
         pts = _verification_points(box, (4, 4))
         report = validate_frame(frame, data, pts, tol=1e-6)
         assert report.passed
+
+    def test_non_orthonormal_frame_names_first_point(self, flat_metric3):
+        spec = AdaptedFrameSpec(math.pi / 2, 0.0)
+        good = adapted_frame(spec, flat_metric3)
+        data = integrability_data(spec, flat_metric3)
+        # stretch the first leg by 10% where t > 0.2
+        stretch = ScalarField(
+            fn=lambda b: np.where(b[:, 0] > 0.2, 1.1, 1.0), dim=3)
+        rows = (tuple(c * stretch for c in good.components[0]),
+                ) + good.components[1:]
+        frame = FrameField(rows, flat_metric3, good.coeff)
+        pts = _verification_points(flat_metric3.box, (3, 3))
+        first_bad = next(p for p in pts if p[0] > 0.2)
+        with pytest.raises(NonOrthonormalFrame, match=re.escape(
+                f"at {first_bad}")):
+            validate_frame(frame, data, pts, tol=1e-6)
 
     def test_incompatible_angles_rejected(self, hyperbolic_metric3):
         # constant alpha strictly between 0 and pi/2 with nonzero sigma

@@ -8,6 +8,7 @@ from biharm.errors import DegenerateBox, NonFiniteValue, PointOutsideGuard
 from biharm.numkernel import (
     CHART_SYMBOLS,
     H_FD,
+    H_FD3,
     ChartBox,
     ScalarField,
     compose,
@@ -237,3 +238,112 @@ class TestBatchEvaluation:
             f(batch)
         with pytest.raises(NonFiniteValue, match=r"at \(0\.2,\)"):
             (f * 2.0 + 1.0)(batch)
+
+
+def _explicit_exp(count=3):
+    """exp(t + 2s - z) with ``count`` explicit partials along every axis."""
+    def along(k):
+        return lambda b: k * np.exp(b[:, 0] + 2.0 * b[:, 1] - b[:, 2])
+    rates = (1.0, 2.0, -1.0)
+    return ScalarField(
+        fn=along(1.0), dim=3,
+        partials={a: tuple(along(r ** n) for n in range(1, count + 1))
+                  for a, r in enumerate(rates)})
+
+
+def _leaf_kinds():
+    """One field of every kind, on a 3-chart: (label, field, opaque leaf)."""
+    from biharm.constructor import integrate_alpha
+
+    sym = ScalarField.from_expr("sin(t + 2*s) * exp(s*z)", ("t", "s", "z"))
+    fd = sym.numeric_only()
+    explicit = _explicit_exp()
+    profile = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-2)
+    u = ScalarField.from_expr("t + s*s", ("t", "s", "z"))
+    v = ScalarField.from_expr("s - z", ("t", "s", "z"))
+    w = ScalarField.from_expr("sin(x) + x*y", ("x", "y"))
+    return [
+        ("symbolic", sym, False),
+        ("explicit", explicit, False),
+        ("explicit-two-partials", _explicit_exp(2), False),
+        ("alpha-profile", profile.field(dim=3, axis=1), False),
+        ("numeric-only", fd, True),
+        ("algebra", fd * sym + explicit / (1.0 + sym * sym), False),
+        ("opaque", opaque(sym), False),
+        ("compose", compose(w.numeric_only(), (u, fd)), False),
+        ("directional", directional_field((sym, explicit, fd), fd), False),
+        ("lifted-explicit", lift(profile.field(dim=1, axis=0), 3, (1,)),
+         False),
+        ("lifted-numeric-only", lift(w.numeric_only(), 3, (2, 0)), False),
+    ]
+
+
+class TestDerivativeRoute:
+    """Every derivative follows from ``diff``; an opaque leaf's pure partial
+    is one direct stencil."""
+
+    BATCH = np.array([(0.1 * k - 0.3, 0.25 + 0.05 * k, 0.2 - 0.07 * k)
+                      for k in range(5)])
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_partial_is_the_diff_chain(self, order):
+        for label, f, opaque_leaf in _leaf_kinds():
+            if opaque_leaf:
+                continue
+            for axis in range(3):
+                chain = f
+                for _ in range(order):
+                    chain = chain.diff(axis)
+                got = f.partial(self.BATCH, axis, order)
+                assert np.array_equal(got, chain(self.BATCH)), (label, axis)
+
+    def test_opaque_second_partial_is_one_stencil(self):
+        g = ScalarField.from_expr("sin(t + 2*s) * exp(s*z)",
+                                  ("t", "s", "z")).numeric_only()
+        for axis in range(3):
+            up, dn = self.BATCH.copy(), self.BATCH.copy()
+            up[:, axis] += H_FD
+            dn[:, axis] -= H_FD
+            expected = (g(up) - 2.0 * g(self.BATCH) + g(dn)) / (H_FD * H_FD)
+            assert np.array_equal(g.partial(self.BATCH, axis, 2), expected)
+
+    def test_stencil_reach(self):
+        kinds = {label: f for label, f, _ in _leaf_kinds()}
+        for axis in range(3):
+            for order in (1, 2, 3):
+                for label in ("symbolic", "explicit", "alpha-profile",
+                              "lifted-explicit"):
+                    assert kinds[label].stencil_reach(axis, order) == 0.0
+        fd = kinds["numeric-only"]
+        # an opaque leaf: one direct stencil per order
+        assert fd.stencil_reach(1, 1) == H_FD
+        assert fd.stencil_reach(1, 2) == H_FD
+        assert fd.stencil_reach(1, 3) == H_FD3 + H_FD
+        # stencils over stencil nodes: the sum of their steps
+        node = fd.diff(0)
+        assert node.stencil_reach(0, 1) == H_FD + H_FD
+        assert fd.diff(0).diff(0).diff(0).stencil_reach(1, 1) == \
+            H_FD + H_FD + H_FD3 + H_FD
+        # explicit partials beyond the given ones are differenced
+        assert kinds["explicit-two-partials"].stencil_reach(1, 3) == H_FD
+        # a derived field: the largest reach among its inputs
+        prod = fd * node
+        assert prod.stencil_reach(0, 1) == H_FD + H_FD
+        assert prod.stencil_reach(0, 3) == H_FD + H_FD + H_FD3 + H_FD3
+        assert kinds["algebra"].stencil_reach(2, 2) == H_FD + H_FD
+        # a directional derivative differences its field as it evaluates
+        assert kinds["directional"].stencil_reach(0, 1) == H_FD + H_FD
+        assert kinds["lifted-numeric-only"].stencil_reach(1, 1) == 0.0
+        assert kinds["lifted-numeric-only"].stencil_reach(2, 1) == H_FD
+
+    @pytest.mark.parametrize("order,reach", [
+        (1, H_FD), (2, H_FD), (3, H_FD3 + H_FD)])
+    def test_box_clearance_is_the_reach(self, order, reach):
+        f = ScalarField(fn=lambda b: np.sin(b[:, 0]), dim=1)
+        box = ChartBox((0.0,), (1.0,))
+        assert f.stencil_reach(0, order) == reach
+        partial_derivative(f, (reach,), 0, order, box=box)
+        partial_derivative(f, (1.0 - reach,), 0, order, box=box)
+        for x in (reach - 1e-9, 1.0 - reach + 1e-9):
+            with pytest.raises(PointOutsideGuard):
+                partial_derivative(f, (x,), 0, order, box=box)

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +133,21 @@ class TestResiduals:
         }
         assert set(rec["channels"][0]) == {"name", "max_abs", "at"}
         json.dumps(rec)  # serializable
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_dropped_spec_is_freed(self, mode):
+        # frames, Christoffel fields and Laplacians are cached on the objects
+        # they are made for, so nothing keeps a dropped spec alive
+        spec = catalog_examples()[2]
+        if mode == "fd":
+            spec = spec.numeric_only()
+        residual_report(spec, tol=1e-6, grid=(3, 3))
+        metric = weakref.ref(spec.domain_metric)
+        frame_spec = weakref.ref(spec.frame_spec)
+        del spec
+        gc.collect()
+        assert metric() is None
+        assert frame_spec() is None
 
 
 class TestScan:
