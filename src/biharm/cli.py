@@ -27,7 +27,7 @@ import numpy as np
 import sympy as sp
 
 from . import constructor, hypersurface, submersion
-from .errors import GeometryError
+from .errors import GeometryError, SingularProfile
 from .frames import frame_identity_suite
 from .geometry import ProductMetric3, base_gauss_curvature
 from .numkernel import (
@@ -204,6 +204,8 @@ def _cmd_construct(args):
         _atomic_write(args.profile_out, constructor.profile_to_text(profile))
         print(f"profile table: {args.profile_out}")
 
+    if len(profile.y_grid) < 5:
+        raise SingularProfile("profile has fewer than 5 nodes")
     interior = profile.y_grid[2:-2]
     ode_worst = max(
         abs(constructor.alpha_ode_residual(profile, y)) for y in interior

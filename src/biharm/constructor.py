@@ -24,6 +24,8 @@ whose target Gauss curvature is -(sin a)''/sin a.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +91,35 @@ def ode_residual_terms(alpha, a1, a2, a3):
             + s * (2.0 * c * c + 3.0) * a1 ** 3)
 
 
+# The hot loops below run on plain floats: a numpy scalar costs more to make
+# than the arithmetic it carries, and the IEEE operations are the same.
+
+
+def _floats(column):
+    """Read-only view of a node column whose items are Python floats (no
+    copy of a float64 array)."""
+    return memoryview(np.asarray(column, dtype=float))
+
+
+def _interp_linear(x, xp, fp):
+    """np.interp(x, xp, fp) at one abscissa, operation for operation."""
+    x = float(x)
+    if math.isnan(x):
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    out = slope * (x - xp[j]) + fp[j]
+    if math.isnan(out):  # numpy retries from the right node
+        out = slope * (x - xp[j + 1]) + fp[j + 1]
+        if math.isnan(out) and fp[j] == fp[j + 1]:
+            out = fp[j]
+    return out
+
+
 class _CubicHermite:
     """Piecewise-cubic interpolant matching values and first derivatives.
 
@@ -102,17 +133,23 @@ class _CubicHermite:
         self.ds = np.asarray(ds, dtype=float)
         if not np.all(np.diff(self.xs) > 0):
             raise ValueError("nodes must be strictly increasing")
+        self._views = (_floats(self.xs), _floats(self.ys), _floats(self.ds))
+
+    def _outside(self, bad):
+        xs = self.xs
+        return OutOfProfile(
+            f"{bad:.6g} outside the profile span "
+            f"[{xs[0]:.6g}, {xs[-1]:.6g}]"
+        )
 
     def __call__(self, x):
+        if isinstance(x, float):
+            return self._at(float(x))
         xs = self.xs
         x = np.asarray(x, dtype=float)
         outside = (x < xs[0] - 1e-12) | (x > xs[-1] + 1e-12)
         if outside.any():
-            bad = float(x.flat[np.argmax(outside)])
-            raise OutOfProfile(
-                f"{bad:.6g} outside the profile span "
-                f"[{xs[0]:.6g}, {xs[-1]:.6g}]"
-            )
+            raise self._outside(float(x.flat[np.argmax(outside)]))
         i = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
         h = xs[i + 1] - xs[i]
         t = (x - xs[i]) / h
@@ -123,15 +160,29 @@ class _CubicHermite:
                + (t3 - t2) * h * self.ds[i + 1])
         return out if out.ndim else float(out)
 
+    def _at(self, x):
+        """The array path above for one float abscissa."""
+        xs, ys, ds = self._views
+        if x < xs[0] - 1e-12 or x > xs[-1] + 1e-12:
+            raise self._outside(x)
+        i = min(max(bisect_left(xs, x) - 1, 0), len(xs) - 2)
+        h = xs[i + 1] - xs[i]
+        t = (x - xs[i]) / h
+        t2, t3 = t * t, t * t * t
+        return ((2 * t3 - 3 * t2 + 1) * ys[i]
+                + (t3 - 2 * t2 + t) * h * ds[i]
+                + (-2 * t3 + 3 * t2) * ys[i + 1]
+                + (t3 - t2) * h * ds[i + 1])
+
 
 @dataclass(frozen=True, eq=False)
 class AlphaProfile:
     """Sampled solution of the fiber-angle ODE with its derivatives.
 
     Nodes carry (alpha, alpha', alpha''); interpolation between nodes is
-    cubic Hermite.  ``truncated`` flags an integration stopped early by a
-    singularity margin; ``step_error`` is the worst per-step Richardson
-    estimate from step halving.
+    cubic Hermite.  ``truncated`` flags an integration stopped early (see
+    integrate_alpha); ``step_error`` is the worst per-step Richardson
+    estimate from step halving over the kept steps.
     """
 
     y_grid: np.ndarray
@@ -220,26 +271,53 @@ class AlphaProfile:
                            partials=partials, name="alpha-profile")
 
 
-def _margins_ok(state, eps_sing, min_slope):
-    alpha, a1, _ = state
+def _node(state, eps_sing, min_slope):
+    """(third derivative at a node state, "") when the node can be kept,
+    otherwise (None, the reason it cannot)."""
+    alpha, a1, a2 = state
     if not all(math.isfinite(v) for v in state):
-        return False, "non-finite state"
+        return None, "non-finite state"
     if abs(math.sin(alpha) * math.cos(alpha)) < eps_sing:
-        return False, f"|sin*cos| margin {eps_sing:g} hit at alpha={alpha:.6g}"
+        return None, f"|sin*cos| margin {eps_sing:g} hit at alpha={alpha:.6g}"
     if abs(a1) < min_slope:
-        return False, f"|alpha'| fell below {min_slope:g}"
-    return True, ""
+        return None, f"|alpha'| fell below {min_slope:g}"
+    try:
+        return _third_derivative(alpha, a1, a2), ""
+    except OverflowError:  # alpha'^3 beyond the float range
+        return None, "non-finite state"
+
+
+def _step_end(state, full, half, eps_sing, min_slope):
+    """_node of the end ``half`` of a step from ``state``, taken whole as
+    ``full``.
+
+    The margins are checked at nodes only, so a step that jumps over a
+    zero of sin(2 alpha) is caught by the sign change between its ends.
+    """
+    if not all(math.isfinite(v) for v in full + half):
+        return None, "non-finite state"
+    if (math.sin(2.0 * state[0]) > 0.0) != (math.sin(2.0 * half[0]) > 0.0):
+        return None, (f"step crossed sin(2 alpha) = 0 between alpha="
+                      f"{state[0]:.6g} and alpha={half[0]:.6g}")
+    return _node(half, eps_sing, min_slope)
 
 
 def _rk4_step(state, h):
-    def rhs(y):
-        return np.array([y[1], y[2], _third_derivative(y[0], y[1], y[2])])
-
-    k1 = rhs(state)
-    k2 = rhs(state + 0.5 * h * k1)
-    k3 = rhs(state + 0.5 * h * k2)
-    k4 = rhs(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One classical RK4 step of (alpha, alpha', alpha''), in the operation
+    order of the array form state + (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    a, b, c = state
+    hh = 0.5 * h
+    f1 = _third_derivative(a, b, c)
+    a2, b2, c2 = a + hh * b, b + hh * c, c + hh * f1
+    f2 = _third_derivative(a2, b2, c2)
+    a3, b3, c3 = a + hh * b2, b + hh * c2, c + hh * f2
+    f3 = _third_derivative(a3, b3, c3)
+    a4, b4, c4 = a + h * b3, b + h * c3, c + h * f3
+    f4 = _third_derivative(a4, b4, c4)
+    h6 = h / 6.0
+    return (a + h6 * (((b + 2 * b2) + 2 * b3) + b4),
+            b + h6 * (((c + 2 * c2) + 2 * c3) + c4),
+            c + h6 * (((f1 + 2 * f2) + 2 * f3) + f4))
 
 
 def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
@@ -248,48 +326,54 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
 
     Every step is taken twice (once at h, once as two h/2 steps) and the
     halved result is kept; the difference/15 gives the per-step error
-    estimate.  Integration stops early, returning a truncated profile, when
-    a singularity margin or the nonzero-slope requirement is violated.
-    Initial data violating the margins raises ImmediateSingularity.
+    estimate, and ``step_error`` is the worst of it over the kept steps.
+    Integration stops early, returning a truncated profile, when a step
+    leaves the float range, crosses a zero of sin(2 alpha), or violates a
+    singularity margin or the nonzero-slope requirement.  Initial data
+    violating the margins raises ImmediateSingularity; a span or step
+    that is not finite raises ValueError.
     """
     y0, y1 = y_span
+    if not (math.isfinite(y0) and math.isfinite(y1)):
+        raise ValueError(f"y span [{y0}, {y1}] is not finite")
+    if not math.isfinite(step):
+        raise ValueError(f"step {step} is not finite")
     if not y1 > y0:
         raise EmptyRange(f"span [{y0}, {y1}] is empty")
     if step <= 0:
         raise ValueError("step must be positive")
-    state = np.array([alpha0, alpha1_0, alpha2_0], dtype=float)
-    ok, reason = _margins_ok(state, eps_sing, min_slope)
-    if not ok:
+    state = (float(alpha0), float(alpha1_0), float(alpha2_0))
+    alpha3, reason = _node(state, eps_sing, min_slope)
+    if reason:
         raise ImmediateSingularity(f"initial data rejected: {reason}")
 
     n = max(1, round((y1 - y0) / step))
     h = (y1 - y0) / n
-    ys, rows = [y0], [state.copy()]
-    truncated, reason, worst = False, "", 0.0
+    # node rows (y, alpha, alpha', alpha'', alpha''') packed as doubles, so
+    # a long profile keeps no Python object per node; the third-derivative
+    # column is exact on solution trajectories
+    nodes = array("d", (y0, *state, alpha3))
+    worst = 0.0
     for k in range(n):
         try:
             full = _rk4_step(state, h)
             half = _rk4_step(_rk4_step(state, 0.5 * h), 0.5 * h)
+            alpha3, reason = _step_end(state, full, half, eps_sing,
+                                       min_slope)
         except SingularCoefficient as err:
-            truncated, reason = True, str(err)
+            reason = str(err)
+        except (OverflowError, ValueError):  # a stage left the float range
+            reason = "non-finite state"
+        if reason:
             break
-        worst = max(worst, float(np.max(np.abs(full - half))) / 15.0)
+        worst = max(worst, max(abs(f - g) for f, g in zip(full, half)) / 15.0)
         state = half
-        ok, why = _margins_ok(state, eps_sing, min_slope)
-        if not ok:
-            truncated, reason = True, why
-            break
-        ys.append(y0 + (k + 1) * h)
-        rows.append(state.copy())
-    rows = np.array(rows)
-    # the third-derivative column is exact on solution trajectories
-    alpha3 = np.array([
-        _third_derivative(a, b, c) for a, b, c in rows
-    ])
+        nodes.extend((y0 + (k + 1) * h, *state, alpha3))
+    ys, alpha, alpha1, alpha2, alpha3 = np.array(nodes).reshape(-1, 5).T.copy()
     return AlphaProfile(
-        y_grid=np.array(ys), alpha=rows[:, 0], alpha1=rows[:, 1],
-        alpha2=rows[:, 2], truncated=truncated, truncate_reason=reason,
-        step_error=worst, alpha3=alpha3,
+        y_grid=ys, alpha=alpha, alpha1=alpha1, alpha2=alpha2,
+        truncated=bool(reason), truncate_reason=reason, step_error=worst,
+        alpha3=alpha3,
     )
 
 
@@ -304,12 +388,13 @@ def alpha_ode_residual(profile: AlphaProfile, y):
     d = profile.node_step
     if not (y0 + d <= y <= y1 - d):
         raise OutOfProfile(f"{y:.6g} is not interior to [{y0:.6g}, {y1:.6g}]")
-    a2_lin = lambda x: float(np.interp(x, profile.y_grid, profile.alpha2))
-    a3 = (a2_lin(y + d) - a2_lin(y - d)) / (2.0 * d)
+    ys, a2s = _floats(profile.y_grid), _floats(profile.alpha2)
+    a3 = (_interp_linear(y + d, ys, a2s)
+          - _interp_linear(y - d, ys, a2s)) / (2.0 * d)
     return ode_residual_terms(
         profile.angle(y),
         profile.slope(y),
-        a2_lin(y),
+        _interp_linear(y, ys, a2s),
         a3,
     )
 
@@ -321,11 +406,12 @@ def riccati_consistency(profile: AlphaProfile):
     node-to-node in the alpha variable) from the initial u and compared
     with the profile's own u at every node.
     """
-    alphas = profile.alpha
-    u = profile.alpha2[0] / profile.alpha1[0] ** 2
+    alphas = profile.alpha.tolist()
+    slopes, curvs = profile.alpha1.tolist(), profile.alpha2.tolist()
+    u = curvs[0] / slopes[0] ** 2
     worst = 0.0
     for k in range(len(alphas)):
-        u_profile = profile.alpha2[k] / profile.alpha1[k] ** 2
+        u_profile = curvs[k] / slopes[k] ** 2
         worst = max(worst, abs(u - u_profile))
         if k + 1 < len(alphas):
             da = alphas[k + 1] - alphas[k]

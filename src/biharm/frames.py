@@ -43,6 +43,7 @@ from .geometry import (
     _require_orthonormal,
     base_gauss_curvature,
     cached_on_owner,
+    covariant_leg,
     frame_contraction,
     riemann_chart,
 )
@@ -238,15 +239,7 @@ def _frame_identity_channels(frame: FrameField, data: IntegrabilityData):
         ]
 
     def nabla(i, j):
-        # (grad_{e_i} e_j)^l = e_i(e_j^l) + G^l_{bm} e_i^b e_j^m
-        out = []
-        for l in range(3):
-            term = directional_field(rows[i - 1], rows[j - 1][l])
-            for (k, b, m), gam in gamma.items():
-                if k == l:
-                    term = term + gam * (rows[i - 1][b] * rows[j - 1][m])
-            out.append(term)
-        return out
+        return covariant_leg(rows[i - 1], rows[j - 1], gamma)
 
     def combo(*pairs):
         # sum of coeff-field * frame-row combinations, componentwise

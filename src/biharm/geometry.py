@@ -361,24 +361,25 @@ def curvature_components(metric, frame, point, check_tol=1e-6):
 # -- frame Laplacian ----------------------------------------------------------
 
 
+def covariant_leg(e_i, e_j, gamma):
+    """Chart components of grad_{e_i} e_j, e_i(e_j^l) + G^l_{bm} e_i^b e_j^m,
+    for legs given by their chart component fields and Christoffel fields
+    {(l, b, m): field}."""
+    out = []
+    for l in range(len(e_j)):
+        term = directional_field(e_i, e_j[l])
+        for (k, b, m), gam in gamma.items():
+            if k == l:
+                term = term + gam * (e_i[b] * e_j[m])
+        out.append(term)
+    return tuple(out)
+
+
 @cached_on_owner
 def _connection_vector_fields(frame):
     """Chart components of grad_{e_i} e_i for each leg, as fields."""
-    metric = frame.metric
-    fields = _christoffel_fields(metric)
-    d = frame.dim
-    out = []
-    for i in range(d):
-        row = frame.components[i]
-        comps = []
-        for l in range(d):
-            term = directional_field(row, row[l])
-            for (k, b, m), gam in fields.items():
-                if k == l:
-                    term = term + gam * (row[b] * row[m])
-            comps.append(term)
-        out.append(tuple(comps))
-    return tuple(out)
+    fields = _christoffel_fields(frame.metric)
+    return tuple(covariant_leg(row, row, fields) for row in frame.components)
 
 
 @cached_on_owner

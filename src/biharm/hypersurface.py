@@ -28,6 +28,7 @@ from .errors import DegenerateImmersion, NotCMC, NotUmbilic
 from .geometry import (
     ProductMetric3,
     base_gauss_curvature,
+    covariant_leg,
     riemann_chart,
 )
 from .geometry import _christoffel_fields, _field_matrix
@@ -228,14 +229,8 @@ class SurfaceImmersion:
         total = None
         for eps in self.frame_fields:
             term = directional_field(eps, directional_field(eps, field))
-            conn = []
-            for c in range(2):
-                piece = directional_field(eps, eps[c])
-                for (k, a, b), g in gamma.items():
-                    if k == c:
-                        piece = piece + g * (eps[a] * eps[b])
-                conn.append(piece)
-            term = term - directional_field(tuple(conn), field)
+            term = term - directional_field(covariant_leg(eps, eps, gamma),
+                                            field)
             total = term if total is None else total + term
         return total
 

@@ -140,6 +140,29 @@ class TestConstructCommand:
         assert case["verdict"] == "pass"
         assert case["classification"] == "proper biharmonic"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--yspan", "0:inf"), ("--yspan", "nan:1"),
+        ("--step", "nan"), ("--step", "inf"),
+    ])
+    def test_non_finite_span_or_step_exits_2(self, tmp_path, capsys, flag,
+                                             value):
+        argv = ["construct", "--alpha0", "0.8", "--alpha1", "0.1",
+                "--u0", "-1", "--yspan", "0:1",
+                "--out", str(tmp_path / "c.jsonl"), flag, value]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "is not finite" in err
+        assert "Traceback" not in err
+
+    def test_coarse_profile_exits_2(self, tmp_path, capsys):
+        code = run([
+            "construct", "--alpha0", "0.8", "--alpha1", "0.1", "--u0", "-1",
+            "--yspan", "0:1", "--step", "0.3",
+            "--out", str(tmp_path / "c.jsonl"),
+        ])
+        assert code == 2
+        assert "profile has fewer than 5 nodes" in capsys.readouterr().err
+
     def test_degenerate_start_exits_2(self, tmp_path):
         code = run([
             "construct", "--alpha0", "0.8", "--alpha1", "0", "--u0", "0",

@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from biharm import constructor
 from biharm.constructor import (
     AlphaProfile,
     ConstructionSpec,
@@ -78,6 +80,37 @@ class TestIntegration:
         ratio = d1 / max(d2, 1e-18)
         assert 8.0 < ratio < 40.0
 
+    @pytest.mark.parametrize("start, span, step", [
+        ((0.3, -50.0, 100.0), (0.0, 1.0), 1e-2),   # a1**3 overflows
+        ((0.8, 1.0, 1e6), (0.0, 1.0), 1e-2),       # a stage meets sin(inf)
+        ((0.1, -0.5, -2.0), (0.0, 5.0), 1e-3),     # a step jumps over alpha=0
+    ])
+    def test_blow_up_truncates(self, start, span, step):
+        prof = integrate_alpha(*start, span, step)
+        assert prof.truncated
+        assert math.isfinite(prof.step_error)
+        side = math.sin(2.0 * start[0]) > 0.0
+        assert all((math.sin(2.0 * a) > 0.0) == side for a in prof.alpha)
+
+    def test_crossing_names_the_step(self):
+        prof = integrate_alpha(0.1, -0.5, -2.0, (0.0, 5.0), 1e-3)
+        assert len(prof.y_grid) == 106
+        assert prof.truncate_reason.startswith("step crossed sin(2 alpha) = 0")
+
+    def test_overflow_reason_kept(self):
+        prof = integrate_alpha(0.3, -50.0, 100.0, (0.0, 1.0), 1e-2)
+        assert prof.truncate_reason == "non-finite state"
+        assert len(prof.y_grid) == 2
+
+    @pytest.mark.parametrize("span, step", [
+        ((0.0, math.inf), 1e-3), ((math.nan, 1.0), 1e-3),
+        ((0.0, 1.0), math.nan), ((0.0, 1.0), math.inf),
+    ])
+    def test_non_finite_span_or_step(self, span, step):
+        name = "span" if step == 1e-3 else "step"
+        with pytest.raises(ValueError, match=f"{name} .* is not finite"):
+            integrate_alpha(*START, span, step)
+
     def test_truncation_on_margin(self):
         # drive alpha towards pi/2 fast: the sin*cos margin must stop it
         prof = integrate_alpha(1.45, 0.8, 0.0, (0.0, 1.0), 1e-3)
@@ -119,6 +152,99 @@ class TestOdeResidual:
         s = c = math.sqrt(0.5)
         expected = c * (s * s + 3) * 0.1 * (-0.01) + s * (2 * c * c + 3) * 1e-3
         assert val == pytest.approx(expected, abs=1e-15)
+
+
+def _numpy_rk4_step(state, h):
+    """The array form of one RK4 step, the reference for the float form."""
+    def rhs(y):
+        return np.array([y[1], y[2],
+                         constructor._third_derivative(y[0], y[1], y[2])])
+
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * h * k1)
+    k3 = rhs(state + 0.5 * h * k2)
+    k4 = rhs(state + h * k3)
+    return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _bits(value):
+    assert type(value) is float
+    return value.hex()
+
+
+class TestScalarPaths:
+    """The float hot paths against their numpy forms, bit for bit."""
+
+    def test_hermite_scalar_matches_array(self, solved_profile):
+        herm = solved_profile._interp("alpha")
+        xs = herm.xs
+        rng = random.Random(7)
+        points = (list(xs[::37]) + list(0.5 * (xs[:-1:41] + xs[1::41]))
+                  + [xs[0] - 1e-12, xs[0] + 1e-12, xs[-1] - 1e-12,
+                     xs[-1] + 1e-12]
+                  + [rng.uniform(xs[0], xs[-1]) for _ in range(200)])
+        for x in points:
+            ref = herm(np.array([x]))[0]
+            assert _bits(herm(float(x))) == float(ref).hex()
+            assert _bits(herm(np.float64(x))) == float(ref).hex()
+
+    def test_hermite_scalar_outside_and_nan(self, solved_profile):
+        herm = solved_profile._interp("alpha1")
+        for x in (-0.5, 1.0 + 1e-9):
+            with pytest.raises(OutOfProfile) as scalar:
+                herm(x)
+            with pytest.raises(OutOfProfile) as array:
+                herm(np.array([x]))
+            assert str(scalar.value) == str(array.value)
+        assert math.isnan(herm(math.nan))
+        assert math.isnan(herm(np.array([math.nan]))[0])
+
+    def test_linear_interp_matches_numpy(self, solved_profile):
+        rng = np.random.default_rng(3)
+        ys = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 60))))
+        uneven = AlphaProfile(ys, 0.3 + 0.5 * ys, np.full_like(ys, 0.5),
+                              np.sin(7 * ys))
+        back = profile_from_text(profile_to_text(uneven))
+        for prof in (solved_profile, back):
+            xp, fp = prof.y_grid, prof.alpha2
+            xs = np.concatenate((xp[::13], xp[:1] - 1e-13, xp[-1:] + 1e-13,
+                                 rng.uniform(xp[0], xp[-1], 300)))
+            for x in xs:
+                got = constructor._interp_linear(
+                    x, constructor._floats(xp), constructor._floats(fp))
+                assert _bits(got) == float(np.interp(x, xp, fp)).hex()
+        got = constructor._interp_linear(math.nan, constructor._floats(xp),
+                                         constructor._floats(fp))
+        assert math.isnan(got)
+
+    def test_rk4_step_matches_numpy(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            state = (rng.uniform(0.3, 1.2), rng.uniform(-1.0, 1.0),
+                     rng.uniform(-1.0, 1.0))
+            h = rng.choice([1e-4, 1e-3, 0.05])
+            got = constructor._rk4_step(state, h)
+            ref = _numpy_rk4_step(np.array(state), h)
+            assert [_bits(v) for v in got] == [float(v).hex() for v in ref]
+
+    def test_three_rk4_calls_per_step(self, monkeypatch):
+        calls = []
+        rk4 = constructor._rk4_step
+
+        def counted(*args):
+            calls.append(1)
+            return rk4(*args)
+
+        monkeypatch.setattr(constructor, "_rk4_step", counted)
+        prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
+        assert not prof.truncated
+        assert len(calls) == 3 * (len(prof.y_grid) - 1) == 150
+
+    def test_residual_and_oracles_are_floats(self, solved_profile):
+        y = solved_profile.y_grid[500]
+        assert type(alpha_ode_residual(solved_profile, y)) is float
+        assert type(solved_profile.angle(y)) is float
+        assert type(riccati_consistency(solved_profile)) is float
 
 
 class TestFlatTargetBuilder:
