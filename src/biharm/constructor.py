@@ -291,12 +291,14 @@ def _step_end(state, full, half, eps_sing, min_slope):
     """_node of the end ``half`` of a step from ``state``, taken whole as
     ``full``.
 
-    The margins are checked at nodes only, so a step that jumps over a
-    zero of sin(2 alpha) is caught by the sign change between its ends.
+    The margins are checked at nodes only, so a step that jumps over
+    zeros of sin(2 alpha) is caught by its ends lying in different quarter
+    periods floor(2 alpha / pi), however many zeros it jumps.
     """
     if not all(math.isfinite(v) for v in full + half):
         return None, "non-finite state"
-    if (math.sin(2.0 * state[0]) > 0.0) != (math.sin(2.0 * half[0]) > 0.0):
+    if (math.floor(2.0 * state[0] / math.pi)
+            != math.floor(2.0 * half[0] / math.pi)):
         return None, (f"step crossed sin(2 alpha) = 0 between alpha="
                       f"{state[0]:.6g} and alpha={half[0]:.6g}")
     return _node(half, eps_sing, min_slope)

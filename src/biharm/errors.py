@@ -60,7 +60,8 @@ class OutOfProfile(GeometryError):
 
 
 class EmptyRange(GeometryError):
-    """A scan interval is empty or under-sampled."""
+    """A scan interval is empty, under-sampled or not finite, or its
+    curvature is not finite."""
 
 
 class SingularProfile(GeometryError):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 import sympy as sp
@@ -56,7 +55,6 @@ from .numkernel import (
     fcos,
     fexp,
     fsin,
-    opaque,
     sample_grid,
     sweep,
 )
@@ -225,8 +223,8 @@ def _frame_identity_channels(frame: FrameField, data: IntegrabilityData):
     from .geometry import _christoffel_fields  # shared cache
 
     metric = frame.metric
-    rows = tuple(tuple(opaque(c) for c in row) for row in frame.components)
-    gamma = {key: opaque(g) for key, g in _christoffel_fields(metric).items()}
+    rows = frame.components
+    gamma = _christoffel_fields(metric)
     zero = ScalarField.constant(0.0, 3)
     D = data
 
@@ -292,16 +290,10 @@ def validate_frame(frame: FrameField, data: IntegrabilityData, points,
     batch = as_batch(points)
     metric = frame.metric
     _require_orthonormal(frame, batch, max(tol, 1e-8))
-
-    # opaque views keep the exact derivative routes of the data while
-    # sparing sympy from code-generating every combined identity
-    wrapped = SimpleNamespace(
-        **{k: opaque(v) for k, v in data.as_dict().items()}
-    )
-    rows = tuple(tuple(opaque(c) for c in row) for row in frame.components)
+    rows = frame.components
 
     channels = []
-    for name, comps in _frame_identity_channels(frame, wrapped):
+    for name, comps in _frame_identity_channels(frame, data):
         worst = np.max(np.abs([c(batch) for c in comps]), axis=0)
         channels.append(max_over_batch(name, points, worst))
 
@@ -316,7 +308,7 @@ def validate_frame(frame: FrameField, data: IntegrabilityData, points,
     a = frame.coeff_matrix(batch)
     k_base = base_gauss_curvature(metric, batch)
     for name, printed, data_expr, (sign, r1, r2) in _CURVATURE_ROWS:
-        mid = data_expr(wrapped, ops)(batch)
+        mid = data_expr(data, ops)(batch)
         i, j, k, l = printed
         lhs = np.array([frame_contraction(lp, mp, (i - 1, j - 1, l - 1, k - 1))
                         for lp, mp in zip(low, m)])

@@ -7,13 +7,21 @@ one that gives a float.  Leaf fields are of three kinds: symbolic (a sympy
 expression), explicit (an evaluator with per-axis derivative callables) and
 opaque (a bare evaluator, such as every ``numeric_only()`` field).
 
-``ScalarField.diff`` is the only place a derivative field is made.  Symbolic
-fields differentiate their expression.  Every other field that is not an
-opaque leaf carries one derivative rule: its explicit partials, or the chain
-rule of the operation that derived it, so long differentiation chains stay
-at round-off accuracy in analytic mode.  An opaque leaf is differenced by a
-stencil node, one shifted evaluation of the whole batch per stencil leg.
-Pure partials, and the stencil reach they need, follow from ``diff``.
+Sympy sits only at the leaves.  Algebra, ``compose``, ``directional_field``
+and the unary functions never build an expression: they derive a field by
+a rule.  Exact numbers fold (0·f is 0, 1·f and f ± 0 are f, and an
+operation on exact numbers is an exact number), so constant frame entries
+prune the terms they zero.
+
+``ScalarField.diff`` is the only place a derivative field is made.  A
+symbolic leaf differentiates its expression, and each expression is
+compiled once.  Every other field that is not an opaque leaf carries one
+derivative rule: its explicit partials, or the chain rule of the operation
+that derived it (forward mode over the field graph), so long
+differentiation chains stay at round-off accuracy in analytic mode.  An
+opaque leaf is differenced by a stencil node, one shifted evaluation of the
+whole batch per stencil leg.  Pure partials, and the stencil reach they
+need, follow from ``diff``.
 """
 
 from __future__ import annotations
@@ -247,7 +255,8 @@ def sweep():
 class ScalarField:
     """Real-valued function of chart coordinates, evaluated batch-wise.
 
-    A symbolic, explicit or opaque leaf, or a field derived by a rule;
+    A symbolic, explicit or opaque leaf, or a field derived by a rule from
+    other fields; only a leaf or an exact number holds a sympy expression.
     ``diff`` makes every derivative field (see the module docstring).
 
     Parameters
@@ -403,13 +412,12 @@ class ScalarField:
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("dimension mismatch in field algebra")
-        fn = _OPS[op]
-        if self.expr is not None and other.expr is not None:
-            return ScalarField.from_sympy(fn(self.expr, other.expr), self.dim)
         f, g = self, other
-        # exact constants 0 and 1 fold away, so product rules on constant
-        # frame components do not evaluate terms that vanish
+        # exact numbers fold, so product rules on constant frame components
+        # do not evaluate terms that vanish
         cf, cg = _number(f), _number(g)
+        if cf is not None and cg is not None:
+            return ScalarField(dim=self.dim, expr=_OPS[op](f.expr, g.expr))
         if op == "*" and 0.0 in (cf, cg):
             return ScalarField.constant(0.0, self.dim)
         if (op in "+-" and cg == 0.0) or (op in "*/" and cg == 1.0):
@@ -445,7 +453,7 @@ class ScalarField:
         return f"ScalarField({tag}, dim={self.dim})"
 
 
-# one table serves sympy expressions and arrays of values alike
+# one table serves sympy numbers and arrays of values alike
 _OPS = {
     "+": operator.add,
     "-": operator.sub,
@@ -626,16 +634,15 @@ def frame_derivative(vector_components, field, point):
 def directional_field(vector_components, field) -> ScalarField:
     """Directional derivative as a composable ScalarField.
 
-    Symbolic when every input is symbolic; otherwise a derived field whose
-    own derivatives follow the product rule, so nesting e_i(e_j(f)) keeps the
-    analytic accuracy of the inputs.
+    A derived field whose own derivatives follow the product rule, so
+    nesting e_i(e_j(f)) keeps the analytic accuracy of the inputs; the
+    derivative of an exact number is the exact number 0.
     """
     comps = tuple(vector_components)
     if len(comps) != field.dim:
         raise ValueError("component count must equal the chart dimension")
-    if field.expr is not None and all(c.expr is not None for c in comps):
-        return sum(c * field.diff(ax) for ax, c in enumerate(comps))
-
+    if _number(field) is not None:
+        return ScalarField.constant(0.0, field.dim)
     return _derived(field.dim, _directional_values, _directional_diff,
                     comps, field)
 
@@ -667,30 +674,14 @@ def lift(field, dim, axes: Sequence[int]) -> ScalarField:
     return out
 
 
-def opaque(field) -> ScalarField:
-    """View of a field that blocks symbolic propagation into combinations.
-
-    Evaluation and derivatives delegate to the original field (so accuracy
-    is unchanged), but algebra built on top produces derived fields.  Used
-    where combining many exact fields symbolically would spend more time
-    code-generating giant expressions than evaluating them.
-    """
-    return _derived(field.dim, _view_values, _opaque_diff, field,
-                    name=field.name)
-
-
-def _opaque_diff(axis, field):
-    return opaque(field.diff(axis))
-
-
 def compose(field, components) -> ScalarField:
     """Pull ``field`` back through a map given by component fields.
 
     ``components[l]`` is the l-th coordinate of the map, all living on a
-    common chart; the result is field(comp_0(p), comp_1(p), ...).  Symbolic
-    inputs give a symbolic pullback; otherwise a derived field whose
-    derivatives follow the chain rule d_a (F o phi) = sum_l (d_l F o phi)
-    d_a phi_l.
+    common chart; the result is field(comp_0(p), comp_1(p), ...), a derived
+    field whose derivatives follow the chain rule
+    d_a (F o phi) = sum_l (d_l F o phi) d_a phi_l.  An exact number pulls
+    back to itself.
     """
     comps = tuple(components)
     if len(comps) != field.dim:
@@ -699,13 +690,8 @@ def compose(field, components) -> ScalarField:
     if len(dims) != 1:
         raise ValueError("map components must share a chart")
     dim = dims.pop()
-    if field.expr is not None and all(c.expr is not None for c in comps):
-        expr = field.expr.subs(
-            {CHART_SYMBOLS[l]: c.expr for l, c in enumerate(comps)},
-            simultaneous=True,
-        )
-        return ScalarField(dim=dim, expr=expr)
-
+    if _number(field) is not None:
+        return ScalarField(dim=dim, expr=field.expr)
     return _derived(dim, _compose_values, _compose_diff, field, comps)
 
 
@@ -737,25 +723,26 @@ def _compile(expr, dim):
     column, without code generation.
     """
     if not expr.free_symbols:
-        value = _constant_value(expr)
+        # complex infinity (a number divided by 0) is not finite either
+        value = math.nan if expr is sp.zoo else float(expr)
         return lambda batch: value
     if expr in CHART_SYMBOLS:
         axis = CHART_SYMBOLS.index(expr)
         return lambda batch: batch[:, axis]
-    at_point = sp.lambdify(CHART_SYMBOLS[:dim], expr, modules=["math"])
+    printer = _FullFloatPrinter({"fully_qualified_modules": False,
+                                 "inline": True,
+                                 "allow_unknown_functions": True})
+    at_point = sp.lambdify(CHART_SYMBOLS[:dim], expr, modules=["math"],
+                           printer=printer)
     return lambda batch: [at_point(*p) for p in batch[:, :dim].tolist()]
 
 
-_PRINTER = PythonCodePrinter({"fully_qualified_modules": False,
-                              "inline": True,
-                              "allow_unknown_functions": True})
-_MATH_NAMES = dict(vars(math))
+class _FullFloatPrinter(PythonCodePrinter):
+    """Prints a sympy Float with every digit of its double (sympy's own
+    printer keeps 15 significant digits)."""
 
-
-def _constant_value(expr):
-    """A constant as code generated by ``sp.lambdify`` evaluates it: printed
-    Floats keep 15 significant digits."""
-    return float(eval(_PRINTER.doprint(expr), _MATH_NAMES))
+    def _print_Float(self, expr):
+        return repr(float(expr))
 
 
 def _elementwise(fn):
@@ -773,9 +760,8 @@ _UNARY = {
 
 
 def _unary(field, label):
-    sym_fn, _ = _UNARY[label]
-    if field.expr is not None:
-        return ScalarField.from_sympy(sym_fn(field.expr), field.dim)
+    if _number(field) is not None:
+        return ScalarField(dim=field.dim, expr=_UNARY[label][0](field.expr))
     return _derived(field.dim, _unary_values, _unary_diff, label, field,
                     name=f"{label}({field.name})")
 

@@ -366,6 +366,8 @@ def hyperbolic_uniqueness_scan(c, slope_range, samples=201):
     intersected with the range; for c > 0 only the harmonic root 0 exists.
     """
     lo, hi = slope_range
+    if not all(math.isfinite(v) for v in (c, lo, hi)):
+        raise EmptyRange(f"scan of c = {c} over [{lo}, {hi}] is not finite")
     if not (hi > lo):
         raise EmptyRange(f"slope range [{lo}, {hi}] is empty")
     if samples < 3:
@@ -396,7 +398,8 @@ def hyperbolic_uniqueness_scan(c, slope_range, samples=201):
     for r in sorted(roots):
         if out and abs(r - out[-1].slope) < 1e-7:
             continue
-        kind = "harmonic" if abs(r) <= 1e-9 else "proper"
+        # a root is known to the bisection width, 1e-8
+        kind = "harmonic" if abs(r) < 1e-8 else "proper"
         out.append(ScanRoot(slope=r, kind=kind))
     return out
 

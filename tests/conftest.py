@@ -1,8 +1,15 @@
 import pytest
 import sympy as sp
+from hypothesis import settings
 
 from biharm.numkernel import CHART_SYMBOLS, ChartBox, ScalarField
 from biharm.geometry import ProductMetric3
+
+# property tests draw the same few examples on every run, so Tier-1 stays
+# deterministic and quick
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=8, database=None)
+settings.load_profile("tier1")
 
 T, S, Z = CHART_SYMBOLS
 

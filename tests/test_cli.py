@@ -55,6 +55,17 @@ class TestScanCommand:
                     "--out", str(tmp_path / "s.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--c", "nan", "--range", "0.1:3"],
+        ["--c", "inf", "--range", "0.1:3"],
+        ["--c", "-1", "--range", "0:inf"],
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "s.jsonl"
+        assert run(["scan", *args, "--out", str(out)]) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSurfaceCommand:
     def test_matched_cylinder(self, tmp_path, capsys):

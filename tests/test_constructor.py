@@ -7,6 +7,8 @@ import sympy as sp
 
 from biharm import constructor
 from biharm.constructor import (
+    EPS_SING,
+    MIN_SLOPE,
     AlphaProfile,
     ConstructionSpec,
     alpha_ode_residual,
@@ -20,6 +22,7 @@ from biharm.constructor import (
     riccati_rhs,
     simpson_integral,
     verify_construction,
+    _step_end,
 )
 from biharm.errors import (
     ImmediateSingularity,
@@ -89,18 +92,36 @@ class TestIntegration:
         prof = integrate_alpha(*start, span, step)
         assert prof.truncated
         assert math.isfinite(prof.step_error)
-        side = math.sin(2.0 * start[0]) > 0.0
-        assert all((math.sin(2.0 * a) > 0.0) == side for a in prof.alpha)
+        # every kept node lies in the start's quarter period of alpha
+        quarter = math.floor(2.0 * start[0] / math.pi)
+        assert all(math.floor(2.0 * a / math.pi) == quarter
+                   for a in prof.alpha)
 
     def test_crossing_names_the_step(self):
         prof = integrate_alpha(0.1, -0.5, -2.0, (0.0, 5.0), 1e-3)
         assert len(prof.y_grid) == 106
         assert prof.truncate_reason.startswith("step crossed sin(2 alpha) = 0")
 
+    @pytest.mark.parametrize("start, end", [
+        ((0.3, -50.0, 100.0), "-2.89642"),  # over alpha = 0 and -pi/2
+        ((0.8, 1.0, 1e6), "-3.1326e+34"),
+    ])
+    def test_step_over_even_zero_count_caught(self, start, end):
+        # sin(2 alpha) has the same sign at both ends of the first step
+        prof = integrate_alpha(*start, (0.0, 1.0), 1e-2)
+        assert len(prof.y_grid) == 1
+        assert prof.truncate_reason == (
+            f"step crossed sin(2 alpha) = 0 between alpha={start[0]:.6g} "
+            f"and alpha={end}")
+
     def test_overflow_reason_kept(self):
-        prof = integrate_alpha(0.3, -50.0, 100.0, (0.0, 1.0), 1e-2)
+        # alpha' = 1e30: the last stage's alpha'**3 leaves the float range
+        prof = integrate_alpha(0.3, 1e30, 0.0, (0.0, 1.0), 1e-2)
         assert prof.truncate_reason == "non-finite state"
-        assert len(prof.y_grid) == 2
+        assert len(prof.y_grid) == 1
+        state = (0.3, 1.0, 0.0)
+        assert _step_end(state, (math.inf, 1.0, 0.0), state, EPS_SING,
+                         MIN_SLOPE) == (None, "non-finite state")
 
     @pytest.mark.parametrize("span, step", [
         ((0.0, math.inf), 1e-3), ((math.nan, 1.0), 1e-3),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, strategies as st
 
 from biharm.errors import DegenerateImmersion, NotCMC, NotUmbilic
 from biharm.hypersurface import (
@@ -183,6 +184,18 @@ class TestCmcClassification:
         g = graph_immersion(U**2 / 2)
         with pytest.raises(NotCMC):
             cmc_classify(g, surface_points(g, (4, 4)))
+
+    @given(st.floats(0.2, 3.0))
+    def test_matched_cylinder_radii(self, kg):
+        # |A|^2 = K_base = 4H^2 with H = kg/2: radii 1/(2|H|), 1/(2 sqrt2 |H|)
+        cyl = vertical_cylinder(kg, kg * kg)
+        cls = cmc_classify(cyl, surface_points(cyl, (3, 3)), tol=1e-7)
+        assert cls.kind == "proper_biharmonic_vertical_cylinder"
+        h = kg / 2.0
+        assert abs(cls.mean_curvature) == pytest.approx(h, rel=1e-9)
+        assert cls.sphere_radius == pytest.approx(1.0 / (2.0 * h), rel=1e-9)
+        assert cls.circle_radius == pytest.approx(
+            1.0 / (2.0 * math.sqrt(2.0) * h), rel=1e-9)
 
 
 class TestHopfCylinders:

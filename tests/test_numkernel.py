@@ -14,8 +14,8 @@ from biharm.numkernel import (
     compose,
     directional_field,
     frame_derivative,
+    fsin,
     lift,
-    opaque,
     partial_derivative,
     sample_grid,
 )
@@ -177,14 +177,52 @@ class TestFieldAlgebra:
         dd = 2 * math.sin(0.5) * math.cos(0.5) + 0.8
         assert h.partial(p, 0, 1) == pytest.approx(dd, abs=1e-12)
 
-    def test_opaque_preserves_derivatives(self):
+    def test_product_of_leaves_keeps_derivatives(self):
         f = ScalarField.from_expr("exp(2*s)", ("t", "s", "z"))
-        g = opaque(f)
+        prod = f * f
         p = (0.0, 0.4, 0.0)
-        assert g(p) == f(p)
-        assert g.diff(1)(p) == pytest.approx(f.diff(1)(p), abs=1e-14)
-        prod = g * g
+        assert prod(p) == f(p) * f(p)
         assert prod.diff(1)(p) == pytest.approx(4 * math.exp(4 * 0.4), abs=1e-11)
+        assert prod.diff(1).diff(1)(p) == pytest.approx(
+            16 * math.exp(4 * 0.4), abs=1e-10)
+
+
+class TestLeavesOnly:
+    """Sympy stays at the leaves: a combination of fields that are not exact
+    numbers is derived by a rule, and exact numbers fold."""
+
+    def test_combinations_of_leaves_are_derived(self):
+        f = ScalarField.from_expr("sin(t) + s", ("t", "s", "z"))
+        g = ScalarField.from_expr("exp(s*z)", ("t", "s", "z"))
+        w = ScalarField.from_expr("x*y", ("x", "y"))
+        combined = {
+            "sum": f + g, "product": f * g, "quotient": f / g,
+            "compose": compose(w, (f, g)),
+            "directional": directional_field((f, g, f), g),
+            "sin": fsin(f),
+        }
+        p = (0.3, 0.7, -0.2)
+        for label, h in combined.items():
+            assert h.expr is None, label
+            assert math.isfinite(h.diff(1)(p)), label
+
+    def test_numbers_fold(self):
+        f = ScalarField.from_expr("sin(t) + s", ("t", "s", "z"))
+        two, three = const(2.0), const(3.0)
+        assert (two * three).expr == 6.0
+        assert float((two / three - three).expr) == 2.0 / 3.0 - 3.0
+        assert fsin(const(0.0)).expr == 0
+        assert (const(0.0) * f).expr == 0
+        assert const(1.0) * f is f
+        w = ScalarField.from_expr("x*y", ("x", "y"))
+        assert compose(const(2.0, 2), (f, f)).expr == 2.0
+        assert compose(w, (f, f)).expr is None
+        assert directional_field((f, f, f), two).expr == 0
+
+    def test_float_leaf_keeps_every_digit(self):
+        x = CHART_SYMBOLS[0]
+        f = ScalarField.from_sympy(sp.cos(sp.Float(math.pi / 2) * x), 1)
+        assert f((1.0,)) == math.cos(math.pi / 2)
 
 
 class TestBatchEvaluation:
@@ -269,7 +307,6 @@ def _leaf_kinds():
         ("alpha-profile", profile.field(dim=3, axis=1), False),
         ("numeric-only", fd, True),
         ("algebra", fd * sym + explicit / (1.0 + sym * sym), False),
-        ("opaque", opaque(sym), False),
         ("compose", compose(w.numeric_only(), (u, fd)), False),
         ("directional", directional_field((sym, explicit, fd), fd), False),
         ("lifted-explicit", lift(profile.field(dim=1, axis=0), 3, (1,)),

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, strategies as st
 
 from biharm.errors import EmptyRange
 from biharm.frames import AdaptedFrameSpec, adapted_frame, integrability_data
@@ -190,6 +191,21 @@ class TestScan:
         )
         assert root == pytest.approx(slope, abs=1e-6)
 
+    @given(st.floats(-9.0, -0.05), st.floats(0.1, 1.0), st.floats(0.1, 1.0))
+    def test_negative_curvature_roots(self, c, below, above):
+        # roots of a(a^2 + c): exactly -sqrt(-c), 0 and sqrt(-c)
+        r = math.sqrt(-c)
+        roots = hyperbolic_uniqueness_scan(c, (-r - below, r + above))
+        assert [x.kind for x in roots] == ["proper", "harmonic", "proper"]
+        for x, expected in zip(roots, (-r, 0.0, r)):
+            assert x.slope == pytest.approx(expected, abs=1e-7)
+
+    @given(st.floats(0.05, 9.0), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+    def test_positive_curvature_only_harmonic_root(self, c, below, above):
+        roots = hyperbolic_uniqueness_scan(c, (-below, above))
+        assert [x.kind for x in roots] == ["harmonic"]
+        assert roots[0].slope == pytest.approx(0.0, abs=1e-7)
+
 
 class TestFlatFlatExclusion:
     def test_flat_family_is_flat_and_twisting(self):
@@ -214,3 +230,36 @@ class TestFlatFlatExclusion:
             assert rep.classification == "not biharmonic"
             # coherence of the two routes
             assert rep.channel("dual_residual_gap").max_abs < 1e-8
+
+    def test_r1_compiles_leaf_partials_only(self, monkeypatch):
+        # sympy sits at the leaves: no compiled expression is larger than
+        # the largest partial (up to order 4) of the spec's exponent
+        from biharm import numkernel, submersion
+
+        exponents = []
+
+        def recording_spec(exponent, *args, **kwargs):
+            exponents.append(exponent)
+            return projection_spec(exponent, *args, **kwargs)
+
+        monkeypatch.setattr(submersion, "projection_spec", recording_spec)
+        spec = flat_random_specs(np.random.default_rng(3), 1)[0]
+        partials, frontier = [exponents[0]], [exponents[0]]
+        for _ in range(4):
+            frontier = [sp.diff(e, x) for e in frontier for x in (T, S)]
+            partials += frontier
+        largest = max(sp.count_ops(e) for e in partials)
+
+        compiled = []
+        lambdify = sp.lambdify
+
+        def recording_lambdify(args, expr, **kwargs):
+            compiled.append(sp.count_ops(expr))
+            return lambdify(args, expr, **kwargs)
+
+        numkernel._compile.cache_clear()
+        monkeypatch.setattr(numkernel.sp, "lambdify", recording_lambdify)
+        r1 = spec.residual_fields[0](spec.verification_points((3, 3)))
+        assert np.isfinite(r1).all()
+        assert compiled
+        assert max(compiled) <= largest
