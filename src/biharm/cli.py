@@ -24,17 +24,18 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from . import constructor, hypersurface, submersion
 from .errors import GeometryError, SingularProfile
 from .frames import frame_identity_suite
 from .geometry import ProductMetric3, base_gauss_curvature
 from .numkernel import (
-    CHART_SYMBOLS,
     ChartBox,
     ScalarField,
     as_batch,
+    fcosh,
+    flog,
+    fsin,
     sample_grid,
 )
 from .report import (
@@ -59,8 +60,8 @@ class RunConfig:
     cases: tuple = ()
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
         if any(n < 2 for n in self.grid):
             raise ValueError("grid counts must be at least 2")
         if self.derivative_mode not in ("analytic", "fd"):
@@ -70,10 +71,14 @@ class RunConfig:
         return not self.cases or any(c in label for c in self.cases)
 
 
-def _default_tol(args):
-    if args.tol is not None:
-        return args.tol
-    return 1e-6 if args.mode == "analytic" else 1e-3
+def _default_tol(args, analytic=1e-6, fd=1e-3):
+    """The --tol of a command, else its default for the derivative mode."""
+    if args.tol is None:
+        return analytic if args.mode == "analytic" else fd
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, "
+                         f"got {args.tol!r}")
+    return args.tol
 
 
 def _span(text):
@@ -98,6 +103,8 @@ def _print_report(rep: ResidualReport):
 
 
 def _cmd_verify(args):
+    if args.specs < 0:
+        raise ValueError(f"--specs must be at least 0, got {args.specs}")
     cfg = RunConfig(
         tolerance=_default_tol(args), grid=(args.grid, args.grid),
         derivative_mode=args.mode, output_path=args.out,
@@ -143,31 +150,33 @@ def _cmd_verify(args):
 
 # -- curvature --------------------------------------------------------------------
 
-_S = CHART_SYMBOLS[1]
-
-
 def _chart_metric(name, radius, c):
+    s = ScalarField.coordinate(1, 2)
     if name == "sphere":
-        q = sp.log(radius * sp.sin(_S / radius))
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"--radius must be positive and finite, "
+                             f"got {radius!r}")
+        q = flog(radius * fsin(s / radius))
         box = ChartBox((-1.0, 0.1 * radius, -0.5),
                        (1.0, (math.pi - 0.1) * radius, 0.5), 0.02)
     elif name == "hyperbolic":
-        if c >= 0:
-            raise ValueError("hyperbolic chart needs --c < 0")
-        q = sp.sqrt(-sp.Float(c)) * _S
+        if not (math.isfinite(c) and c < 0):
+            raise ValueError(f"hyperbolic chart needs a finite --c < 0, "
+                             f"got {c!r}")
+        q = math.sqrt(-c) * s
         box = ChartBox((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), 0.02)
     elif name == "flat":
-        q = sp.Integer(0)
+        q = ScalarField.constant(0.0, 2)
         box = ChartBox((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), 0.02)
     elif name == "cosh4":
-        q = 2 * sp.log(sp.cosh(_S))
+        q = 2.0 * flog(fcosh(s))
         box = ChartBox((-1.0, -1.5, -0.5), (1.0, 1.5, 0.5), 0.02)
     elif name == "y4":
-        q = 2 * sp.log(_S)
+        q = 2.0 * flog(s)
         box = ChartBox((-1.0, 0.5, -0.5), (1.0, 3.0, 0.5), 0.02)
     else:
         raise ValueError(f"unknown chart {name!r}")
-    return ProductMetric3(ScalarField.from_sympy(q, 2), box)
+    return ProductMetric3(q, box)
 
 
 def _cmd_curvature(args):
@@ -189,7 +198,7 @@ def _cmd_curvature(args):
 
 
 def _cmd_construct(args):
-    tol = args.tol if args.tol is not None else 1e-4
+    tol = _default_tol(args, 1e-4, 1e-4)
     profile = constructor.integrate_alpha(
         args.alpha0, args.alpha1, args.u0 * args.alpha1 ** 2,
         args.yspan, args.step,
@@ -264,11 +273,16 @@ def _cmd_scan(args):
 
 
 def _cmd_surface(args):
-    tol = args.tol if args.tol is not None else 1e-6
+    tol = _default_tol(args, 1e-6, 1e-6)
+    if not (math.isfinite(args.kg) and args.kg >= 0):
+        raise ValueError(f"--kg must be finite and at least 0, "
+                         f"got {args.kg!r}")
+    if not math.isfinite(args.K):
+        raise ValueError(f"--K must be finite, got {args.K!r}")
     spec = hypersurface.HopfCylinderSpec(args.kg, args.K)
     r1, r2 = hypersurface.hopf_cylinder_residuals(spec, 0.0)
     print(f"Hopf system residuals: ({r1:.6g}, {r2:.6g})")
-    if args.kg <= 0:
+    if args.kg == 0:
         print("classification: minimal (zero geodesic curvature)")
         return 0
     try:
@@ -392,6 +406,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # scan and curvature take no tolerance, but reject a bad one too
+        _default_tol(args)
         return args.fn(args)
     except (GeometryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

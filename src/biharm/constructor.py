@@ -40,7 +40,6 @@ from .errors import (
 from .geometry import ProductMetric3, SurfaceMetric
 from .frames import AdaptedFrameSpec
 from .numkernel import (
-    CHART_SYMBOLS,
     ChartBox,
     ScalarField,
     as_batch,

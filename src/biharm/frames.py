@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import sympy as sp
 
 from .errors import ToleranceExceeded
 from .geometry import (
@@ -52,9 +51,14 @@ from .numkernel import (
     as_batch,
     as_field,
     directional_field,
+    fatan,
+    fatan2,
     fcos,
     fexp,
+    flog,
     fsin,
+    fsqrt,
+    ftan,
     sample_grid,
     sweep,
 )
@@ -337,9 +341,6 @@ def _trig(rng, amp_lo, amp_hi, freq_lo=0.5, freq_hi=1.5):
     return amp, freq, phase
 
 
-_T, _S = sp.symbols("x0 x1", real=True)
-
-
 def random_adapted_specs(rng, count, mode="analytic"):
     """Draw (label, metric, spec) triples from submersion-compatible families.
 
@@ -353,14 +354,14 @@ def random_adapted_specs(rng, count, mode="analytic"):
     """
     out = []
     half_pi = 0.5 * math.pi
+    t, s = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
+    t3, s3 = ScalarField.coordinate(0, 3), ScalarField.coordinate(1, 3)
     for k in range(count):
         fam = k % 4
         if fam in (0, 3):
             a = rng.uniform(0.6, 1.4)
             amp, freq, phase = _trig(rng, 0.1, 0.35)
-            q = ScalarField.from_sympy(
-                a * _S + amp * sp.sin(freq * _T + 0.7 * freq * _S + phase), 2
-            )
+            q = a * s + amp * fsin(freq * t + 0.7 * freq * s + phase)
             box = ChartBox((-1.0, 0.2, -0.5), (1.0, 1.5, 0.5), 0.05)
             metric = ProductMetric3(q, box)
             alpha = half_pi if fam == 0 else 0.0
@@ -369,29 +370,25 @@ def random_adapted_specs(rng, count, mode="analytic"):
         elif fam == 1:
             mid = rng.uniform(0.55, 0.85)
             amp, freq, phase = _trig(rng, 0.05, 0.18)
-            alpha_expr = mid + amp * sp.sin(freq * _S + phase)
             c0, c1, c2 = _trig(rng, 0.1, 0.3)
-            q = ScalarField.from_sympy(
-                sp.log(sp.tan(alpha_expr)) + c0 * sp.sin(c1 * _T + c2), 2
-            )
+
+            def alpha_of(y):
+                return mid + amp * fsin(freq * y + phase)
+
+            q = flog(ftan(alpha_of(s))) + c0 * fsin(c1 * t + c2)
             box = ChartBox((-1.0, 0.2, -0.5), (1.0, 1.5, 0.5), 0.05)
             metric = ProductMetric3(q, box)
-            spec = AdaptedFrameSpec(
-                as_field(half_pi, 3), ScalarField.from_sympy(alpha_expr, 3)
-            )
+            spec = AdaptedFrameSpec(as_field(half_pi, 3), alpha_of(s3))
             name = "warped"
         else:
             t0 = -0.8 - rng.uniform(0.0, 0.5)
             s0 = -0.8 - rng.uniform(0.0, 0.5)
             cc = rng.uniform(0.3, 1.0)
-            r = sp.sqrt((_T - t0) ** 2 + (_S - s0) ** 2)
-            theta = sp.atan2(_S - s0, _T - t0)
+            dt, ds = t3 - t0, s3 - s0
+            r = fsqrt(dt * dt + ds * ds)
             box = ChartBox((0.0, 0.0, -0.5), (1.0, 1.0, 0.5), 0.05)
             metric = ProductMetric3(ScalarField.constant(0.0, 3), box)
-            spec = AdaptedFrameSpec(
-                ScalarField.from_sympy(theta, 3),
-                ScalarField.from_sympy(sp.atan(cc * r), 3),
-            )
+            spec = AdaptedFrameSpec(fatan2(ds, dt), fatan(cc * r))
             name = "polar"
         if mode == "fd":
             metric = metric.numeric_only()

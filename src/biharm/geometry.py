@@ -273,25 +273,13 @@ def riemann_chart(metric, point):
         for a in range(d):
             dgamma[:, a, k, i, j] = fld.partial(batch, a, 1)
     weights = metric.weights(batch)
-    low = np.array([_lowered_curvature(*args)
-                    for args in zip(gamma, dgamma, weights)])
+    # up[n, l, i, j, k]: R(d_i, d_j) d_k = sum_l up[n, l, i, j, k] d_l
+    up = (np.einsum("niljk->nlijk", dgamma)
+          - np.einsum("njlik->nlijk", dgamma))
+    up += np.einsum("nlim,nmjk->nlijk", gamma, gamma)
+    up -= np.einsum("nljm,nmik->nlijk", gamma, gamma)
+    low = np.moveaxis(up, 1, -1) * weights[:, None, None, None, :]
     return _one_or_all(low, point)
-
-
-def _lowered_curvature(gamma, dgamma, weights):
-    """Curvature at one point from its Christoffel symbols and their
-    derivatives."""
-    d = len(weights)
-    up = np.zeros((d, d, d, d))  # up[l, i, j, k] -> R(d_i,d_j)d_k = up . d_l
-    for l, i, j, k in itertools.product(range(d), repeat=4):
-        val = dgamma[i, l, j, k] - dgamma[j, l, i, k]
-        val += np.dot(gamma[l, i, :], gamma[:, j, k])
-        val -= np.dot(gamma[l, j, :], gamma[:, i, k])
-        up[l, i, j, k] = val
-    low = np.zeros((d, d, d, d))
-    for i, j, k, l in itertools.product(range(d), repeat=4):
-        low[i, j, k, l] = weights[l] * up[l, i, j, k]
-    return low
 
 
 # -- curvature ---------------------------------------------------------------

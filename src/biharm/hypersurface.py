@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import sympy as sp
 
 from .errors import DegenerateImmersion, NotCMC, NotUmbilic
 from .geometry import (
@@ -33,14 +32,17 @@ from .geometry import (
 )
 from .geometry import _christoffel_fields, _field_matrix
 from .numkernel import (
-    CHART_SYMBOLS,
     ChartBox,
     ScalarField,
     as_batch,
     as_field,
     compose,
     directional_field,
+    fcos,
     fexp,
+    flog,
+    fsin,
+    fsinh,
     fsqrt,
     sample_grid,
     sweep,
@@ -515,7 +517,7 @@ def umbilic_biharmonic_test(immersion: SurfaceImmersion, points, tol=1e-6):
 
 # -- builders --------------------------------------------------------------------
 
-_U, _V = CHART_SYMBOLS[0], CHART_SYMBOLS[1]
+_U, _V = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
 
 
 def flat_ambient(extent=3.0, guard=0.05) -> ProductMetric3:
@@ -535,14 +537,11 @@ def slice_immersion(ambient: ProductMetric3, z0=0.0) -> SurfaceImmersion:
     return SurfaceImmersion(comps, ambient, uv_box, label=f"slice(z={z0:g})")
 
 
-def graph_immersion(height_expr, extent=1.0) -> SurfaceImmersion:
-    """Graph z = h(u, v) over the flat base plane."""
+def graph_immersion(height, extent=1.0) -> SurfaceImmersion:
+    """Graph z = h(u, v) over the flat base plane; ``height`` is a field on
+    the (u, v) chart."""
     ambient = flat_ambient(extent=max(3.0, 2 * extent))
-    comps = (
-        ScalarField.coordinate(0, 2),
-        ScalarField.coordinate(1, 2),
-        ScalarField.from_sympy(height_expr, 2),
-    )
+    comps = (_U, _V, height)
     uv_box = ChartBox((-extent, -extent), (extent, extent), 0.05)
     return SurfaceImmersion(comps, ambient, uv_box, label="graph")
 
@@ -554,11 +553,10 @@ def tilted_plane(a=0.3, b=0.5, extent=1.0) -> SurfaceImmersion:
 def round_sphere(radius=1.0) -> SurfaceImmersion:
     """Round sphere in the flat chart (polar angle u, azimuth v)."""
     ambient = flat_ambient(extent=2.0 * radius + 1.0)
-    r = sp.Float(radius)
     comps = (
-        ScalarField.from_sympy(r * sp.sin(_U) * sp.cos(_V), 2),
-        ScalarField.from_sympy(r * sp.sin(_U) * sp.sin(_V), 2),
-        ScalarField.from_sympy(r * sp.cos(_U), 2),
+        radius * fsin(_U) * fcos(_V),
+        radius * fsin(_U) * fsin(_V),
+        radius * fcos(_U),
     )
     uv_box = ChartBox((0.5, 0.3), (math.pi - 0.5, 2.5), 0.02)
     return SurfaceImmersion(comps, ambient, uv_box,
@@ -577,15 +575,17 @@ def vertical_cylinder(kg, base_curvature, u_extent=1.0, v_extent=0.5):
     """
     if kg <= 0:
         raise ValueError("the circle curvature must be positive")
-    t, s = CHART_SYMBOLS[0], CHART_SYMBOLS[1]
+    s = ScalarField.coordinate(1, 2)
     if base_curvature > 0:
         radius = 1.0 / math.sqrt(base_curvature)
         s0 = radius * math.atan(1.0 / (radius * kg))
-        q = sp.log(radius * sp.sin(s / radius))
+        q = flog(radius * fsin(s / radius))
+        speed = radius * math.sin(s0 / radius)  # e^q at s0
         s_lo, s_hi = 0.2 * s0, min(0.95 * math.pi * radius, 1.8 * s0)
     elif base_curvature == 0:
         s0 = 1.0 / kg
-        q = sp.log(s)
+        q = flog(s)
+        speed = s0
         s_lo, s_hi = 0.3 * s0, 2.0 * s0
     else:
         radius = 1.0 / math.sqrt(-base_curvature)
@@ -595,17 +595,17 @@ def vertical_cylinder(kg, base_curvature, u_extent=1.0, v_extent=0.5):
                 "hyperbolic base"
             )
         s0 = radius * math.atanh(1.0 / (radius * kg))
-        q = sp.log(radius * sp.sinh(s / radius))
+        q = flog(radius * fsinh(s / radius))
+        speed = radius * math.sinh(s0 / radius)
         s_lo, s_hi = 0.3 * s0, 2.0 * s0
-    speed = float(sp.exp(q.subs(s, s0)))
     t_hi = u_extent / speed
     box = ChartBox((-0.1 - t_hi, s_lo, -v_extent - 0.1),
                    (t_hi + 0.1, s_hi, v_extent + 0.1), 0.0)
-    ambient = ProductMetric3(ScalarField.from_sympy(q, 2), box)
+    ambient = ProductMetric3(q, box)
     comps = (
-        ScalarField.from_sympy(_U / speed, 2),
+        _U / speed,
         ScalarField.constant(s0, 2),
-        ScalarField.coordinate(1, 2),
+        _V,
     )
     uv_box = ChartBox((-u_extent, -v_extent), (u_extent, v_extent), 0.02)
     return SurfaceImmersion(

@@ -3,32 +3,37 @@
 A :class:`ScalarField` is a real-valued function of 1 to 3 chart coordinates
 that evaluates a whole batch of points at once: an (n, dim) array of points
 gives n values, and a single point (a sequence of dim floats) is a batch of
-one that gives a float.  Leaf fields are of three kinds: symbolic (a sympy
-expression), explicit (an evaluator with per-axis derivative callables) and
-opaque (a bare evaluator, such as every ``numeric_only()`` field).
+one that gives a float.  Leaf fields are of four kinds: a coordinate (it
+reads its column of the batch), an exact number (a float on the field), an
+explicit leaf (an evaluator with per-axis derivative callables) and an
+opaque leaf (a bare evaluator, such as every ``numeric_only()`` field).
+Every other field is derived from fields by a rule: algebra, ``compose``,
+``directional_field`` and the unary functions, so a closed-form function
+such as log(a(t) s + b(t)) is a graph over coordinate fields.  Exact
+numbers fold (0·f is 0, 1·f and f ± 0 are f, and an operation on exact
+numbers is an exact number), so constant frame entries prune the terms
+they zero.
 
-Sympy sits only at the leaves.  Algebra, ``compose``, ``directional_field``
-and the unary functions never build an expression: they derive a field by
-a rule.  Exact numbers fold (0·f is 0, 1·f and f ± 0 are f, and an
-operation on exact numbers is an exact number), so constant frame entries
-prune the terms they zero.
+``ScalarField.diff`` is the only place a derivative field is made.  Every
+field that is not an opaque leaf carries one derivative rule: the
+derivative 1 or 0 of a coordinate, the 0 of a number, explicit partials,
+or the chain rule of the operation that derived it (forward mode over the
+field graph), so long differentiation chains stay at round-off accuracy in
+analytic mode.  An opaque leaf is differenced by a stencil node, one
+shifted evaluation of the whole batch per stencil leg.  Pure partials, and
+the stencil reach they need, follow from ``diff``.
 
-``ScalarField.diff`` is the only place a derivative field is made.  A
-symbolic leaf differentiates its expression, and each expression is
-compiled once.  Every other field that is not an opaque leaf carries one
-derivative rule: its explicit partials, or the chain rule of the operation
-that derived it (forward mode over the field graph), so long
-differentiation chains stay at round-off accuracy in analytic mode.  An
-opaque leaf is differenced by a stencil node, one shifted evaluation of the
-whole batch per stencil leg.  Pure partials, and the stencil reach they
-need, follow from ``diff``.
+Values are IEEE double arithmetic on arrays, and the unary functions apply
+the ``math`` module one value after another: numpy's vectorised exp, tan,
+atan and pow differ from libm in the last bit for some arguments, and
+round-off-level residual channels would then report their maxima at other
+points.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import itertools
 import math
 import operator
@@ -36,13 +41,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
-from sympy.printing.pycode import PythonCodePrinter
 
 from .errors import DegenerateBox, NonFiniteValue, PointOutsideGuard
-
-# Canonical coordinate symbols; axis i of every chart maps to CHART_SYMBOLS[i].
-CHART_SYMBOLS = sp.symbols("x0 x1 x2", real=True)
 
 # Central-difference steps: H_FD for first/second differences, H_FD3 for the
 # outer step of a nested third difference.  Chosen to balance truncation
@@ -255,68 +255,58 @@ def sweep():
 class ScalarField:
     """Real-valued function of chart coordinates, evaluated batch-wise.
 
-    A symbolic, explicit or opaque leaf, or a field derived by a rule from
-    other fields; only a leaf or an exact number holds a sympy expression.
-    ``diff`` makes every derivative field (see the module docstring).
+    A coordinate, exact-number, explicit or opaque leaf, or a field derived
+    by a rule from other fields (see the module docstring); build leaves
+    with ``coordinate`` and ``constant`` and combine them with the algebra
+    and the unary functions of this module.  ``diff`` makes every
+    derivative field.
 
     Parameters
     ----------
     fn : callable batch -> values
-        Evaluator.  Required unless ``expr`` is given.  It receives an
-        (n, dim) float array, one point per row (``batch[:, axis]`` is a
-        coordinate), and returns n values or one value for all points.  A
-        callable written for a single point (a tuple of floats) is applied
-        point by point when it raises TypeError on the array.
+        Evaluator.  It receives an (n, dim) float array, one point per row
+        (``batch[:, axis]`` is a coordinate), and returns n values or one
+        value for all points.  A callable written for a single point (a
+        tuple of floats) is applied point by point when it raises TypeError
+        on the array.
     dim : int
         Number of chart coordinates (1, 2 or 3).
     partials : dict, optional
         ``{axis: (d1, d2[, d3])}`` explicit derivative callables per axis,
         with the same calling convention as ``fn``; they become the field's
         derivative rule.  Along an axis without them the field is differenced.
-    expr : sympy expression, optional
-        Exact form in CHART_SYMBOLS[:dim]; wins over ``fn`` and ``partials``.
+
+    ``number`` is the value of an exact number, None for any other field.
     """
 
-    __slots__ = ("dim", "expr", "name", "_fn", "_lambdified", "_diff_cache")
+    __slots__ = ("dim", "number", "name", "_fn", "_diff_cache")
 
-    def __init__(self, fn=None, dim=None, partials=None, expr=None, name=""):
-        if expr is not None and dim is None:
-            raise ValueError("dim is required")
+    def __init__(self, fn, dim, partials=None, name=""):
         self.dim = int(dim)
-        self.expr = expr
+        self.number = None
         self.name = name
-        if partials and expr is None:
+        if partials:
             fn = _Rule(_explicit_values, _explicit_diff,
                        (fn, dict(partials), self.dim))
         self._fn = fn
-        self._lambdified = None
         self._diff_cache = {}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_sympy(cls, expr, dim, name=""):
-        return cls(dim=dim, expr=sp.sympify(expr), name=name)
-
-    @classmethod
-    def from_expr(cls, text, variables, name=""):
-        """Parse ``text`` with the given variable names in axis order."""
-        syms = sp.symbols(list(variables))
-        if not isinstance(syms, (list, tuple)):
-            syms = [syms]
-        expr = sp.sympify(text)
-        expr = expr.subs(
-            {s: CHART_SYMBOLS[i] for i, s in enumerate(syms)}, simultaneous=True
-        )
-        return cls(dim=len(syms), expr=expr, name=name or str(text))
-
-    @classmethod
     def constant(cls, value, dim, name=""):
-        return cls(dim=dim, expr=_number_expr(value), name=name)
+        """The exact number ``value``; a NaN or an infinity raises
+        NonFiniteValue when evaluated."""
+        value = float(value)
+        out = _derived(dim, _number_values, _number_diff, value, int(dim),
+                       name=name)
+        out.number = value
+        return out
 
     @classmethod
     def coordinate(cls, axis, dim):
-        return cls(dim=dim, expr=CHART_SYMBOLS[axis], name=f"x{axis}")
+        return _derived(dim, _coordinate_values, _coordinate_diff, axis,
+                        int(dim), name=f"x{axis}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -337,11 +327,7 @@ class ScalarField:
         fn = self._fn
         if type(fn) is _Rule:
             return _checked(fn.evaluate(batch, *fn.args), batch)
-        if self.expr is None:
-            return _checked(_apply(fn, batch), batch)
-        if self._lambdified is None:
-            self._lambdified = _compile(self.expr, self.dim)
-        return _checked(self._lambdified(batch), batch)
+        return _checked(_apply(fn, batch), batch)
 
     # -- differentiation ----------------------------------------------------
 
@@ -351,12 +337,7 @@ class ScalarField:
             return self._diff_cache[axis]
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        if self.expr is not None:
-            out = ScalarField.from_sympy(
-                sp.diff(self.expr, CHART_SYMBOLS[axis]), self.dim
-            )
-        else:
-            out = self._fn.diff(axis) if type(self._fn) is _Rule else None
+        out = self._fn.diff(axis) if type(self._fn) is _Rule else None
         if out is None:  # opaque, or a rule that does not cover this axis
             out = _stencil(self, axis, 1)
         self._diff_cache[axis] = out
@@ -369,7 +350,7 @@ class ScalarField:
         two nested first differences would amplify round-off more); every
         other field follows its ``diff`` chain.
         """
-        if self.expr is None and type(self._fn) is not _Rule:
+        if type(self._fn) is not _Rule:
             out = _stencil(self, axis, min(order, 2), H_FD)
             return _stencil(out, axis, 1, H_FD3) if order == 3 else out
         out = self
@@ -393,14 +374,15 @@ class ScalarField:
     def numeric_only(self) -> "ScalarField":
         """Copy of this field with all analytic derivative routes removed.
 
-        A constant keeps its zero derivative: every central difference of a
+        A number keeps its zero derivative: every central difference of a
         constant is exactly zero, so both routes give the same values, and
-        the terms it multiplies fold away.
+        the terms that derivative multiplies fold away.  The copy itself is
+        not an exact number, so operations on it do not fold.
         """
         name = self.name and self.name + "[fd]"
-        if self.expr is not None and not self.expr.free_symbols:
-            return _derived(self.dim, _view_values, _zero_diff, self,
-                            name=name)
+        if self.number is not None:
+            return _derived(self.dim, _number_values, _number_diff,
+                            self.number, self.dim, name=name)
         return ScalarField(fn=self.__call__, dim=self.dim, name=name)
 
     # -- algebra -------------------------------------------------------------
@@ -415,9 +397,9 @@ class ScalarField:
         f, g = self, other
         # exact numbers fold, so product rules on constant frame components
         # do not evaluate terms that vanish
-        cf, cg = _number(f), _number(g)
+        cf, cg = f.number, g.number
         if cf is not None and cg is not None:
-            return ScalarField(dim=self.dim, expr=_OPS[op](f.expr, g.expr))
+            return ScalarField.constant(_fold(_OPS[op], cf, cg), self.dim)
         if op == "*" and 0.0 in (cf, cg):
             return ScalarField.constant(0.0, self.dim)
         if (op in "+-" and cg == 0.0) or (op in "*/" and cg == 1.0):
@@ -449,11 +431,12 @@ class ScalarField:
         return self * -1.0
 
     def __repr__(self):
-        tag = self.name or (str(self.expr) if self.expr is not None else "fn")
+        tag = self.name or (repr(self.number) if self.number is not None
+                            else "fn")
         return f"ScalarField({tag}, dim={self.dim})"
 
 
-# one table serves sympy numbers and arrays of values alike
+# one table serves exact numbers and arrays of values alike
 _OPS = {
     "+": operator.add,
     "-": operator.sub,
@@ -462,15 +445,13 @@ _OPS = {
 }
 
 
-@functools.lru_cache(maxsize=1024)
-def _number_expr(value):
-    return sp.Float(value) if value else sp.Integer(0)
-
-
-def _number(field):
-    """The value of a field that is an exact number, else None."""
-    expr = field.expr
-    return float(expr) if expr is not None and expr.is_Number else None
+def _fold(fn, *numbers):
+    """``fn`` of exact numbers; NaN where it is undefined (a division by 0
+    or a domain error), so the number raises NonFiniteValue when evaluated."""
+    try:
+        return fn(*numbers)
+    except (ArithmeticError, ValueError):
+        return math.nan
 
 
 class _Rule:
@@ -506,12 +487,20 @@ def _explicit_diff(axis, fn, partials, dim):
                        partials={axis: rest} if rest else None)
 
 
-def _view_values(batch, field):
-    return field(batch)
+def _number_values(batch, value, dim):
+    return value
 
 
-def _zero_diff(axis, field):
-    return ScalarField.constant(0.0, field.dim)
+def _number_diff(axis, value, dim):
+    return ScalarField.constant(0.0, dim)
+
+
+def _coordinate_values(batch, axis, dim):
+    return batch[:, axis]
+
+
+def _coordinate_diff(axis, coordinate_axis, dim):
+    return ScalarField.constant(1.0 if axis == coordinate_axis else 0.0, dim)
 
 
 def _algebra_values(batch, op, f, g):
@@ -641,7 +630,7 @@ def directional_field(vector_components, field) -> ScalarField:
     comps = tuple(vector_components)
     if len(comps) != field.dim:
         raise ValueError("component count must equal the chart dimension")
-    if _number(field) is not None:
+    if field.number is not None:
         return ScalarField.constant(0.0, field.dim)
     return _derived(field.dim, _directional_values, _directional_diff,
                     comps, field)
@@ -690,8 +679,8 @@ def compose(field, components) -> ScalarField:
     if len(dims) != 1:
         raise ValueError("map components must share a chart")
     dim = dims.pop()
-    if _number(field) is not None:
-        return ScalarField(dim=dim, expr=field.expr)
+    if field.number is not None:
+        return ScalarField.constant(field.number, dim)
     return _derived(dim, _compose_values, _compose_diff, field, comps)
 
 
@@ -707,80 +696,52 @@ def _compose_diff(axis, field, comps):
     return total
 
 
-# -- leaf arithmetic -----------------------------------------------------------
-
-# Leaves evaluate with the ``math`` module, one point after another: numpy's
-# vectorised exp, tan, atan and pow differ from libm in the last bit for some
-# arguments, and round-off-level residual channels would then report their
-# maxima at other points.
-
-@functools.lru_cache(maxsize=512)
-def _compile(expr, dim):
-    """Batch evaluator of a sympy expression in CHART_SYMBOLS[:dim], shared
-    by every field with an equal expression.
-
-    A constant expression is evaluated once, and a coordinate reads its
-    column, without code generation.
-    """
-    if not expr.free_symbols:
-        # complex infinity (a number divided by 0) is not finite either
-        value = math.nan if expr is sp.zoo else float(expr)
-        return lambda batch: value
-    if expr in CHART_SYMBOLS:
-        axis = CHART_SYMBOLS.index(expr)
-        return lambda batch: batch[:, axis]
-    printer = _FullFloatPrinter({"fully_qualified_modules": False,
-                                 "inline": True,
-                                 "allow_unknown_functions": True})
-    at_point = sp.lambdify(CHART_SYMBOLS[:dim], expr, modules=["math"],
-                           printer=printer)
-    return lambda batch: [at_point(*p) for p in batch[:, :dim].tolist()]
-
-
-class _FullFloatPrinter(PythonCodePrinter):
-    """Prints a sympy Float with every digit of its double (sympy's own
-    printer keeps 15 significant digits)."""
-
-    def _print_Float(self, expr):
-        return repr(float(expr))
-
-
-def _elementwise(fn):
-    return lambda values: list(map(fn, values.tolist()))
+# -- unary and binary functions ----------------------------------------------
 
 
 _UNARY = {
-    "sin": (sp.sin, _elementwise(math.sin)),
-    "cos": (sp.cos, _elementwise(math.cos)),
-    "exp": (sp.exp, _elementwise(math.exp)),
-    "log": (sp.log, _elementwise(math.log)),
-    "tan": (sp.tan, _elementwise(math.tan)),
-    "sqrt": (sp.sqrt, _elementwise(math.sqrt)),
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "tan": math.tan,
+    "sqrt": math.sqrt,
+    "atan": math.atan,
+    "cosh": math.cosh,
+    "sinh": math.sinh,
 }
 
 
 def _unary(field, label):
-    if _number(field) is not None:
-        return ScalarField(dim=field.dim, expr=_UNARY[label][0](field.expr))
+    if field.number is not None:
+        return ScalarField.constant(_fold(_UNARY[label], field.number),
+                                    field.dim)
     return _derived(field.dim, _unary_values, _unary_diff, label, field,
                     name=f"{label}({field.name})")
 
 
 def _unary_values(batch, label, field):
-    return _UNARY[label][1](field(batch))
+    return list(map(_UNARY[label], field(batch).tolist()))
 
 
 def _unary_diff(axis, label, field):
     return _UNARY_DERIVS[label](field) * field.diff(axis)
 
 
+def _one(f):
+    return ScalarField.constant(1.0, f.dim)
+
+
 _UNARY_DERIVS = {
     "sin": lambda f: fcos(f),
     "cos": lambda f: -fsin(f),
     "exp": lambda f: fexp(f),
-    "log": lambda f: ScalarField.constant(1.0, f.dim) / f,
-    "tan": lambda f: ScalarField.constant(1.0, f.dim) / (fcos(f) * fcos(f)),
+    "log": lambda f: _one(f) / f,
+    "tan": lambda f: _one(f) / (fcos(f) * fcos(f)),
     "sqrt": lambda f: ScalarField.constant(0.5, f.dim) / fsqrt(f),
+    "atan": lambda f: _one(f) / (1.0 + f * f),
+    "cosh": lambda f: fsinh(f),
+    "sinh": lambda f: fcosh(f),
 }
 
 
@@ -806,6 +767,37 @@ def ftan(f):
 
 def fsqrt(f):
     return _unary(f, "sqrt")
+
+
+def fatan(f):
+    return _unary(f, "atan")
+
+
+def fcosh(f):
+    return _unary(f, "cosh")
+
+
+def fsinh(f):
+    return _unary(f, "sinh")
+
+
+def fatan2(y, x):
+    """atan2(y, x) of two fields on one chart, derived by
+    d atan2(y, x) = (x dy - y dx) / (x^2 + y^2)."""
+    if y.dim != x.dim:
+        raise ValueError("dimension mismatch in field algebra")
+    if y.number is not None and x.number is not None:
+        return ScalarField.constant(_fold(math.atan2, y.number, x.number),
+                                    y.dim)
+    return _derived(y.dim, _atan2_values, _atan2_diff, y, x)
+
+
+def _atan2_values(batch, y, x):
+    return list(map(math.atan2, y(batch).tolist(), x(batch).tolist()))
+
+
+def _atan2_diff(axis, y, x):
+    return (x * y.diff(axis) - y * x.diff(axis)) / (x * x + y * y)
 
 
 def as_field(value, dim) -> ScalarField:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import sympy as sp
 
 from .errors import EmptyRange
 from .frames import (
@@ -39,13 +38,16 @@ from .geometry import (
     laplacian_field,
 )
 from .numkernel import (
-    CHART_SYMBOLS,
     ChartBox,
     ScalarField,
     as_batch,
     as_field,
     directional_field,
+    fcos,
+    fcosh,
     fexp,
+    flog,
+    fsin,
     sample_grid,
     sweep,
 )
@@ -264,7 +266,7 @@ def residual_report(spec: SubmersionSpec, tol=1e-6, grid=(21, 21)):
 
 # -- catalog -------------------------------------------------------------------
 
-_T, _S = CHART_SYMBOLS[0], CHART_SYMBOLS[1]
+_T, _S = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
 _HALF_PI = 0.5 * math.pi
 
 
@@ -272,18 +274,14 @@ def projection_spec(exponent, box, label, flags=()) -> SubmersionSpec:
     """Flat-target projection along the weighted axis.
 
     The domain is e^{2p} dt^2 + ds^2 + dz^2 with p = ``exponent`` in
-    (t, s) (a ScalarField or a sympy expression); the submersion forgets
+    (t, s) (a ScalarField on the 2-chart); the submersion forgets
     the weighted coordinate, so the adapted angles are
     theta = alpha = pi/2 and k1 = -p_s.  An independently assembled
     residual field (the base-surface Laplacian of the slope p_s, written
     out as p_sss + p_ss p_s + e^{-2p}(p_tts - p_ts p_t)) is attached for
     dual-route verification.
     """
-    if isinstance(exponent, ScalarField):
-        q = exponent
-    else:
-        q = ScalarField.from_sympy(exponent, 2)
-    metric = ProductMetric3(q, box)
+    metric = ProductMetric3(exponent, box)
     spec3 = AdaptedFrameSpec(as_field(_HALF_PI, 3), as_field(_HALF_PI, 3))
     p = metric.conformal_exponent
     ps = p.diff(1)
@@ -302,19 +300,19 @@ def hyperbolic_spec(c, box=None) -> SubmersionSpec:
         raise ValueError("the hyperbolic family needs c < 0")
     if box is None:
         box = ChartBox((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), 0.05)
-    return projection_spec(sp.sqrt(-sp.Float(c)) * _S, box,
+    return projection_spec(math.sqrt(-c) * _S, box,
                            f"hyperbolic({c:g})")
 
 
 def catalog_examples():
     """The built-in proper biharmonic submersion catalog."""
     cosh4 = projection_spec(
-        2 * sp.log(sp.cosh(_S)),
+        2.0 * flog(fcosh(_S)),
         ChartBox((-1.0, -1.5, -0.5), (1.0, 1.5, 0.5), 0.05),
         "cosh4",
     )
     y4 = projection_spec(
-        2 * sp.log(_S),
+        2.0 * flog(_S),
         ChartBox((-1.0, 0.5, -0.5), (1.0, 3.0, 0.5), 0.05),
         "y4",
     )
@@ -424,9 +422,9 @@ def flat_random_specs(rng, count):
         b1 = rng.uniform(0.05, 0.2)
         w1, w2 = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
         p1, p2 = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
-        a_t = a0 + a1 * sp.sin(w1 * _T + p1)
-        b_t = b0 + b1 * sp.cos(w2 * _T + p2)
+        a_t = a0 + a1 * fsin(w1 * _T + p1)
+        b_t = b0 + b1 * fcos(w2 * _T + p2)
         specs.append(
-            projection_spec(sp.log(a_t * _S + b_t), box, f"flatflat[{k:02d}]")
+            projection_spec(flog(a_t * _S + b_t), box, f"flatflat[{k:02d}]")
         )
     return specs

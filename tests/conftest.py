@@ -2,7 +2,8 @@ import pytest
 import sympy as sp
 from hypothesis import settings
 
-from biharm.numkernel import CHART_SYMBOLS, ChartBox, ScalarField
+from biharm import numkernel
+from biharm.numkernel import ChartBox, ScalarField
 from biharm.geometry import ProductMetric3
 
 # property tests draw the same few examples on every run, so Tier-1 stays
@@ -11,7 +12,59 @@ settings.register_profile("tier1", derandomize=True, deadline=None,
                           max_examples=8, database=None)
 settings.load_profile("tier1")
 
-T, S, Z = CHART_SYMBOLS
+# Test inputs are written as sympy expressions in these symbols (axis i of a
+# chart is X[i]) and translated to field graphs by ``field_of``; sympy
+# itself also serves as an independent derivative oracle.
+X = sp.symbols("x0 x1 x2", real=True)
+T, S, Z = X
+
+_FUNCTIONS = {
+    sp.sin: numkernel.fsin, sp.cos: numkernel.fcos, sp.exp: numkernel.fexp,
+    sp.log: numkernel.flog, sp.tan: numkernel.ftan,
+    sp.atan: numkernel.fatan, sp.cosh: numkernel.fcosh,
+    sp.sinh: numkernel.fsinh,
+}
+
+
+def field_of(expr, dim):
+    """The field graph over coordinate fields of a sympy expression in
+    X[:dim]; integer powers become products and quotients."""
+    expr = sp.sympify(expr)
+    if not expr.free_symbols:
+        return ScalarField.constant(float(expr), dim)
+    if expr.is_Symbol:
+        return ScalarField.coordinate(X.index(expr), dim)
+    args = [field_of(a, dim) for a in expr.args]
+    if expr.is_Add:
+        return sum(args[1:], args[0])
+    if expr.is_Mul:
+        out = args[0]
+        for a in args[1:]:
+            out = out * a
+        return out
+    if expr.is_Pow:
+        base, power = args[0], expr.exp
+        if power == sp.Rational(1, 2):
+            return numkernel.fsqrt(base)
+        if power.is_Integer:
+            out = base
+            for _ in range(abs(int(power)) - 1):
+                out = out * base
+            if power < 0:
+                return ScalarField.constant(1.0, dim) / out
+            return out
+        return numkernel.fexp(float(power) * numkernel.flog(base))
+    if expr.func is sp.atan2:
+        return numkernel.fatan2(*args)
+    return _FUNCTIONS[expr.func](*args)
+
+
+def field_of_text(text, variables):
+    """``field_of`` for a text expression in the given variable names, in
+    axis order."""
+    names = sp.symbols(list(variables))
+    expr = sp.sympify(text).subs(dict(zip(names, X)), simultaneous=True)
+    return field_of(expr, len(names))
 
 
 @pytest.fixture
@@ -24,12 +77,11 @@ def flat_metric3():
 def sphere_metric3():
     """Unit-sphere base: q = log(sin s), Gauss curvature 1."""
     box = ChartBox((-1.0, 0.3, -1.0), (1.0, 2.8, 1.0), 0.05)
-    return ProductMetric3(ScalarField.from_sympy(sp.log(sp.sin(S)), 2), box)
+    return ProductMetric3(field_of(sp.log(sp.sin(S)), 2), box)
 
 
 @pytest.fixture
 def hyperbolic_metric3():
     """q = s, Gauss curvature -1."""
     box = ChartBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), 0.05)
-    return ProductMetric3(ScalarField.from_sympy(S, 2), box)
-
+    return ProductMetric3(field_of(S, 2), box)

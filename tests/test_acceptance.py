@@ -38,6 +38,7 @@ from biharm.hypersurface import (
     vertical_cylinder,
 )
 from biharm.numkernel import ChartBox, ScalarField
+from conftest import S, field_of
 from biharm.submersion import (
     catalog_suite,
     flat_random_specs,
@@ -66,9 +67,9 @@ def run_criterion_1(mode):
     tol = 1e-7 if mode == "analytic" else 1e-3
     worst = 0.0
     for radius in (0.5, 1.0, 2.0):
-        expr = sp.log(radius * sp.sin(sp.Symbol("x1", real=True) / radius))
+        expr = sp.log(radius * sp.sin(S / radius))
         metric = SurfaceMetric(
-            ScalarField(dim=2, expr=expr),
+            field_of(expr, 2),
             ChartBox((-1.0, 0.15 * radius), (1.0, 2.95 * radius), 0.01),
         )
         if mode == "fd":

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from biharm.cli import RunConfig, main, run
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def read_records(path):
@@ -16,6 +22,9 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(tolerance=-1.0, grid=(5, 5), derivative_mode="analytic",
                       output_path="x")
+        with pytest.raises(ValueError):
+            RunConfig(tolerance=math.nan, grid=(5, 5),
+                      derivative_mode="analytic", output_path="x")
         with pytest.raises(ValueError):
             RunConfig(tolerance=1e-6, grid=(1, 5), derivative_mode="analytic",
                       output_path="x")
@@ -187,3 +196,95 @@ def test_entry_point_requires_subcommand():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def _argv(command, out):
+    """A small valid command line of each command, writing to ``out``."""
+    base = {
+        "verify": ["verify", "--grid", "5", "--specs", "4"],
+        "curvature": ["curvature", "--grid", "5"],
+        "construct": ["construct", "--alpha0", "0.8", "--alpha1", "0.1",
+                      "--u0", "-1", "--yspan", "0:0.4", "--step", "2e-3"],
+        "scan": ["scan", "--c", "-2", "--range", "0.1:3"],
+        "surface": ["surface", "--kg", "1", "--K", "1"],
+    }[command]
+    return base + ["--out", str(out)]
+
+
+COMMANDS = ("verify", "curvature", "construct", "scan", "surface")
+
+
+class TestArgumentValidation:
+    """Each rejected input exits 2, names its option and writes nothing."""
+
+    def _rejected(self, argv, option, out, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert option in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "out"
+        self._rejected(_argv(command, out) + ["--tol", tol], "--tol", out,
+                       capsys)
+
+    @pytest.mark.parametrize("kg", ["-1", "nan", "inf"])
+    def test_bad_kg(self, tmp_path, capsys, kg):
+        out = tmp_path / "out"
+        argv = ["surface", "--kg", kg, "--K", "1", "--out", str(out)]
+        self._rejected(argv, "--kg", out, capsys)
+
+    def test_bad_base_curvature(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["surface", "--kg", "1", "--K", "nan", "--out", str(out)]
+        self._rejected(argv, "--K", out, capsys)
+
+    def test_zero_kg_is_minimal(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["surface", "--kg", "0", "--K", "1",
+                    "--out", str(out)]) == 0
+        assert "minimal" in capsys.readouterr().out
+
+    def test_negative_spec_count(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["verify", "--grid", "5", "--specs", "-1", "--out", str(out)]
+        self._rejected(argv, "--specs", out, capsys)
+
+    @pytest.mark.parametrize("args, option", [
+        (["--chart", "sphere", "--radius", "0"], "--radius"),
+        (["--chart", "sphere", "--radius", "-2"], "--radius"),
+        (["--chart", "sphere", "--radius", "nan"], "--radius"),
+        (["--chart", "hyperbolic", "--c", "nan"], "--c"),
+        (["--chart", "hyperbolic", "--c", "1"], "--c"),
+    ])
+    def test_bad_chart_parameter(self, tmp_path, capsys, args, option):
+        out = tmp_path / "K.csv"
+        argv = ["curvature", *args, "--grid", "5", "--out", str(out)]
+        self._rejected(argv, option, out, capsys)
+
+
+_SYMPY_FREE_RUN = """
+import json, sys
+from biharm.cli import run
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+print(json.dumps({"codes": codes, "sympy": loaded}))
+"""
+
+
+def test_runtime_never_imports_sympy(tmp_path):
+    # sympy is a test-only dependency: every command runs without it
+    argvs = [_argv(c, tmp_path / f"{c}.out") for c in COMMANDS]
+    argvs.append(_argv("verify", tmp_path / "fd.out") + ["--mode", "fd"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _SYMPY_FREE_RUN, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(argvs), "sympy": []}

@@ -30,9 +30,8 @@ from biharm.errors import (
     SingularCoefficient,
     SingularProfile,
 )
-from biharm.numkernel import CHART_SYMBOLS, ChartBox, ScalarField
-
-T, S, Z = CHART_SYMBOLS
+from biharm.numkernel import ChartBox, ScalarField
+from conftest import S, T, field_of
 
 START = (math.pi / 4, 0.1, -0.01)  # alpha0, alpha1, alpha2 = u0 * alpha1^2
 
@@ -270,7 +269,7 @@ class TestScalarPaths:
 
 class TestFlatTargetBuilder:
     def test_cosh_family_residual_vanishes(self):
-        spec = build_flat_target(2 * sp.log(sp.cosh(S)),
+        spec = build_flat_target(field_of(2 * sp.log(sp.cosh(S)), 2),
                                  ChartBox((-1.0, -1.5, -0.5),
                                           (1.0, 1.5, 0.5), 0.05))
         rep = verify_construction(spec, tol=1e-6, grid=(7, 7))
@@ -278,21 +277,21 @@ class TestFlatTargetBuilder:
         assert rep.classification == "proper biharmonic"
 
     def test_square_root_family(self):
-        spec = build_flat_target(2 * sp.log(S),
+        spec = build_flat_target(field_of(2 * sp.log(S), 2),
                                  ChartBox((-1.0, 0.5, -0.5),
                                           (1.0, 3.0, 0.5), 0.05))
         rep = verify_construction(spec, tol=1e-6, grid=(7, 7))
         assert rep.passed
 
     def test_square_exponent_residual(self):
-        spec = build_flat_target(S**2)
+        spec = build_flat_target(field_of(S**2, 2))
         assert spec.aux_residual((0.0, 1.0, 0.0)) == pytest.approx(4.0,
                                                                    abs=1e-9)
         rep = verify_construction(spec, tol=1e-6, grid=(5, 5))
         assert not rep.passed
 
     def test_slope_free_exponent_flagged(self):
-        spec = build_flat_target(0.4 * T)
+        spec = build_flat_target(field_of(0.4 * T, 2))
         assert any("harmonic" in f for f in spec.flags)
 
 
@@ -347,8 +346,8 @@ class TestNonflatBuilder:
                 assert c.max_abs < 1e-8
 
     def test_general_form_with_free_functions(self, solved_profile):
-        phi = ScalarField.from_sympy(0.3 * sp.sin(CHART_SYMBOLS[0]), 1)
-        w = ScalarField.from_sympy(0.2 * CHART_SYMBOLS[0], 1)
+        phi = field_of(0.3 * sp.sin(T), 1)
+        w = field_of(0.2 * T, 1)
         built = build_nonflat_target(
             ConstructionSpec(solved_profile, phi=phi, w=w)
         )

@@ -19,14 +19,12 @@ from biharm.frames import (
 )
 from biharm.geometry import FrameField, ProductMetric3, base_gauss_curvature
 from biharm.numkernel import (
-    CHART_SYMBOLS,
     ChartBox,
     ScalarField,
     directional_field,
 )
 from biharm.submersion import base_curvature
-
-T, S, Z = CHART_SYMBOLS
+from conftest import S, T, Z, field_of
 
 
 def bracket_vector(frame, i, j, point):
@@ -97,8 +95,8 @@ class TestAdaptedFrame:
 
     def test_rotation_coefficients_closed_form(self, hyperbolic_metric3):
         rng = np.random.default_rng(2)
-        theta = ScalarField(dim=3, expr=0.5 + 0.3 * sp.sin(T + S))
-        alpha = ScalarField(dim=3, expr=0.8 + 0.1 * sp.cos(S))
+        theta = field_of(0.5 + 0.3 * sp.sin(T + S), 3)
+        alpha = field_of(0.8 + 0.1 * sp.cos(S), 3)
         frame = adapted_frame(AdaptedFrameSpec(theta, alpha), hyperbolic_metric3)
         for _ in range(4):
             p = tuple(rng.uniform(-0.8, 0.8, size=3))
@@ -151,8 +149,8 @@ class TestIntegrabilityData:
         # k1 a33 = (sigma - f3) a23 and f2 a23 = sigma a33 are algebraic
         # consequences of the closed forms, valid for arbitrary angles,
         # including a fiber-dependent theta
-        theta = ScalarField(dim=3, expr=0.4 + 0.2 * sp.sin(T + 0.5 * Z))
-        alpha = ScalarField(dim=3, expr=0.9 + 0.15 * sp.cos(S))
+        theta = field_of(0.4 + 0.2 * sp.sin(T + 0.5 * Z), 3)
+        alpha = field_of(0.9 + 0.15 * sp.cos(S), 3)
         spec = AdaptedFrameSpec(theta, alpha)
         data = integrability_data(spec, hyperbolic_metric3)
         frame = adapted_frame(spec, hyperbolic_metric3)
@@ -192,8 +190,8 @@ class TestValidateFrame:
     def test_warped_family_passes(self):
         q = sp.log(sp.tan(S))
         box = ChartBox((-1.0, 0.35, -0.5), (1.0, 1.15, 0.5), 0.05)
-        metric = ProductMetric3(ScalarField(dim=2, expr=q), box)
-        spec = AdaptedFrameSpec(math.pi / 2, ScalarField(dim=3, expr=S))
+        metric = ProductMetric3(field_of(q, 2), box)
+        spec = AdaptedFrameSpec(math.pi / 2, field_of(S, 3))
         frame = adapted_frame(spec, metric)
         data = integrability_data(spec, metric)
         pts = _verification_points(box, (4, 4))

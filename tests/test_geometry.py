@@ -18,9 +18,8 @@ from biharm.geometry import (
     laplace_beltrami,
     riemann_component,
 )
-from biharm.numkernel import CHART_SYMBOLS, ChartBox, ScalarField
-
-T, S, Z = CHART_SYMBOLS
+from biharm.numkernel import ChartBox, ScalarField
+from conftest import S, T, field_of, field_of_text
 
 
 class TestChristoffel:
@@ -43,7 +42,7 @@ class TestChristoffel:
     def test_sphere_surface_chart(self):
         # ds^2 + sin^2(s) dphi^2: G^s_{phi phi} = -sin(s)cos(s)
         metric = SurfaceMetric(
-            ScalarField.from_sympy(sp.log(sp.sin(T)), 2),
+            field_of(sp.log(sp.sin(T)), 2),
             ChartBox((0.3, -1.0), (2.8, 1.0), 0.02),
             weighted_axis=1,
         )
@@ -56,7 +55,7 @@ class TestGaussCurvature:
     def test_sphere(self, radius):
         q = sp.log(radius * sp.sin(S / radius))
         metric = SurfaceMetric(
-            ScalarField(dim=2, expr=q),
+            field_of(q, 2),
             ChartBox((-1.0, 0.15 * radius), (1.0, 2.9 * radius), 0.02),
         )
         for s in np.linspace(0.3 * radius, 2.6 * radius, 7):
@@ -71,7 +70,7 @@ class TestGaussCurvature:
 
     def test_hyperbolic_constant_slope(self):
         metric = SurfaceMetric(
-            ScalarField(dim=2, expr=S), ChartBox((-1, -1), (1, 1), 0.02)
+            field_of(S, 2), ChartBox((-1, -1), (1, 1), 0.02)
         )
         assert gauss_curvature_2d(metric, (0.4, -0.3)) == pytest.approx(-1.0)
 
@@ -120,7 +119,7 @@ class TestRiemann:
             a, b, c = rng.uniform(0.2, 1.0, size=3)
             q = a * S + b * sp.sin(c * T + S)
             box = ChartBox((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), 0.05)
-            metric = ProductMetric3(ScalarField(dim=2, expr=q), box)
+            metric = ProductMetric3(field_of(q, 2), box)
             frame = semi_geodesic_frame(metric)
             p = tuple(rng.uniform(-0.8, 0.8, size=3))
             lhs = riemann_component(metric, p, frame, (0, 1, 1, 0))
@@ -130,7 +129,7 @@ class TestRiemann:
         rng = np.random.default_rng(5)
         q = 0.7 * S + 0.3 * sp.sin(T + 0.5 * S)
         box = ChartBox((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), 0.05)
-        metric = ProductMetric3(ScalarField(dim=2, expr=q), box)
+        metric = ProductMetric3(field_of(q, 2), box)
         frame = semi_geodesic_frame(metric)
         for _ in range(3):
             p = tuple(rng.uniform(-0.8, 0.8, size=3))
@@ -152,8 +151,8 @@ class TestRiemann:
 
         q = sp.log(sp.tan(S))
         box = ChartBox((-1.0, 0.4, -0.5), (1.0, 1.1, 0.5), 0.05)
-        metric = ProductMetric3(ScalarField(dim=2, expr=q), box)
-        spec = AdaptedFrameSpec(math.pi / 2, ScalarField(dim=3, expr=S))
+        metric = ProductMetric3(field_of(q, 2), box)
+        spec = AdaptedFrameSpec(math.pi / 2, field_of(S, 3))
         frame = adapted_frame(spec, metric)
         data = integrability_data(spec, metric)
         p = (0.2, 0.8, 0.0)
@@ -182,7 +181,7 @@ class TestRiemann:
 class TestLaplacian:
     def test_flat_square(self, flat_metric3):
         frame = semi_geodesic_frame(flat_metric3)
-        f = ScalarField.from_expr("s**2", ("t", "s", "z"))
+        f = field_of_text("s**2", ("t", "s", "z"))
         assert laplace_beltrami(frame, f, (0.1, 0.3, -0.2)) == pytest.approx(2.0)
 
     def test_constant_field_everywhere_zero(self, hyperbolic_metric3):
@@ -198,7 +197,7 @@ class TestLaplacian:
     def test_projection_slope_is_base_harmonic(self):
         # p = 2 log(cosh y): the base Laplacian of p_y vanishes identically
         metric2 = SurfaceMetric(
-            ScalarField(dim=2, expr=2 * sp.log(sp.cosh(S))),
+            field_of(2 * sp.log(sp.cosh(S)), 2),
             ChartBox((-1.0, -1.5), (1.0, 1.5), 0.05),
         )
         frame = semi_geodesic_frame(metric2)
@@ -208,7 +207,7 @@ class TestLaplacian:
             assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_frame_independence(self, sphere_metric3):
-        f = ScalarField.from_expr("sin(s)*t + s**2", ("t", "s", "z"))
+        f = field_of_text("sin(s)*t + s**2", ("t", "s", "z"))
         frame_a = semi_geodesic_frame(sphere_metric3)
         frame_b = adapted_frame(
             AdaptedFrameSpec(0.7, 0.4), sphere_metric3

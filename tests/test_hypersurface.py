@@ -23,9 +23,10 @@ from biharm.hypersurface import (
     umbilic_biharmonic_test,
     vertical_cylinder,
 )
-from biharm.numkernel import CHART_SYMBOLS, ChartBox, ScalarField
+from biharm.numkernel import ChartBox, ScalarField
+from conftest import X, field_of, field_of_text
 
-U, V = CHART_SYMBOLS[0], CHART_SYMBOLS[1]
+U, V = X[0], X[1]
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +53,15 @@ class TestSurfaceGeometry:
         assert geo.unit_normal[2] == pytest.approx(0.0, abs=1e-14)
 
     def test_parabolic_graph_origin(self):
-        g = graph_immersion(U**2 / 2)
+        g = graph_immersion(field_of(U**2 / 2, 2))
         geo = surface_geometry(g, (0.0, 0.0))
         assert geo.mean_curvature == pytest.approx(0.5, abs=1e-10)
 
     def test_fundamental_form_contracts(self):
         # unit normal orthogonal to the tangents, H = trace/2, |A|^2 >= 2H^2
         rng = np.random.default_rng(31)
-        g = graph_immersion(0.4 * U**2 + 0.3 * sp.sin(V) + 0.2 * U * V)
+        g = graph_immersion(
+            field_of(0.4 * U**2 + 0.3 * sp.sin(V) + 0.2 * U * V, 2))
         w = g.ambient.weights((0, 0, 0))
         for p in surface_points(g, (3, 3)):
             geo = surface_geometry(g, p)
@@ -104,17 +106,17 @@ class TestAmbientRicci:
     def test_contraction_matches_closed_form(self):
         # random tilted graphs inside a curved ambient chart
         rng = np.random.default_rng(12)
-        q = 0.6 * CHART_SYMBOLS[1] + 0.2 * sp.sin(CHART_SYMBOLS[0])
+        q = 0.6 * V + 0.2 * sp.sin(U)
         from biharm.geometry import ProductMetric3
 
         box = ChartBox((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0), 0.05)
-        ambient = ProductMetric3(ScalarField(dim=2, expr=q), box)
+        ambient = ProductMetric3(field_of(q, 2), box)
         for _ in range(3):
             a, b = rng.uniform(-0.4, 0.4, size=2)
             comps = (
                 ScalarField.coordinate(0, 2),
                 ScalarField.coordinate(1, 2),
-                ScalarField(dim=2, expr=a * U + b * V * V),
+                field_of(a * U + b * V * V, 2),
             )
             imm = SurfaceImmersion(comps, ambient,
                                    ChartBox((-1, -1), (1, 1), 0.05))
@@ -181,7 +183,7 @@ class TestCmcClassification:
         assert cls.details["max_shape_vs_base"] == pytest.approx(1.0, abs=1e-8)
 
     def test_varying_curvature_rejected(self):
-        g = graph_immersion(U**2 / 2)
+        g = graph_immersion(field_of(U**2 / 2, 2))
         with pytest.raises(NotCMC):
             cmc_classify(g, surface_points(g, (4, 4)))
 
@@ -216,7 +218,7 @@ class TestHopfCylinders:
         assert spec.mean_curvature_field((0.1,)) == 0.0
 
     def test_varying_curvature_fields(self):
-        kg = ScalarField.from_expr("1 + s**2", ("s",))
+        kg = field_of_text("1 + s**2", ("s",))
         spec = HopfCylinderSpec(kg, 0.0)
         r1, r2 = hopf_cylinder_residuals(spec, 0.5)
         k = 1.25

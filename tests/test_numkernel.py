@@ -3,24 +3,26 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, strategies as st
 
 from biharm.errors import DegenerateBox, NonFiniteValue, PointOutsideGuard
 from biharm.numkernel import (
-    CHART_SYMBOLS,
     H_FD,
     H_FD3,
     ChartBox,
     ScalarField,
     compose,
     directional_field,
+    fatan2,
+    fcos,
+    flog,
     frame_derivative,
     fsin,
     lift,
     partial_derivative,
     sample_grid,
 )
-
-T, S, Z = CHART_SYMBOLS
+from conftest import S, T, X, field_of, field_of_text
 
 
 def const(v, dim=3):
@@ -29,15 +31,15 @@ def const(v, dim=3):
 
 class TestPartialDerivative:
     def test_square_first(self):
-        f = ScalarField.from_expr("s**2", ("t", "s", "z"))
+        f = field_of_text("s**2", ("t", "s", "z"))
         assert partial_derivative(f, (0.0, 2.0, 0.0), 1, 1) == pytest.approx(4.0)
 
     def test_square_second(self):
-        f = ScalarField.from_expr("s**2", ("t", "s", "z"))
+        f = field_of_text("s**2", ("t", "s", "z"))
         assert partial_derivative(f, (0.0, 2.0, 0.0), 1, 2) == pytest.approx(2.0)
 
     def test_sin_third_analytic(self):
-        f = ScalarField.from_expr("sin(s)", ("s",))
+        f = field_of_text("sin(s)", ("s",))
         assert partial_derivative(f, (0.0,), 0, 3) == pytest.approx(-1.0, abs=1e-12)
 
     def test_sin_third_fd(self):
@@ -71,7 +73,7 @@ class TestPartialDerivative:
         (S**4 + 3 * S**2, True),
     ])
     def test_fd_matches_analytic_to_h_squared(self, expr, third):
-        f = ScalarField.from_sympy(expr.subs(S, CHART_SYMBOLS[0]), 1)
+        f = field_of(expr.subs(S, T), 1)
         g = f.numeric_only()
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -85,18 +87,18 @@ class TestPartialDerivative:
 
 class TestFrameDerivative:
     def test_unit_axis(self):
-        f = ScalarField.from_expr("s**3", ("t", "s", "z"))
+        f = field_of_text("s**3", ("t", "s", "z"))
         comps = (const(0.0), const(1.0), const(0.0))
         assert frame_derivative(comps, f, (0.0, 1.0, 0.0)) == pytest.approx(3.0)
 
     def test_weighted_leg_flat(self):
-        f = ScalarField.from_expr("t", ("t", "s", "z"))
+        f = field_of_text("t", ("t", "s", "z"))
         comps = (const(1.0), const(0.0), const(0.0))  # e^{-q} with q = 0
         assert frame_derivative(comps, f, (0.3, 0.7, 0.1)) == pytest.approx(1.0)
 
     def test_cotangent_slope(self):
         # f = q_s for q = log(sin s); its s-derivative at pi/2 is -1
-        q = ScalarField.from_expr("log(sin(s))", ("t", "s", "z"))
+        q = field_of_text("log(sin(s))", ("t", "s", "z"))
         f = q.diff(1)
         comps = (const(0.0), const(1.0), const(0.0))
         val = frame_derivative(comps, f, (0.0, math.pi / 2, 0.0))
@@ -104,10 +106,10 @@ class TestFrameDerivative:
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
-        f = ScalarField.from_expr("sin(t)*s", ("t", "s", "z"))
-        g = ScalarField.from_expr("exp(s)+t**2", ("t", "s", "z"))
+        f = field_of_text("sin(t)*s", ("t", "s", "z"))
+        g = field_of_text("exp(s)+t**2", ("t", "s", "z"))
         comps = (
-            ScalarField.from_expr("cos(s)", ("t", "s", "z")),
+            field_of_text("cos(s)", ("t", "s", "z")),
             const(1.0),
             const(0.5),
         )
@@ -127,7 +129,7 @@ class TestFrameDerivative:
 
     def test_nesting_matches_symbolic(self):
         # e2(e2(f)) through directional fields vs the exact second partial
-        f = ScalarField.from_expr("s**3 + sin(s)", ("t", "s", "z"))
+        f = field_of_text("s**3 + sin(s)", ("t", "s", "z"))
         comps = (const(0.0), const(1.0), const(0.0))
         inner = directional_field(comps, f)
         outer = directional_field(comps, inner)
@@ -159,7 +161,7 @@ class TestSampleGrid:
 
 class TestFieldAlgebra:
     def test_lift_keeps_values_and_partials(self):
-        f = ScalarField.from_expr("sin(y)", ("y",))
+        f = field_of_text("sin(y)", ("y",))
         g = lift(f, 3, (1,))
         p = (0.3, 0.7, -0.2)
         assert g(p) == pytest.approx(math.sin(0.7))
@@ -167,9 +169,9 @@ class TestFieldAlgebra:
         assert g.partial(p, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_compose_chain_rule(self):
-        f = ScalarField.from_expr("x**2 + y", ("x", "y"))
-        u = ScalarField.from_expr("sin(u)", ("u", "v"))
-        v = ScalarField.from_expr("u*v", ("u", "v"))
+        f = field_of_text("x**2 + y", ("x", "y"))
+        u = field_of_text("sin(u)", ("u", "v"))
+        v = field_of_text("u*v", ("u", "v"))
         h = compose(f, (u, v))
         p = (0.5, 0.8)
         expected = math.sin(0.5) ** 2 + 0.5 * 0.8
@@ -178,7 +180,7 @@ class TestFieldAlgebra:
         assert h.partial(p, 0, 1) == pytest.approx(dd, abs=1e-12)
 
     def test_product_of_leaves_keeps_derivatives(self):
-        f = ScalarField.from_expr("exp(2*s)", ("t", "s", "z"))
+        f = field_of_text("exp(2*s)", ("t", "s", "z"))
         prod = f * f
         p = (0.0, 0.4, 0.0)
         assert prod(p) == f(p) * f(p)
@@ -188,13 +190,13 @@ class TestFieldAlgebra:
 
 
 class TestLeavesOnly:
-    """Sympy stays at the leaves: a combination of fields that are not exact
-    numbers is derived by a rule, and exact numbers fold."""
+    """A combination of fields that are not exact numbers is derived by a
+    rule, and exact numbers fold."""
 
     def test_combinations_of_leaves_are_derived(self):
-        f = ScalarField.from_expr("sin(t) + s", ("t", "s", "z"))
-        g = ScalarField.from_expr("exp(s*z)", ("t", "s", "z"))
-        w = ScalarField.from_expr("x*y", ("x", "y"))
+        f = field_of_text("sin(t) + s", ("t", "s", "z"))
+        g = field_of_text("exp(s*z)", ("t", "s", "z"))
+        w = field_of_text("x*y", ("x", "y"))
         combined = {
             "sum": f + g, "product": f * g, "quotient": f / g,
             "compose": compose(w, (f, g)),
@@ -203,25 +205,33 @@ class TestLeavesOnly:
         }
         p = (0.3, 0.7, -0.2)
         for label, h in combined.items():
-            assert h.expr is None, label
+            assert h.number is None, label
             assert math.isfinite(h.diff(1)(p)), label
 
     def test_numbers_fold(self):
-        f = ScalarField.from_expr("sin(t) + s", ("t", "s", "z"))
+        f = field_of_text("sin(t) + s", ("t", "s", "z"))
         two, three = const(2.0), const(3.0)
-        assert (two * three).expr == 6.0
-        assert float((two / three - three).expr) == 2.0 / 3.0 - 3.0
-        assert fsin(const(0.0)).expr == 0
-        assert (const(0.0) * f).expr == 0
+        assert (two * three).number == 6.0
+        assert (two / three - three).number == 2.0 / 3.0 - 3.0
+        assert fsin(const(0.0)).number == 0.0
+        assert fatan2(const(1.0), const(-1.0)).number == math.atan2(1, -1)
+        assert (const(0.0) * f).number == 0.0
         assert const(1.0) * f is f
-        w = ScalarField.from_expr("x*y", ("x", "y"))
-        assert compose(const(2.0, 2), (f, f)).expr == 2.0
-        assert compose(w, (f, f)).expr is None
-        assert directional_field((f, f, f), two).expr == 0
+        assert f + 0.0 is f and f - 0.0 is f
+        w = field_of_text("x*y", ("x", "y"))
+        assert compose(const(2.0, 2), (f, f)).number == 2.0
+        assert compose(w, (f, f)).number is None
+        assert directional_field((f, f, f), two).number == 0.0
+        # a number that is undefined is not finite when evaluated
+        with pytest.raises(NonFiniteValue):
+            (two / const(0.0))((0.1, 0.2, 0.3))
+        with pytest.raises(NonFiniteValue):
+            flog(const(-1.0))((0.1, 0.2, 0.3))
 
     def test_float_leaf_keeps_every_digit(self):
-        x = CHART_SYMBOLS[0]
-        f = ScalarField.from_sympy(sp.cos(sp.Float(math.pi / 2) * x), 1)
+        # a number is the double it was given
+        x = ScalarField.coordinate(0, 1)
+        f = fcos(ScalarField.constant(math.pi / 2, 1) * x)
         assert f((1.0,)) == math.cos(math.pi / 2)
 
 
@@ -232,7 +242,7 @@ class TestBatchEvaluation:
               for k in range(9)]
 
     def test_symbolic_leaf(self):
-        f = ScalarField.from_expr("exp(t)*sin(s) + z**3 - log(1 + s)",
+        f = field_of_text("exp(t)*sin(s) + z**3 - log(1 + s)",
                                   ("t", "s", "z"))
         values = f(np.array(self.POINTS))
         assert values.shape == (len(self.POINTS),)
@@ -259,7 +269,7 @@ class TestBatchEvaluation:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_numeric_only_partials(self, order):
-        f = ScalarField.from_expr("sin(t + 2*s) * exp(s*z)", ("t", "s", "z"))
+        f = field_of_text("sin(t + 2*s) * exp(s*z)", ("t", "s", "z"))
         g = f.numeric_only()
         batch = np.array(self.POINTS)
         for axis in range(3):
@@ -293,15 +303,15 @@ def _leaf_kinds():
     """One field of every kind, on a 3-chart: (label, field, opaque leaf)."""
     from biharm.constructor import integrate_alpha
 
-    sym = ScalarField.from_expr("sin(t + 2*s) * exp(s*z)", ("t", "s", "z"))
+    sym = field_of_text("sin(t + 2*s) * exp(s*z)", ("t", "s", "z"))
     fd = sym.numeric_only()
     explicit = _explicit_exp()
     profile = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-2)
-    u = ScalarField.from_expr("t + s*s", ("t", "s", "z"))
-    v = ScalarField.from_expr("s - z", ("t", "s", "z"))
-    w = ScalarField.from_expr("sin(x) + x*y", ("x", "y"))
+    u = field_of_text("t + s*s", ("t", "s", "z"))
+    v = field_of_text("s - z", ("t", "s", "z"))
+    w = field_of_text("sin(x) + x*y", ("x", "y"))
     return [
-        ("symbolic", sym, False),
+        ("closed-form", sym, False),
         ("explicit", explicit, False),
         ("explicit-two-partials", _explicit_exp(2), False),
         ("alpha-profile", profile.field(dim=3, axis=1), False),
@@ -335,7 +345,7 @@ class TestDerivativeRoute:
                 assert np.array_equal(got, chain(self.BATCH)), (label, axis)
 
     def test_opaque_second_partial_is_one_stencil(self):
-        g = ScalarField.from_expr("sin(t + 2*s) * exp(s*z)",
+        g = field_of_text("sin(t + 2*s) * exp(s*z)",
                                   ("t", "s", "z")).numeric_only()
         for axis in range(3):
             up, dn = self.BATCH.copy(), self.BATCH.copy()
@@ -348,7 +358,7 @@ class TestDerivativeRoute:
         kinds = {label: f for label, f, _ in _leaf_kinds()}
         for axis in range(3):
             for order in (1, 2, 3):
-                for label in ("symbolic", "explicit", "alpha-profile",
+                for label in ("closed-form", "explicit", "alpha-profile",
                               "lifted-explicit"):
                     assert kinds[label].stencil_reach(axis, order) == 0.0
         fd = kinds["numeric-only"]
@@ -384,3 +394,72 @@ class TestDerivativeRoute:
         for x in (reach - 1e-9, 1.0 - reach + 1e-9):
             with pytest.raises(PointOutsideGuard):
                 partial_derivative(f, (x,), 0, order, box=box)
+
+
+# -- chain rule against sympy ------------------------------------------------
+
+# every derivative rule of the field graph, with arguments kept where the
+# functions are defined and moderate
+_ORACLE_RULES = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / (2 + sp.sin(b)),
+    "powers": lambda a, b: a ** 2 + b ** 3,
+    "atan2": lambda a, b: sp.atan2(a, 2 + sp.cos(b)),
+    "sin": lambda a, b: sp.sin(a),
+    "cos": lambda a, b: sp.cos(a),
+    "exp": lambda a, b: sp.exp(sp.sin(a)),
+    "log": lambda a, b: sp.log(2 + sp.sin(a)),
+    "tan": lambda a, b: sp.tan(sp.sin(a)),
+    "sqrt": lambda a, b: sp.sqrt(2 + sp.cos(a)),
+    "atan": lambda a, b: sp.atan(a),
+    "cosh": lambda a, b: sp.cosh(sp.sin(a)),
+    "sinh": lambda a, b: sp.sinh(sp.cos(a)),
+}
+
+
+def _oracle_expressions():
+    leaves = st.sampled_from(X) | st.floats(-2.0, 2.0).map(sp.Float)
+
+    def extend(children):
+        return st.tuples(st.sampled_from(list(_ORACLE_RULES.values())),
+                         children, children).map(lambda p: p[0](p[1], p[2]))
+    return st.recursive(leaves, extend, max_leaves=3)
+
+
+ORACLE_BATCH = np.array([(0.1 * k - 0.4, 0.7 - 0.15 * k, 0.3 + 0.1 * k)
+                         for k in range(6)])
+
+
+@pytest.mark.parametrize("rule", _ORACLE_RULES)
+@given(a=_oracle_expressions(), b=_oracle_expressions(),
+       axes=st.lists(st.sampled_from((0, 1, 2)), min_size=4, max_size=4))
+def test_chain_rule_partials_match_sympy(rule, a, b, axes):
+    # a third derivative route, next to the chain rule and the stencils:
+    # sympy differentiates the same closed form symbolically
+    exact = _ORACLE_RULES[rule](a + X[0], b + X[1])
+    field = field_of(exact, 3)
+    for order in range(5):
+        at_point = sp.lambdify(X, exact, modules=["math"],
+                               docstring_limit=0)
+        want = np.array([float(at_point(*p)) for p in ORACLE_BATCH.tolist()])
+        got = field(ORACLE_BATCH)
+        scale = 1.0 + np.max(np.abs(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * scale,
+                                   err_msg=f"{exact} along {axes[:order]}")
+        if order < 4:
+            field = field.diff(axes[order])
+            exact = sp.diff(exact, X[axes[order]])
+
+
+def test_numeric_only_number_keeps_zero_derivative():
+    two = ScalarField.constant(2.0, 3).numeric_only()
+    assert two.number is None  # fd mode folds nothing
+    for axis in range(3):
+        assert two.diff(axis).number == 0.0
+        assert two.stencil_reach(axis, 3) == 0.0
+    # a coordinate is a leaf like any other closed form: differenced in fd
+    x = ScalarField.coordinate(1, 3)
+    assert x.diff(1).number == 1.0 and x.diff(0).number == 0.0
+    assert x.numeric_only().stencil_reach(1, 1) == H_FD

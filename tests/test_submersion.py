@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from biharm.errors import EmptyRange
 from biharm.frames import AdaptedFrameSpec, adapted_frame, integrability_data
 from biharm.geometry import ProductMetric3, base_gauss_curvature
-from biharm.numkernel import CHART_SYMBOLS, ChartBox, ScalarField
+from biharm.numkernel import ChartBox, ScalarField
 from biharm.submersion import (
     SubmersionSpec,
     base_curvature,
@@ -25,15 +25,14 @@ from biharm.submersion import (
     residual_report,
     _slope_residual,
 )
-
-T, S, Z = CHART_SYMBOLS
+from conftest import S, T, field_of
 
 
 def warped_spec(alpha_expr, s_span, label="warped-test"):
     q = sp.log(sp.tan(alpha_expr))
     box = ChartBox((-1.0, s_span[0], -0.5), (1.0, s_span[1], 0.5), 0.05)
-    metric = ProductMetric3(ScalarField(dim=2, expr=q), box)
-    fspec = AdaptedFrameSpec(math.pi / 2, ScalarField(dim=3, expr=alpha_expr))
+    metric = ProductMetric3(field_of(q, 2), box)
+    fspec = AdaptedFrameSpec(math.pi / 2, field_of(alpha_expr, 3))
     return SubmersionSpec(metric, fspec, label, family="nonflat_target")
 
 
@@ -103,7 +102,7 @@ class TestResiduals:
         # p = y^2: the slope Laplacian is 4y, matching the r1 channel of
         # the printed system with k1 = -p_y (positive at y = 1)
         box = ChartBox((-1.0, 0.2, -0.5), (1.0, 1.5, 0.5), 0.05)
-        spec = projection_spec(S**2, box, "square")
+        spec = projection_spec(field_of(S**2, 2), box, "square")
         r1, r2 = biharmonic_residuals(spec, (0.3, 1.0, 0.0))
         assert r1 == pytest.approx(4.0, abs=1e-9)
         assert r2 == pytest.approx(0.0, abs=1e-12)
@@ -230,36 +229,3 @@ class TestFlatFlatExclusion:
             assert rep.classification == "not biharmonic"
             # coherence of the two routes
             assert rep.channel("dual_residual_gap").max_abs < 1e-8
-
-    def test_r1_compiles_leaf_partials_only(self, monkeypatch):
-        # sympy sits at the leaves: no compiled expression is larger than
-        # the largest partial (up to order 4) of the spec's exponent
-        from biharm import numkernel, submersion
-
-        exponents = []
-
-        def recording_spec(exponent, *args, **kwargs):
-            exponents.append(exponent)
-            return projection_spec(exponent, *args, **kwargs)
-
-        monkeypatch.setattr(submersion, "projection_spec", recording_spec)
-        spec = flat_random_specs(np.random.default_rng(3), 1)[0]
-        partials, frontier = [exponents[0]], [exponents[0]]
-        for _ in range(4):
-            frontier = [sp.diff(e, x) for e in frontier for x in (T, S)]
-            partials += frontier
-        largest = max(sp.count_ops(e) for e in partials)
-
-        compiled = []
-        lambdify = sp.lambdify
-
-        def recording_lambdify(args, expr, **kwargs):
-            compiled.append(sp.count_ops(expr))
-            return lambdify(args, expr, **kwargs)
-
-        numkernel._compile.cache_clear()
-        monkeypatch.setattr(numkernel.sp, "lambdify", recording_lambdify)
-        r1 = spec.residual_fields[0](spec.verification_points((3, 3)))
-        assert np.isfinite(r1).all()
-        assert compiled
-        assert max(compiled) <= largest
