@@ -40,7 +40,6 @@ from .geometry import (
     FrameField,
     ProductMetric3,
     SurfaceMetric,
-    base_gauss_curvature,
     christoffel_symbols,
     curvature_components,
     gauss_curvature_2d,

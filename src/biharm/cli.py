@@ -28,7 +28,7 @@ import numpy as np
 from . import constructor, hypersurface, submersion
 from .errors import GeometryError, SingularProfile
 from .frames import frame_identity_suite
-from .geometry import ProductMetric3, base_gauss_curvature
+from .geometry import ProductMetric3, base_sweep, gauss_curvature_2d
 from .numkernel import (
     ChartBox,
     ScalarField,
@@ -36,7 +36,6 @@ from .numkernel import (
     fcosh,
     flog,
     fsin,
-    sample_grid,
 )
 from .report import (
     ResidualReport,
@@ -183,11 +182,8 @@ def _cmd_curvature(args):
     metric = _chart_metric(args.chart, args.radius, args.c)
     if args.mode == "fd":
         metric = metric.numeric_only()
-    box = metric.box
-    base = ChartBox(box.lower[:2], box.upper[:2], box.guard)
-    zmid = box.midpoint()[2]
-    points = [(t, s, zmid) for (t, s) in sample_grid(base, (args.grid,) * 2)]
-    curvature = base_gauss_curvature(metric, as_batch(points)).tolist()
+    points = base_sweep(metric.box, (args.grid,) * 2)
+    curvature = gauss_curvature_2d(metric, as_batch(points)).tolist()
     rows = [(t, s, k) for (t, s, _), k in zip(points, curvature)]
     write_grid_csv(args.out, ("axis1", "axis2", "K"), rows)
     print(f"curvature grid: {args.out} ({len(rows)} points)")
@@ -282,51 +278,67 @@ def _cmd_surface(args):
     spec = hypersurface.HopfCylinderSpec(args.kg, args.K)
     r1, r2 = hypersurface.hopf_cylinder_residuals(spec, 0.0)
     print(f"Hopf system residuals: ({r1:.6g}, {r2:.6g})")
-    if args.kg == 0:
-        print("classification: minimal (zero geodesic curvature)")
-        return 0
-    try:
-        cyl = hypersurface.vertical_cylinder(args.kg, args.K)
-    except ValueError as err:
-        print(f"classification unavailable: {err}")
-        return 0 if abs(r1) > tol else 1
-    if args.mode == "fd":
-        cyl = cyl.numeric_only()
-    pts = hypersurface.surface_points(cyl, (4, 4))
-    cls = hypersurface.cmc_classify(cyl, pts, tol=max(tol, 1e-8))
-    print(f"classification: {cls.kind} (H = {cls.mean_curvature:.6g})")
+    label = f"cylinder(kg={args.kg:g},K={args.K:g})"
     channels = [
         max_over_points("hopf_r1", [((0.0,), r1)]),
         max_over_points("hopf_r2", [((0.0,), r2)]),
     ]
-    scalars, tangents = hypersurface.biharmonic_residuals_surface(cyl, pts)
-    channels.append(max_over_batch("surface_scalar", pts, scalars))
-    channels.append(max_over_batch(
-        "surface_tangent", pts, np.max(np.abs(tangents), axis=1)))
-    if cls.kind == "proper_biharmonic_vertical_cylinder":
-        print(f"ambient sphere radius {cls.sphere_radius:.9g}, "
-              f"base circle radius {cls.circle_radius:.9g}")
-        consistent = abs(r1) <= tol and abs(r2) <= tol
-        rep = build_report(f"cylinder(kg={args.kg:g},K={args.K:g})", tol,
-                           channels, len(pts), classification=cls.kind,
-                           extra_fail=not consistent)
+    if args.kg == 0:
+        reason = "zero geodesic curvature"
+        print(f"classification: minimal ({reason})")
+        rep = build_report(label, tol, channels, 1, classification="minimal",
+                           notes=(reason,))
     else:
-        # the two routes must agree: a failing Hopf system must come with a
-        # non-proper classification and nonzero surface residuals
-        consistent = abs(r1) > tol or abs(r2) > tol
-        rep = ResidualReport(
-            case_label=f"cylinder(kg={args.kg:g},K={args.K:g})",
-            points_checked=len(pts), channels=tuple(channels),
-            tolerance=tol, verdict="pass" if consistent else "fail",
-            classification=cls.kind,
-            notes=("nonzero residuals expected for this case",),
-        )
+        try:
+            cyl = hypersurface.vertical_cylinder(args.kg, args.K)
+        except ValueError as err:
+            print(f"classification unavailable: {err}")
+            # no cylinder exists, so the Hopf system must not vanish
+            rep = ResidualReport(
+                case_label=label, points_checked=1, channels=tuple(channels),
+                tolerance=tol, verdict="pass" if abs(r1) > tol else "fail",
+                classification="unavailable", notes=(str(err),),
+            )
+        else:
+            rep = _cylinder_report(cyl, args.mode, tol, label, channels,
+                                   r1, r2)
     _print_report(rep)
     write_report(args.out, [rep], header={
         "command": "surface", "kg": args.kg, "K": args.K, "tolerance": tol,
     })
     print(f"report: {args.out}")
     return 0 if rep.passed else 1
+
+
+def _cylinder_report(cyl, mode, tol, label, channels, r1, r2):
+    """Classify the vertical cylinder and check it against the Hopf system."""
+    if mode == "fd":
+        cyl = cyl.numeric_only()
+    pts = hypersurface.surface_points(cyl, (4, 4))
+    cls = hypersurface.cmc_classify(cyl, pts, tol=max(tol, 1e-8))
+    print(f"classification: {cls.kind} (H = {cls.mean_curvature:.6g})")
+    scalars, tangents = hypersurface.biharmonic_residuals_surface(cyl, pts)
+    channels = channels + [
+        max_over_batch("surface_scalar", pts, scalars),
+        max_over_batch("surface_tangent", pts,
+                       np.max(np.abs(tangents), axis=1)),
+    ]
+    if cls.kind == "proper_biharmonic_vertical_cylinder":
+        print(f"ambient sphere radius {cls.sphere_radius:.9g}, "
+              f"base circle radius {cls.circle_radius:.9g}")
+        consistent = abs(r1) <= tol and abs(r2) <= tol
+        return build_report(label, tol, channels, len(pts),
+                            classification=cls.kind,
+                            extra_fail=not consistent)
+    # the two routes must agree: a failing Hopf system must come with a
+    # non-proper classification and nonzero surface residuals
+    consistent = abs(r1) > tol or abs(r2) > tol
+    return ResidualReport(
+        case_label=label, points_checked=len(pts), channels=tuple(channels),
+        tolerance=tol, verdict="pass" if consistent else "fail",
+        classification=cls.kind,
+        notes=("nonzero residuals expected for this case",),
+    )
 
 
 # -- entry point ------------------------------------------------------------------

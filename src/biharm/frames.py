@@ -39,10 +39,11 @@ from .geometry import (
     FrameField,
     ProductMetric3,
     _require_orthonormal,
-    base_gauss_curvature,
+    base_sweep,
     cached_on_owner,
     covariant_leg,
     frame_contraction,
+    gauss_curvature_2d,
     riemann_chart,
 )
 from .numkernel import (
@@ -59,7 +60,6 @@ from .numkernel import (
     fsin,
     fsqrt,
     ftan,
-    sample_grid,
     sweep,
 )
 from .report import build_report, max_over_batch
@@ -310,12 +310,11 @@ def validate_frame(frame: FrameField, data: IntegrabilityData, points,
     low = riemann_chart(metric, batch)
     m = frame.matrix(batch)
     a = frame.coeff_matrix(batch)
-    k_base = base_gauss_curvature(metric, batch)
+    k_base = gauss_curvature_2d(metric, batch)
     for name, printed, data_expr, (sign, r1, r2) in _CURVATURE_ROWS:
         mid = data_expr(data, ops)(batch)
         i, j, k, l = printed
-        lhs = np.array([frame_contraction(lp, mp, (i - 1, j - 1, l - 1, k - 1))
-                        for lp, mp in zip(low, m)])
+        lhs = frame_contraction(low, m, (i - 1, j - 1, l - 1, k - 1))
         rhs = sign * a[:, r1 - 1, 2] * a[:, r2 - 1, 2] * k_base
         values = np.maximum(np.abs(lhs - mid), np.abs(mid - rhs))
         channels.append(max_over_batch(name, points, values))
@@ -404,7 +403,7 @@ def frame_identity_suite(rng, count=20, mode="analytic", tol=1e-6,
     for label, metric, spec in random_adapted_specs(rng, count, mode):
         frame = adapted_frame(spec, metric)
         data = integrability_data(spec, metric)
-        pts = _verification_points(metric.box, grid)
+        pts = base_sweep(metric.box, grid)
         try:
             rep = validate_frame(frame, data, pts, tol)
             rep = replace(rep, case_label=label)
@@ -438,9 +437,3 @@ def mutation_detected(metric, spec, points, tol=1e-6, factor=1.1):
             results[name] = True
     return results
 
-
-def _verification_points(box: ChartBox, grid):
-    """2-D sweep of the base axes at the mid product-axis value."""
-    base = ChartBox(box.lower[:2], box.upper[:2], box.guard)
-    zmid = box.midpoint()[2]
-    return [(t, s, zmid) for (t, s) in sample_grid(base, grid)]

@@ -18,7 +18,6 @@ The Laplacian convention is Delta f = sum_i [e_i e_i f - (grad_{e_i} e_i) f].
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .numkernel import (
     directional_field,
     fexp,
     lift,
+    sample_grid,
     sweep,
 )
 
@@ -115,6 +115,14 @@ def _diagonal_weights(metric, point):
     w = np.ones((len(batch), metric.dim))
     w[:, metric.weighted_axis] = np.exp(2.0 * metric.conformal_exponent(batch))
     return _one_or_all(w, point)
+
+
+def base_sweep(box: ChartBox, grid):
+    """Grid over the base axes of a 3-chart box at the middle of the flat
+    factor, as chart points."""
+    base = ChartBox(box.lower[:2], box.upper[:2], box.guard)
+    zmid = box.midpoint()[PRODUCT_AXIS]
+    return [(t, s, zmid) for (t, s) in sample_grid(base, grid)]
 
 
 def _one_or_all(values, point):
@@ -207,24 +215,20 @@ def _field_matrix(rows, point):
 
 @dataclass(frozen=True)
 class CurvatureComponents:
-    """All frame components <R(e_i,e_j)e_k, e_l> at one point."""
+    """All frame components <R(e_i,e_j)e_k, e_l> at one point, as one
+    (d, d, d, d) array."""
 
-    values: dict
+    values: np.ndarray
 
     def __getitem__(self, idx):
-        return self.values[idx]
+        return float(self.values[idx])
 
     def max_symmetry_defect(self):
         """Worst violation of the antisymmetry and pair-swap symmetries."""
-        worst = 0.0
-        for (i, j, k, l), v in self.values.items():
-            worst = max(
-                worst,
-                abs(v + self.values[(j, i, k, l)]),
-                abs(v + self.values[(i, j, l, k)]),
-                abs(v - self.values[(k, l, i, j)]),
-            )
-        return worst
+        r = self.values
+        return float(max(np.max(np.abs(r + r.transpose(1, 0, 2, 3))),
+                         np.max(np.abs(r + r.transpose(0, 1, 3, 2))),
+                         np.max(np.abs(r - r.transpose(2, 3, 0, 1)))))
 
 
 # -- Christoffel symbols ------------------------------------------------------
@@ -297,9 +301,6 @@ def gauss_curvature_2d(metric, point):
     return -q.partial(point, u, 2) - f * f
 
 
-base_gauss_curvature = gauss_curvature_2d
-
-
 def _require_orthonormal(frame, batch, check_tol):
     defect = frame.orthonormality_defect(batch)
     bad = defect > check_tol
@@ -312,10 +313,11 @@ def _require_orthonormal(frame, batch, check_tol):
 
 
 def frame_contraction(low, m, indices):
-    """<R(e_i, e_j) e_k, e_l> at one point from the chart curvature ``low``
-    and the frame matrix ``m``."""
+    """<R(e_i, e_j) e_k, e_l> per point of a batch, from the chart curvature
+    ``low`` (n, d, d, d, d) and the frame matrices ``m`` (n, d, d)."""
     i, j, k, l = indices
-    return float(np.einsum("a,b,c,d,abcd->", m[i], m[j], m[k], m[l], low))
+    return np.einsum("na,nb,nc,nd,nabcd->n",
+                     m[:, i], m[:, j], m[:, k], m[:, l], low)
 
 
 @sweep()
@@ -329,9 +331,9 @@ def riemann_component(metric, point, frame: FrameField, indices,
     """
     batch = as_batch(point)
     _require_orthonormal(frame, batch, check_tol)
-    values = [frame_contraction(low, m, indices) for low, m in
-              zip(riemann_chart(metric, batch), frame.matrix(batch))]
-    return values[0] if np.ndim(point) == 1 else np.array(values)
+    values = frame_contraction(riemann_chart(metric, batch),
+                               frame.matrix(batch), indices)
+    return float(values[0]) if np.ndim(point) == 1 else values
 
 
 @sweep()
@@ -340,10 +342,8 @@ def curvature_components(metric, frame, point, check_tol=1e-6):
     _require_orthonormal(frame, batch, check_tol)
     low = riemann_chart(metric, batch)[0]
     m = frame.matrix(batch)[0]
-    return CurvatureComponents({
-        idx: frame_contraction(low, m, idx)
-        for idx in itertools.product(range(frame.dim), repeat=4)
-    })
+    return CurvatureComponents(
+        np.einsum("ia,jb,kc,ld,abcd->ijkl", m, m, m, m, low))
 
 
 # -- frame Laplacian ----------------------------------------------------------

@@ -26,8 +26,9 @@ import numpy as np
 from .errors import DegenerateImmersion, NotCMC, NotUmbilic
 from .geometry import (
     ProductMetric3,
-    base_gauss_curvature,
     covariant_leg,
+    frame_contraction,
+    gauss_curvature_2d,
     riemann_chart,
 )
 from .geometry import _christoffel_fields, _field_matrix
@@ -249,69 +250,78 @@ class SurfaceImmersion:
     def frame_vectors_ambient(self, uv):
         """Chart components of the pushed-forward tangent frame at uv (one
         2x3 matrix per point of a batch)."""
-        T = _field_matrix(self.tangent_fields, uv)
-        eps = _field_matrix(self.frame_fields, uv)
-        if np.ndim(uv) == 1:
-            return eps @ T
-        return np.array([e @ t for e, t in zip(eps, T)])
+        return (_field_matrix(self.frame_fields, uv)
+                @ _field_matrix(self.tangent_fields, uv))
 
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
-    """First/second fundamental data of an immersion at one parameter point."""
+    """First/second fundamental data of an immersion at one parameter point,
+    or per point of a batch (every field then has a leading batch axis)."""
 
     induced_metric: np.ndarray
     unit_normal: np.ndarray
     shape_operator: np.ndarray  # in the orthonormal tangent frame
     mean_curvature: float
     shape_norm_sq: float
-    principal_curvatures: tuple
+    principal_curvatures: np.ndarray  # by |k| descending
     tangent_frame: np.ndarray  # ambient components of the orthonormal legs
 
 
-def surface_geometry(immersion: SurfaceImmersion, uv) -> SurfaceGeometry:
-    """Fundamental forms, unit normal, shape operator and curvatures at uv."""
-    return surface_geometries(immersion, as_batch(uv))[0]
+def _at_point_or_batch(result, uv):
+    """A batch result as is, or its values at the single point ``uv``."""
+    if np.ndim(uv) != 1:
+        return result
+    return type(result)(**{k: v[0] for k, v in vars(result).items()})
+
+
+def _pairs(a11, a12, a22):
+    """Symmetric 2x2 matrices [[a11, a12], [a12, a22]], one per point."""
+    return np.stack([np.stack([a11, a12], -1), np.stack([a12, a22], -1)], -2)
+
+
+def _normals(immersion, batch):
+    return np.column_stack([f(batch) for f in immersion.normal_fields])
 
 
 @sweep()
-def surface_geometries(immersion: SurfaceImmersion, points):
-    """SurfaceGeometry at every point of a batch of parameter points.
+def surface_geometry(immersion: SurfaceImmersion, uv) -> SurfaceGeometry:
+    """Fundamental forms, unit normal, shape operator and curvatures at uv,
+    or per point of a batch of parameter points.
 
     Raises DegenerateImmersion at the first point (in batch order) where
     the induced metric is degenerate.
     """
-    batch = as_batch(points)
-    g11, g12, g22 = (f(batch).tolist() for f in immersion.induced_metric_fields)
-    grams = [np.array([[a, b], [b, c]]) for a, b, c in zip(g11, g12, g22)]
-    for uv, gram in zip(batch.tolist(), grams):
-        if np.linalg.det(gram) <= _RANK_TOL:
-            raise DegenerateImmersion(
-                f"induced metric degenerate at {tuple(uv)}: det = "
-                f"{np.linalg.det(gram):.3e}"
-            )
-    normals = np.column_stack([f(batch) for f in immersion.normal_fields])
-    a11, a12, a22 = (f(batch).tolist() for f in immersion.shape_frame_fields)
-    legs = immersion.frame_vectors_ambient(batch)
-    out = []
-    for k, gram in enumerate(grams):
-        shape = np.array([[a11[k], a12[k]], [a12[k], a22[k]]])
-        out.append(SurfaceGeometry(
-            induced_metric=gram,
-            unit_normal=normals[k],
-            shape_operator=shape,
-            mean_curvature=0.5 * (a11[k] + a22[k]),
-            shape_norm_sq=float(np.sum(shape * shape)),
-            principal_curvatures=tuple(
-                sorted(np.linalg.eigvalsh(shape), key=abs, reverse=True)),
-            tangent_frame=legs[k],
-        ))
-    return out
+    batch = as_batch(uv)
+    grams = _pairs(*(f(batch) for f in immersion.induced_metric_fields))
+    dets = np.linalg.det(grams)
+    degenerate = dets <= _RANK_TOL
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise DegenerateImmersion(
+            f"induced metric degenerate at {tuple(batch[i].tolist())}: "
+            f"det = {dets[i]:.3e}"
+        )
+    a11, a12, a22 = (f(batch) for f in immersion.shape_frame_fields)
+    shapes = _pairs(a11, a12, a22)
+    eig = np.linalg.eigvalsh(shapes)
+    # stable, so equal |k| keep their eigvalsh order
+    order = np.argsort(-np.abs(eig), axis=-1, kind="stable")
+    return _at_point_or_batch(SurfaceGeometry(
+        induced_metric=grams,
+        unit_normal=_normals(immersion, batch),
+        shape_operator=shapes,
+        mean_curvature=0.5 * (a11 + a22),
+        shape_norm_sq=np.sum(shapes * shapes, axis=(-2, -1)),
+        principal_curvatures=np.take_along_axis(eig, order, axis=-1),
+        tangent_frame=immersion.frame_vectors_ambient(batch),
+    ), uv)
 
 
 @dataclass(frozen=True)
 class RicciSplit:
-    """Ambient Ricci curvature split along a surface normal.
+    """Ambient Ricci curvature split along a surface normal, at a point or
+    per point of a batch.
 
     ``normal``/``tangent`` come from contracting the chart curvature
     tensor; the ``*_closed`` values are the product-chart closed forms
@@ -324,36 +334,33 @@ class RicciSplit:
     tangent_closed: np.ndarray
 
 
-def ambient_ricci(immersion: SurfaceImmersion, uv) -> RicciSplit:
-    return _ambient_riccis(immersion, as_batch(uv))[0]
-
-
 @sweep()
-def _ambient_riccis(immersion: SurfaceImmersion, batch):
-    """RicciSplit at every point of a batch of parameter points."""
+def ambient_ricci(immersion: SurfaceImmersion, uv) -> RicciSplit:
+    """Ambient Ricci split along the unit normal at uv, or per point of a
+    batch of parameter points."""
+    batch = as_batch(uv)
     chart = immersion.point(batch)
     metric = immersion.ambient
-    normals = np.column_stack([f(batch) for f in immersion.normal_fields])
-    frames = immersion.frame_vectors_ambient(batch)
-    k_bases = base_gauss_curvature(metric, chart).tolist()
-    out = []
-    for xi, legs, low, k_base in zip(normals, frames,
-                                     riemann_chart(metric, chart), k_bases):
-
-        def riem(x, y, z, t):
-            return float(np.einsum("a,b,c,d,abcd->", x, y, z, t, low))
-
-        def ric(x, y):
-            return (riem(legs[0], x, y, legs[0]) + riem(legs[1], x, y, legs[1])
-                    + riem(xi, x, y, xi))
-
-        normal = ric(xi, xi)
-        tangent = np.array([ric(xi, legs[0]), ric(xi, legs[1])])
-        a13, a23, a33 = legs[0][2], legs[1][2], xi[2]
-        normal_closed = (1.0 - a33 * a33) * k_base
-        tangent_closed = np.array([-a33 * a13 * k_base, -a33 * a23 * k_base])
-        out.append(RicciSplit(normal, tangent, normal_closed, tangent_closed))
-    return out
+    xi = _normals(immersion, batch)
+    legs = immersion.frame_vectors_ambient(batch)
+    # rows 0, 1: the tangent legs; row 2: the normal
+    vectors = np.concatenate([legs, xi[:, None, :]], axis=1)
+    low = riemann_chart(metric, chart)
+    # Ric(xi, v_y) = sum_r <R(v_r, xi) v_y, v_r>, for v_y = xi, e1, e2
+    normal, ric1, ric2 = (
+        frame_contraction(low, vectors, (0, 2, y, 0))
+        + frame_contraction(low, vectors, (1, 2, y, 1))
+        + frame_contraction(low, vectors, (2, 2, y, 2))
+        for y in (2, 0, 1))
+    k_base = gauss_curvature_2d(metric, chart)
+    a13, a23, a33 = legs[:, 0, 2], legs[:, 1, 2], xi[:, 2]
+    return _at_point_or_batch(RicciSplit(
+        normal=normal,
+        tangent=np.column_stack([ric1, ric2]),
+        normal_closed=(1.0 - a33 * a33) * k_base,
+        tangent_closed=np.column_stack(
+            [-a33 * a13 * k_base, -a33 * a23 * k_base]),
+    ), uv)
 
 
 @sweep()
@@ -364,19 +371,17 @@ def biharmonic_residuals_surface(immersion: SurfaceImmersion, uv):
     an (n, 2) array of tangent residuals.
     """
     batch = as_batch(uv)
-    h_vals = immersion.mean_curvature_field(batch).tolist()
-    laps = immersion._laplacian_H(batch).tolist()
-    grads = np.column_stack([g(batch) for g in immersion._gradient_H])
-    scalars, tangents = [], []
-    for h_val, lap, grad, geo, ric in zip(
-            h_vals, laps, grads, surface_geometries(immersion, batch),
-            _ambient_riccis(immersion, batch)):
-        scalars.append(lap - h_val * geo.shape_norm_sq + h_val * ric.normal)
-        tangents.append(2.0 * geo.shape_operator @ grad + 2.0 * h_val * grad
-                        - 2.0 * h_val * ric.tangent)
+    h = immersion.mean_curvature_field(batch)
+    lap = immersion._laplacian_H(batch)
+    grad = np.column_stack([g(batch) for g in immersion._gradient_H])
+    geo = surface_geometry(immersion, batch)
+    ric = ambient_ricci(immersion, batch)
+    scalars = lap - h * geo.shape_norm_sq + h * ric.normal
+    tangents = ((2.0 * geo.shape_operator @ grad[:, :, None])[:, :, 0]
+                + 2.0 * h[:, None] * grad - 2.0 * h[:, None] * ric.tangent)
     if np.ndim(uv) == 1:
-        return scalars[0], tangents[0]
-    return np.array(scalars), np.array(tangents)
+        return float(scalars[0]), tangents[0]
+    return scalars, tangents
 
 
 @dataclass(frozen=True)
@@ -398,7 +403,8 @@ def cmc_classify(immersion: SurfaceImmersion, points, tol=1e-6):
     NotCMC when H varies beyond ``tol`` (relative spread).
     """
     batch = as_batch(points)
-    h_vals = immersion.mean_curvature_field(batch).tolist()
+    h = immersion.mean_curvature_field(batch)
+    h_vals = h.tolist()
     h_lo, h_hi = min(h_vals), max(h_vals)
     h_mean = sum(h_vals) / len(h_vals)
     scale = max(1.0, abs(h_mean))
@@ -409,18 +415,13 @@ def cmc_classify(immersion: SurfaceImmersion, points, tol=1e-6):
     details = {"H": h_mean}
     if abs(h_mean) <= tol:
         return CmcClassification("minimal", h_mean, details=details)
-    vertical = 0.0
-    gaps = []
-    k_bases = base_gauss_curvature(immersion.ambient,
-                                   immersion.point(batch)).tolist()
-    for h, geo, k_base in zip(h_vals, surface_geometries(immersion, batch),
-                              k_bases):
-        vertical = max(vertical, abs(geo.unit_normal[2]))
-        gaps.append((abs(geo.shape_norm_sq - k_base),
-                     abs(k_base - 4.0 * h * h)))
+    geo = surface_geometry(immersion, batch)
+    k_base = gauss_curvature_2d(immersion.ambient, immersion.point(batch))
+    vertical = float(np.max(np.abs(geo.unit_normal[:, 2]), initial=0.0))
     details["max_vertical_defect"] = vertical
-    details["max_shape_vs_base"] = max(g[0] for g in gaps)
-    details["max_base_vs_4H2"] = max(g[1] for g in gaps)
+    details["max_shape_vs_base"] = float(
+        np.max(np.abs(geo.shape_norm_sq - k_base)))
+    details["max_base_vs_4H2"] = float(np.max(np.abs(k_base - 4.0 * h * h)))
     if (vertical <= tol and details["max_shape_vs_base"] <= tol
             and details["max_base_vs_4H2"] <= tol):
         h_abs = abs(h_mean)
@@ -498,11 +499,11 @@ def umbilic_biharmonic_test(immersion: SurfaceImmersion, points, tol=1e-6):
     (nonminimal umbilical surfaces are never biharmonic).
     """
     batch = as_batch(points)
-    h_max, defect = 0.0, 0.0
-    for geo in surface_geometries(immersion, batch):
-        dev = geo.shape_operator - geo.mean_curvature * np.eye(2)
-        defect = max(defect, float(np.max(np.abs(dev))))
-        h_max = max(h_max, abs(geo.mean_curvature))
+    geo = surface_geometry(immersion, batch)
+    h = geo.mean_curvature
+    dev = geo.shape_operator - h[:, None, None] * np.eye(2)
+    defect = float(np.max(np.abs(dev), initial=0.0))
+    h_max = float(np.max(np.abs(h), initial=0.0))
     if defect > tol:
         raise NotUmbilic(f"umbilic defect {defect:.3e} exceeds {tol:g}")
     if h_max <= tol:

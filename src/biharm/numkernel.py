@@ -7,7 +7,9 @@ one that gives a float.  Leaf fields are of four kinds: a coordinate (it
 reads its column of the batch), an exact number (a float on the field), an
 explicit leaf (an evaluator with per-axis derivative callables) and an
 opaque leaf (a bare evaluator, such as every ``numeric_only()`` field).
-Every other field is derived from fields by a rule: algebra, ``compose``,
+Evaluators and derivative callables receive the (n, dim) batch only, a
+single point included, so they are written for arrays.  Every other field
+is derived from fields by a rule: algebra, ``compose``,
 ``directional_field`` and the unary functions, so a closed-form function
 such as log(a(t) s + b(t)) is a graph over coordinate fields.  Exact
 numbers fold (0·f is 0, 1·f and f ± 0 are f, and an operation on exact
@@ -159,18 +161,6 @@ def _result(values, points):
     return float(values[0]) if np.ndim(points) == 1 else values
 
 
-def _apply(fn, batch):
-    """Values of a field callable on a batch.
-
-    A callable written for one point at a time (it raises TypeError on
-    arrays, as the ``math`` functions do) is applied to the points in turn.
-    """
-    try:
-        return fn(batch)
-    except TypeError:
-        return [fn(tuple(p)) for p in batch.tolist()]
-
-
 def _checked(values, batch):
     """Array of one float per point of ``batch``.
 
@@ -266,9 +256,8 @@ class ScalarField:
     fn : callable batch -> values
         Evaluator.  It receives an (n, dim) float array, one point per row
         (``batch[:, axis]`` is a coordinate), and returns n values or one
-        value for all points.  A callable written for a single point (a
-        tuple of floats) is applied point by point when it raises TypeError
-        on the array.
+        value for all points.  It is called with the batch only, never with
+        a single point, so it must be written for arrays.
     dim : int
         Number of chart coordinates (1, 2 or 3).
     partials : dict, optional
@@ -327,7 +316,7 @@ class ScalarField:
         fn = self._fn
         if type(fn) is _Rule:
             return _checked(fn.evaluate(batch, *fn.args), batch)
-        return _checked(_apply(fn, batch), batch)
+        return _checked(fn(batch), batch)
 
     # -- differentiation ----------------------------------------------------
 
@@ -475,7 +464,7 @@ def _derived(dim, evaluate, derive, *args, name=""):
 
 
 def _explicit_values(batch, fn, partials, dim):
-    return _apply(fn, batch)
+    return fn(batch)
 
 
 def _explicit_diff(axis, fn, partials, dim):

@@ -34,7 +34,8 @@ from .geometry import (
     FrameField,
     ProductMetric3,
     SurfaceMetric,
-    base_gauss_curvature,
+    base_sweep,
+    gauss_curvature_2d,
     laplacian_field,
 )
 from .numkernel import (
@@ -48,7 +49,6 @@ from .numkernel import (
     fexp,
     flog,
     fsin,
-    sample_grid,
     sweep,
 )
 from .report import ResidualReport, build_report, max_over_batch
@@ -93,10 +93,7 @@ class SubmersionSpec:
 
     @cached_property
     def target_curvature_field(self) -> ScalarField:
-        d = self.data
-        e1, e2 = self._edir(0), self._edir(1)
-        return (e1(d.f2) - e2(d.f1) - d.f1 * d.f1 - d.f2 * d.f2
-                + 2.0 * (d.f3 * d.sigma))
+        return target_curvature(self.data, self.frame)
 
     @cached_property
     def residual_fields(self):
@@ -119,10 +116,7 @@ class SubmersionSpec:
 
     def verification_points(self, grid=(21, 21)):
         """Base-axes sweep at the middle of the flat factor."""
-        box = self.domain_metric.box
-        base = ChartBox(box.lower[:2], box.upper[:2], box.guard)
-        zmid = box.midpoint()[2]
-        return [(t, s, zmid) for (t, s) in sample_grid(base, grid)]
+        return base_sweep(self.domain_metric.box, grid)
 
     def z_probe_points(self):
         box = self.domain_metric.box
@@ -149,14 +143,17 @@ class SubmersionSpec:
 # -- module operations ---------------------------------------------------------
 
 
-@sweep()
-def base_curvature(data, frame: FrameField, point):
+def target_curvature(data, frame: FrameField) -> ScalarField:
     """Target Gauss curvature e1(f2) - e2(f1) - f1^2 - f2^2 + 2 f3 sigma."""
     e1 = directional_field(frame.components[0], data.f2)
     e2 = directional_field(frame.components[1], data.f1)
-    return (e1(point) - e2(point)
-            - data.f1(point) ** 2 - data.f2(point) ** 2
-            + 2.0 * data.f3(point) * data.sigma(point))
+    return (e1 - e2 - data.f1 * data.f1 - data.f2 * data.f2
+            + 2.0 * (data.f3 * data.sigma))
+
+
+def base_curvature(data, frame: FrameField, point):
+    """The target Gauss curvature at a point (per point of a batch)."""
+    return target_curvature(data, frame)(point)
 
 
 @sweep()
@@ -194,7 +191,7 @@ def harmonicity_test(spec: SubmersionSpec, points, tol=1e-6):
         channels.append(max_over_batch("sigma", points, sigma))
         kn = spec.target_curvature_field(batch)
         a33 = spec.frame.coeff[2][2](batch)
-        kb = base_gauss_curvature(spec.domain_metric, batch)
+        kb = gauss_curvature_2d(spec.domain_metric, batch)
         channels.append(max_over_batch(
             "target_vs_base_curvature", points,
             kn - 3.0 * sigma ** 2 - a33 * a33 * kb))

@@ -26,9 +26,8 @@ from biharm.frames import (
     frame_identity_suite,
     mutation_detected,
     random_adapted_specs,
-    _verification_points,
 )
-from biharm.geometry import SurfaceMetric, gauss_curvature_2d
+from biharm.geometry import SurfaceMetric, base_sweep, gauss_curvature_2d
 from biharm.hypersurface import (
     HopfCylinderSpec,
     biharmonic_residuals_surface,
@@ -198,7 +197,7 @@ def run_criterion_5(mode):
     for label, metric, spec in random_adapted_specs(
         np.random.default_rng(42), 2, mode=mode
     ):
-        pts = _verification_points(metric.box, (4, 4))
+        pts = base_sweep(metric.box, (4, 4))
         for name, hit in mutation_detected(metric, spec, pts, tol=tol).items():
             detected[f"{label}:{name}"] = hit
     assert detected and all(detected.values()), detected

@@ -97,6 +97,25 @@ class TestSurfaceCommand:
         case = read_records(out)[1]
         assert case["classification"] == "not_biharmonic"
 
+    @pytest.mark.parametrize("kg, K, kind, reason", [
+        ("0", "1", "minimal", "zero geodesic curvature"),
+        ("0.5", "-1", "unavailable", "no geodesic circle"),
+    ])
+    def test_every_outcome_writes_its_report(self, tmp_path, capsys, kg, K,
+                                             kind, reason):
+        out = tmp_path / "surface.jsonl"
+        code = run(["surface", "--kg", kg, "--K", K, "--out", str(out)])
+        assert code == 0
+        assert f"report: {out}" in capsys.readouterr().out
+        header, case = read_records(out)
+        assert header["command"] == "surface"
+        assert case["classification"] == kind
+        assert case["verdict"] == "pass"
+        assert reason in case["notes"][0]
+        assert [c["name"] for c in case["channels"]] == ["hopf_r1", "hopf_r2"]
+        r1 = float(K) * float(kg) - float(kg) ** 3
+        assert case["channels"][0]["max_abs"] == pytest.approx(abs(r1))
+
 
 class TestCurvatureCommand:
     def test_sphere_grid(self, tmp_path):

@@ -15,9 +15,13 @@ from biharm.frames import (
     random_adapted_specs,
     semi_geodesic_frame,
     validate_frame,
-    _verification_points,
 )
-from biharm.geometry import FrameField, ProductMetric3, base_gauss_curvature
+from biharm.geometry import (
+    FrameField,
+    ProductMetric3,
+    base_sweep,
+    gauss_curvature_2d,
+)
 from biharm.numkernel import (
     ChartBox,
     ScalarField,
@@ -171,7 +175,7 @@ class TestIntegrabilityData:
             np.random.default_rng(11), 4
         ):
             data = integrability_data(spec, metric)
-            for p in _verification_points(metric.box, (3, 3)):
+            for p in base_sweep(metric.box, (3, 3)):
                 assert data.sigma(p) ** 2 == pytest.approx(
                     data.kappa1(p) * data.f2(p), abs=1e-10
                 )
@@ -182,7 +186,7 @@ class TestValidateFrame:
         spec = AdaptedFrameSpec(math.pi / 2, 0.0)
         frame = adapted_frame(spec, flat_metric3)
         data = integrability_data(spec, flat_metric3)
-        pts = _verification_points(flat_metric3.box, (3, 3))
+        pts = base_sweep(flat_metric3.box, (3, 3))
         report = validate_frame(frame, data, pts, tol=1e-6)
         assert report.passed
         assert report.max_abs_residual < 1e-12
@@ -194,7 +198,7 @@ class TestValidateFrame:
         spec = AdaptedFrameSpec(math.pi / 2, field_of(S, 3))
         frame = adapted_frame(spec, metric)
         data = integrability_data(spec, metric)
-        pts = _verification_points(box, (4, 4))
+        pts = base_sweep(box, (4, 4))
         report = validate_frame(frame, data, pts, tol=1e-6)
         assert report.passed
 
@@ -208,7 +212,7 @@ class TestValidateFrame:
         rows = (tuple(c * stretch for c in good.components[0]),
                 ) + good.components[1:]
         frame = FrameField(rows, flat_metric3, good.coeff)
-        pts = _verification_points(flat_metric3.box, (3, 3))
+        pts = base_sweep(flat_metric3.box, (3, 3))
         first_bad = next(p for p in pts if p[0] > 0.2)
         with pytest.raises(NonOrthonormalFrame, match=re.escape(
                 f"at {first_bad}")):
@@ -220,7 +224,7 @@ class TestValidateFrame:
         spec = AdaptedFrameSpec(math.pi / 2, math.pi / 3)
         frame = adapted_frame(spec, hyperbolic_metric3)
         data = integrability_data(spec, hyperbolic_metric3)
-        pts = _verification_points(hyperbolic_metric3.box, (3, 3))
+        pts = base_sweep(hyperbolic_metric3.box, (3, 3))
         with pytest.raises(ToleranceExceeded) as err:
             validate_frame(frame, data, pts, tol=1e-6)
         assert err.value.report.max_abs_residual > 0.1
@@ -231,7 +235,7 @@ class TestValidateFrame:
         )[0]
         frame = adapted_frame(spec, metric)
         data = integrability_data(spec, metric)
-        pts = _verification_points(metric.box, (4, 4))
+        pts = base_sweep(metric.box, (4, 4))
         validate_frame(frame, data, pts, tol=1e-6)
         bad = data.replace(kappa1=data.kappa1 * 1.1)
         with pytest.raises(ToleranceExceeded) as err:
@@ -248,7 +252,7 @@ class TestValidateFrame:
             frame = adapted_frame(spec, metric)
             gamma = _christoffel_fields(metric)
             rows = frame.components
-            for p in _verification_points(metric.box, (3, 3))[::3]:
+            for p in base_sweep(metric.box, (3, 3))[::3]:
                 for l in range(3):
                     val = directional_field(rows[0], rows[0][l])(p)
                     for (k, b, m), g in gamma.items():
@@ -263,7 +267,7 @@ class TestValidateFrame:
         ):
             frame = adapted_frame(spec, metric)
             data = integrability_data(spec, metric)
-            p = _verification_points(metric.box, (3, 3))[4]
+            p = base_sweep(metric.box, (3, 3))[4]
             br = bracket_vector(frame, 0, 2, p)
             w = metric.weights(p)
             e2 = frame.vector(1, p)
@@ -283,11 +287,45 @@ class TestValidateFrame:
         for label, metric, spec in specs:
             frame = adapted_frame(spec, metric)
             data = integrability_data(spec, metric)
-            for p in _verification_points(metric.box, (3, 3)):
+            for p in base_sweep(metric.box, (3, 3)):
                 kn = base_curvature(data, frame, p)
                 assert kn == pytest.approx(
-                    base_gauss_curvature(metric, p), abs=1e-8
+                    gauss_curvature_2d(metric, p), abs=1e-8
                 )
+
+
+class TestCurvatureRowsPerPoint:
+    @pytest.mark.parametrize("mode,tol", [("analytic", 1e-6), ("fd", 1e-3)])
+    def test_rows_match_per_point_einsum(self, mode, tol):
+        # each curvature row of the report equals the same row contracted
+        # one point at a time, channel value and point bit for bit
+        from biharm.frames import _CURVATURE_ROWS
+        from biharm.geometry import riemann_chart
+        from biharm.report import max_over_batch
+
+        rng = np.random.default_rng(31)
+        for _, metric, spec in random_adapted_specs(rng, 8, mode):
+            frame = adapted_frame(spec, metric)
+            data = integrability_data(spec, metric)
+            pts = base_sweep(metric.box, (5, 5))
+            report = validate_frame(frame, data, pts, tol)
+            batch = np.array(pts)
+            low = riemann_chart(metric, batch)
+            m = frame.matrix(batch)
+            a = frame.coeff_matrix(batch)
+            k_base = gauss_curvature_2d(metric, batch)
+            ops = {leg: (lambda f, row=frame.components[leg - 1]:
+                         directional_field(row, f)) for leg in (1, 2, 3)}
+            for name, (i, j, k, l), expr, (sign, r1, r2) in _CURVATURE_ROWS:
+                lhs = np.array([
+                    float(np.einsum("a,b,c,d,abcd->", m[n, i - 1], m[n, j - 1],
+                                    m[n, l - 1], m[n, k - 1], low[n]))
+                    for n in range(len(pts))])
+                mid = expr(data, ops)(batch)
+                rhs = sign * a[:, r1 - 1, 2] * a[:, r2 - 1, 2] * k_base
+                values = np.maximum(np.abs(lhs - mid), np.abs(mid - rhs))
+                assert report.channel(name) == max_over_batch(name, pts,
+                                                              values)
 
 
 class TestRandomSuite:
@@ -308,7 +346,7 @@ class TestRandomSuite:
         label, metric, spec = random_adapted_specs(
             np.random.default_rng(23), 2
         )[1]  # warped family: f2, sigma, kappa1 all nonzero
-        pts = _verification_points(metric.box, (4, 4))
+        pts = base_sweep(metric.box, (4, 4))
         found = mutation_detected(metric, spec, pts, tol=1e-6)
         assert set(found) >= {"f2", "sigma", "kappa1"}
         assert all(found.values())

@@ -6,12 +6,17 @@ import pytest
 import sympy as sp
 
 from biharm.errors import NonOrthonormalFrame
-from biharm.frames import AdaptedFrameSpec, adapted_frame, semi_geodesic_frame
+from biharm.frames import (
+    AdaptedFrameSpec,
+    adapted_frame,
+    random_adapted_specs,
+    semi_geodesic_frame,
+)
 from biharm.geometry import (
     FrameField,
     ProductMetric3,
     SurfaceMetric,
-    base_gauss_curvature,
+    base_sweep,
     christoffel_symbols,
     curvature_components,
     gauss_curvature_2d,
@@ -76,7 +81,7 @@ class TestGaussCurvature:
 
     def test_base_factor_matches_surface(self, sphere_metric3):
         p3 = (0.2, 1.1, 0.4)
-        k3 = base_gauss_curvature(sphere_metric3, p3)
+        k3 = gauss_curvature_2d(sphere_metric3, p3)
         k2 = gauss_curvature_2d(sphere_metric3.base_surface(), p3[:2])
         assert k3 == pytest.approx(k2, abs=1e-12)
 
@@ -92,7 +97,7 @@ class TestGaussCurvature:
         zmid = metric.box.midpoint()[2]
         base = metric.base_surface()
         for y in (0.1, 0.3, 0.5, 0.7):
-            k3 = base_gauss_curvature(metric, (0.0, y, zmid))
+            k3 = gauss_curvature_2d(metric, (0.0, y, zmid))
             k2 = gauss_curvature_2d(base, (0.0, y))
             assert k3 == pytest.approx(k2, abs=1e-12)
 
@@ -111,7 +116,7 @@ class TestRiemann:
         p = (0.4, 1.2, 0.0)
         val = riemann_component(sphere_metric3, p, frame, (0, 1, 1, 0))
         assert val == pytest.approx(1.0, abs=1e-10)
-        assert val == pytest.approx(base_gauss_curvature(sphere_metric3, p), abs=1e-10)
+        assert val == pytest.approx(gauss_curvature_2d(sphere_metric3, p), abs=1e-10)
 
     def test_matches_gauss_on_random_exponents(self):
         rng = np.random.default_rng(4)
@@ -123,7 +128,7 @@ class TestRiemann:
             frame = semi_geodesic_frame(metric)
             p = tuple(rng.uniform(-0.8, 0.8, size=3))
             lhs = riemann_component(metric, p, frame, (0, 1, 1, 0))
-            assert lhs == pytest.approx(base_gauss_curvature(metric, p), abs=1e-6)
+            assert lhs == pytest.approx(gauss_curvature_2d(metric, p), abs=1e-6)
 
     def test_first_bianchi(self):
         rng = np.random.default_rng(5)
@@ -163,9 +168,31 @@ class TestRiemann:
         mid = (e1f2 + e2f1 - data.f1(p) ** 2 - data.f2(p) ** 2
                + 2 * data.f3(p) * data.sigma(p) - 3 * data.sigma(p) ** 2)
         a33 = frame.coeff_matrix(p)[2][2]
-        rhs = a33**2 * base_gauss_curvature(metric, p)
+        rhs = a33**2 * gauss_curvature_2d(metric, p)
         assert lhs == pytest.approx(mid, abs=1e-9)
         assert mid == pytest.approx(rhs, abs=1e-9)
+
+    def test_batch_equals_points(self):
+        # one contraction per batch gives what each point gives alone
+        rng = np.random.default_rng(8)
+        for _, metric, spec in random_adapted_specs(rng, 4):
+            frame = adapted_frame(spec, metric)
+            pts = base_sweep(metric.box, (3, 3))
+            for idx in ((0, 1, 1, 0), (0, 2, 1, 2), (2, 0, 1, 1)):
+                batch = riemann_component(metric, np.array(pts), frame, idx)
+                single = [riemann_component(metric, p, frame, idx)
+                          for p in pts]
+                assert batch.tobytes() == np.array(single).tobytes()
+
+    def test_components_array_matches_riemann_component(self):
+        rng = np.random.default_rng(9)
+        _, metric, spec = random_adapted_specs(rng, 3)[2]
+        frame = adapted_frame(spec, metric)
+        p = (0.3, 0.6, 0.1)
+        comp = curvature_components(metric, frame, p)
+        assert comp.values.shape == (3, 3, 3, 3)
+        for idx in itertools.product(range(3), repeat=4):
+            assert comp[idx] == riemann_component(metric, p, frame, idx)
 
     def test_rejects_non_orthonormal(self, flat_metric3):
         one = ScalarField.constant(1.0, 3)

@@ -86,6 +86,66 @@ class TestSurfaceGeometry:
         with pytest.raises(DegenerateImmersion):
             surface_geometry(imm, (0.2, 0.3))
 
+    def test_degenerate_names_first_point_in_batch_order(self):
+        # (u, u v, 0) has det g = u^2: degenerate on u = 0 only
+        comps = (U, U * V, 0.0)
+        imm = SurfaceImmersion(tuple(field_of(c, 2) for c in comps),
+                               flat_ambient(), ChartBox((-1, -1), (1, 1), 0.02))
+        batch = np.array([(0.5, 0.1), (0.0, 0.2), (0.0, 0.3)])
+        with pytest.raises(DegenerateImmersion, match=r"at \(0\.0, 0\.2\)"):
+            surface_geometry(imm, batch)
+        with pytest.raises(DegenerateImmersion, match=r"at \(0\.0, 0\.3\)"):
+            surface_geometry(imm, batch[::-1])
+
+
+_BATCH_SURFACES = {
+    "sphere": lambda: round_sphere(1.3),
+    "plane": tilted_plane,
+    "graph": lambda: graph_immersion(
+        field_of(0.3 * sp.sin(U) * sp.cos(2 * V) + 0.1 * U * V, 2)),
+    "cylinder": lambda: vertical_cylinder(1.0, 1.0),
+    "hyperbolic-cylinder": lambda: vertical_cylinder(2.0, -1.0),
+    "fd-cylinder": lambda: vertical_cylinder(0.7, 0.2).numeric_only(),
+}
+
+
+def _stacked(values):
+    return np.array([np.asarray(v, dtype=float) for v in values])
+
+
+@pytest.mark.parametrize("make", list(_BATCH_SURFACES.values()),
+                         ids=list(_BATCH_SURFACES))
+class TestBatchEqualsPoints:
+    """A batch gives, bit for bit, what its points give one at a time."""
+
+    def _setup(self, make):
+        imm = make()
+        pts = surface_points(imm, (3, 4))
+        return imm, pts, np.array(pts)
+
+    def _check(self, batch_result, singles):
+        for name, value in vars(batch_result).items():
+            stacked = _stacked(getattr(one, name) for one in singles)
+            assert np.shape(value) == stacked.shape, name
+            assert np.asarray(value).tobytes() == stacked.tobytes(), name
+
+    def test_surface_geometry(self, make):
+        imm, pts, batch = self._setup(make)
+        self._check(surface_geometry(imm, batch),
+                    [surface_geometry(imm, p) for p in pts])
+
+    def test_ambient_ricci(self, make):
+        imm, pts, batch = self._setup(make)
+        self._check(ambient_ricci(imm, batch),
+                    [ambient_ricci(imm, p) for p in pts])
+
+    def test_residuals(self, make):
+        imm, pts, batch = self._setup(make)
+        scalars, tangents = biharmonic_residuals_surface(imm, batch)
+        singles = [biharmonic_residuals_surface(imm, p) for p in pts]
+        assert scalars.tobytes() == _stacked(s for s, _ in singles).tobytes()
+        assert tangents.tobytes() == _stacked(t for _, t in singles).tobytes()
+
 
 class TestAmbientRicci:
     def test_unit_cylinder_normal_part(self, unit_cylinder):
@@ -255,10 +315,10 @@ class TestCylinderBuilders:
         cyl = vertical_cylinder(2.0, -1.0)
         geo = surface_geometry(cyl, (0.1, 0.0))
         assert geo.mean_curvature == pytest.approx(1.0, abs=1e-10)
-        from biharm.geometry import base_gauss_curvature
+        from biharm.geometry import gauss_curvature_2d
 
         p3 = cyl.point((0.1, 0.0))
-        assert base_gauss_curvature(cyl.ambient, p3) == pytest.approx(
+        assert gauss_curvature_2d(cyl.ambient, p3) == pytest.approx(
             -1.0, abs=1e-9
         )
 

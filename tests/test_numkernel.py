@@ -43,27 +43,27 @@ class TestPartialDerivative:
         assert partial_derivative(f, (0.0,), 0, 3) == pytest.approx(-1.0, abs=1e-12)
 
     def test_sin_third_fd(self):
-        f = ScalarField(fn=lambda p: math.sin(p[0]), dim=1)
+        f = ScalarField(fn=lambda b: np.sin(b[:, 0]), dim=1)
         assert partial_derivative(f, (0.0,), 0, 3) == pytest.approx(-1.0, abs=1e-4)
 
     def test_explicit_partials_win_over_stencils(self):
         f = ScalarField(
-            fn=lambda p: math.exp(p[0]),
+            fn=lambda b: np.exp(b[:, 0]),
             dim=1,
-            partials={0: (lambda p: math.exp(p[0]), lambda p: math.exp(p[0]))},
+            partials={0: (lambda b: np.exp(b[:, 0]), lambda b: np.exp(b[:, 0]))},
         )
         assert f.partial((0.3,), 0, 2) == pytest.approx(math.exp(0.3), abs=1e-15)
         # third order nests a difference of the explicit second derivative
         assert f.partial((0.3,), 0, 3) == pytest.approx(math.exp(0.3), abs=1e-6)
 
     def test_guard_violation(self):
-        f = ScalarField(fn=lambda p: p[0] ** 2, dim=1)
+        f = ScalarField(fn=lambda b: b[:, 0] ** 2, dim=1)
         box = ChartBox((0.0,), (1.0,), 0.1)
         with pytest.raises(PointOutsideGuard):
             partial_derivative(f, (0.05,), 0, 1, box=box)
 
     def test_nonfinite(self):
-        f = ScalarField(fn=lambda p: math.inf, dim=1)
+        f = ScalarField(fn=lambda b: math.inf, dim=1)
         with pytest.raises(NonFiniteValue):
             f((0.0,))
 
@@ -121,7 +121,7 @@ class TestFrameDerivative:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_mixed_partials_commute(self):
-        f = ScalarField(fn=lambda p: math.sin(p[0]) * math.exp(p[1]), dim=2)
+        f = ScalarField(fn=lambda b: np.sin(b[:, 0]) * np.exp(b[:, 1]), dim=2)
         p = (0.4, -0.2)
         dts = f.diff(0).diff(1)(p)
         dst = f.diff(1).diff(0)(p)
@@ -248,11 +248,30 @@ class TestBatchEvaluation:
         assert values.shape == (len(self.POINTS),)
         assert values.tolist() == [f(p) for p in self.POINTS]
 
-    def test_pointwise_callable(self):
-        # a callable written for one point (math functions) still batches
-        f = ScalarField(fn=lambda p: math.sin(p[0]) * math.exp(p[1]), dim=3)
-        expected = [math.sin(p[0]) * math.exp(p[1]) for p in self.POINTS]
-        assert f(np.array(self.POINTS)).tolist() == expected
+    def test_callable_receives_the_batch(self):
+        # a callable sees the whole (n, dim) batch, a single point included
+        seen = []
+
+        def fn(b):
+            seen.append(b.shape)
+            return b[:, 0] * b[:, 1]
+
+        f = ScalarField(fn=fn, dim=2)
+        assert f(np.array([[1.0, 2.0], [3.0, 4.0]])).tolist() == [2.0, 12.0]
+        assert f((3.0, 4.0)) == 12.0
+        assert seen == [(2, 2), (1, 2)]
+
+    def test_type_error_in_callable_propagates(self):
+        def point_only(p):
+            return math.sin(p[0])  # TypeError on a column of two values
+
+        batch = np.array([[0.1], [0.5]])
+        with pytest.raises(TypeError):
+            ScalarField(fn=point_only, dim=1)(batch)
+        explicit = ScalarField(fn=lambda b: b[:, 0], dim=1,
+                               partials={0: (point_only,)})
+        with pytest.raises(TypeError):
+            explicit.partial(batch, 0, 1)
 
     def test_profile_field_with_explicit_partials(self):
         from biharm.constructor import integrate_alpha

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from biharm.errors import EmptyRange
 from biharm.frames import AdaptedFrameSpec, adapted_frame, integrability_data
-from biharm.geometry import ProductMetric3, base_gauss_curvature
+from biharm.geometry import ProductMetric3, gauss_curvature_2d
 from biharm.numkernel import ChartBox, ScalarField
 from biharm.submersion import (
     SubmersionSpec,
@@ -212,7 +212,7 @@ class TestFlatFlatExclusion:
         for spec in specs:
             pts = spec.verification_points((4, 4))
             for p in pts[::3]:
-                assert base_gauss_curvature(spec.domain_metric, p) == pytest.approx(
+                assert gauss_curvature_2d(spec.domain_metric, p) == pytest.approx(
                     0.0, abs=1e-9
                 )
                 assert spec.target_curvature_field(p) == pytest.approx(
