@@ -59,16 +59,21 @@ EPS_SING = 1e-3  # margin on |sin(a) cos(a)| away from the ODE singularities
 MIN_SLOPE = 1e-6  # |a'| below this is the degenerate constant-angle branch
 
 
-def riccati_rhs(alpha, u):
-    """Right side of the Riccati equation for u(alpha) = a''/a'^2."""
+def _riccati_coefficients(alpha):
+    """(p, q) of the Riccati right side -2u^2 - p u - q at alpha."""
     s, c = math.sin(alpha), math.cos(alpha)
     if abs(s * c) < EPS_SING:
         raise SingularCoefficient(
             f"sin*cos = {s * c:.3e} inside the margin {EPS_SING:g} "
             f"at alpha = {alpha:.6g}"
         )
-    return -2.0 * u * u - (s * s + 3.0) / (s * c) * u \
-        - (2.0 * c * c + 3.0) / (c * c)
+    return (s * s + 3.0) / (s * c), (2.0 * c * c + 3.0) / (c * c)
+
+
+def riccati_rhs(alpha, u):
+    """Right side of the Riccati equation for u(alpha) = a''/a'^2."""
+    p, q = _riccati_coefficients(alpha)
+    return -2.0 * u * u - p * u - q
 
 
 def _third_derivative(alpha, a1, a2):
@@ -227,6 +232,17 @@ class AlphaProfile:
         if len(self.y_grid) < 5:
             raise SingularProfile("profile has fewer than 5 nodes")
 
+    def _residual_lookup(self):
+        """(y0, y1, node step, y and alpha'' node views, angle and slope at
+        one float) for alpha_ode_residual, made once per profile."""
+        cached = self.__dict__.get("_residual_data")
+        if cached is None:
+            cached = (*self.span, self.node_step, _floats(self.y_grid),
+                      _floats(self.alpha2), self._interp("alpha")._at,
+                      self._interp("alpha1")._at)
+            self.__dict__["_residual_data"] = cached
+        return cached
+
     def _interp(self, which):
         key = f"_interp_{which}"
         cached = self.__dict__.get(key)
@@ -303,12 +319,12 @@ def _step_end(state, full, half, eps_sing, min_slope):
     return _node(half, eps_sing, min_slope)
 
 
-def _rk4_step(state, h):
+def _rk4_step(state, f1, h):
     """One classical RK4 step of (alpha, alpha', alpha''), in the operation
-    order of the array form state + (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    order of the array form state + (h/6)(k1 + 2 k2 + 2 k3 + k4); ``f1`` is
+    the third derivative at ``state``, which the caller already has."""
     a, b, c = state
     hh = 0.5 * h
-    f1 = _third_derivative(a, b, c)
     a2, b2, c2 = a + hh * b, b + hh * c, c + hh * f1
     f2 = _third_derivative(a2, b2, c2)
     a3, b3, c3 = a + hh * b2, b + hh * c2, c + hh * f2
@@ -357,8 +373,11 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
     worst = 0.0
     for k in range(n):
         try:
-            full = _rk4_step(state, h)
-            half = _rk4_step(_rk4_step(state, 0.5 * h), 0.5 * h)
+            # alpha3 is the third derivative at ``state`` (first same as
+            # last): both the whole step and the first half step start there
+            full = _rk4_step(state, alpha3, h)
+            mid = _rk4_step(state, alpha3, 0.5 * h)
+            half = _rk4_step(mid, _third_derivative(*mid), 0.5 * h)
             alpha3, reason = _step_end(state, full, half, eps_sing,
                                        min_slope)
         except SingularCoefficient as err:
@@ -367,7 +386,8 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
             reason = "non-finite state"
         if reason:
             break
-        worst = max(worst, max(abs(f - g) for f, g in zip(full, half)) / 15.0)
+        worst = max(worst, max(abs(full[0] - half[0]), abs(full[1] - half[1]),
+                               abs(full[2] - half[2])) / 15.0)
         state = half
         nodes.extend((y0 + (k + 1) * h, *state, alpha3))
     ys, alpha, alpha1, alpha2, alpha3 = np.array(nodes).reshape(-1, 5).T.copy()
@@ -385,16 +405,14 @@ def alpha_ode_residual(profile: AlphaProfile, y):
     values (node-step wide, linear interpolation off the nodes), so the
     check does not reuse the right side that drove the integration.
     """
-    y0, y1 = profile.span
-    d = profile.node_step
+    y0, y1, d, ys, a2s, angle, slope = profile._residual_lookup()
     if not (y0 + d <= y <= y1 - d):
         raise OutOfProfile(f"{y:.6g} is not interior to [{y0:.6g}, {y1:.6g}]")
-    ys, a2s = _floats(profile.y_grid), _floats(profile.alpha2)
     a3 = (_interp_linear(y + d, ys, a2s)
           - _interp_linear(y - d, ys, a2s)) / (2.0 * d)
     return ode_residual_terms(
-        profile.angle(y),
-        profile.slope(y),
+        angle(float(y)),
+        slope(float(y)),
         _interp_linear(y, ys, a2s),
         a3,
     )
@@ -415,11 +433,20 @@ def riccati_consistency(profile: AlphaProfile):
         u_profile = curvs[k] / slopes[k] ** 2
         worst = max(worst, abs(u - u_profile))
         if k + 1 < len(alphas):
-            da = alphas[k + 1] - alphas[k]
-            k1 = riccati_rhs(alphas[k], u)
-            k2 = riccati_rhs(alphas[k] + 0.5 * da, u + 0.5 * da * k1)
-            k3 = riccati_rhs(alphas[k] + 0.5 * da, u + 0.5 * da * k2)
-            k4 = riccati_rhs(alphas[k] + da, u + da * k3)
+            # riccati_rhs written out, so that k2 and k3 share the
+            # coefficients of the midpoint
+            a = alphas[k]
+            da = alphas[k + 1] - a
+            p, q = _riccati_coefficients(a)
+            k1 = -2.0 * u * u - p * u - q
+            p, q = _riccati_coefficients(a + 0.5 * da)
+            v = u + 0.5 * da * k1
+            k2 = -2.0 * v * v - p * v - q
+            v = u + 0.5 * da * k2
+            k3 = -2.0 * v * v - p * v - q
+            p, q = _riccati_coefficients(a + da)
+            v = u + da * k3
+            k4 = -2.0 * v * v - p * v - q
             u = u + (da / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return worst
 

@@ -338,7 +338,12 @@ def riemann_component(metric, point, frame: FrameField, indices,
 
 @sweep()
 def curvature_components(metric, frame, point, check_tol=1e-6):
+    """All frame components <R(e_i, e_j) e_k, e_l> at one point (a batch of
+    one is accepted; a larger batch is a ValueError)."""
     batch = as_batch(point)
+    if len(batch) != 1:
+        raise ValueError(f"curvature_components takes one point, got a "
+                         f"batch of {len(batch)}")
     _require_orthonormal(frame, batch, check_tol)
     low = riemann_chart(metric, batch)[0]
     m = frame.matrix(batch)[0]

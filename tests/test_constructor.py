@@ -243,7 +243,8 @@ class TestScalarPaths:
             state = (rng.uniform(0.3, 1.2), rng.uniform(-1.0, 1.0),
                      rng.uniform(-1.0, 1.0))
             h = rng.choice([1e-4, 1e-3, 0.05])
-            got = constructor._rk4_step(state, h)
+            got = constructor._rk4_step(
+                state, constructor._third_derivative(*state), h)
             ref = _numpy_rk4_step(np.array(state), h)
             assert [_bits(v) for v in got] == [float(v).hex() for v in ref]
 
@@ -259,6 +260,68 @@ class TestScalarPaths:
         prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
         assert not prof.truncated
         assert len(calls) == 3 * (len(prof.y_grid) - 1) == 150
+
+    def test_eleven_evaluations_per_step(self, monkeypatch):
+        # the third derivative at a step's start is the previous node's
+        calls = []
+        third = constructor._third_derivative
+
+        def counted(*args):
+            calls.append(1)
+            return third(*args)
+
+        monkeypatch.setattr(constructor, "_third_derivative", counted)
+        prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
+        assert not prof.truncated
+        assert len(calls) == 1 + 11 * (len(prof.y_grid) - 1) == 551
+
+    def test_ode_residual_matches_numpy(self, solved_profile):
+        prof = solved_profile
+        ys, a2s = prof.y_grid, prof.alpha2
+        d = float(ys[1] - ys[0])
+        lo, hi = float(ys[0]) + d, float(ys[-1]) - d
+        angle, slope = prof._interp("alpha"), prof._interp("alpha1")
+
+        def reference(y):
+            a3 = (np.interp(y + d, ys, a2s) - np.interp(y - d, ys, a2s)) \
+                / (2.0 * d)
+            at = np.array([y])
+            return ode_residual_terms(float(angle(at)[0]),
+                                      float(slope(at)[0]),
+                                      float(np.interp(y, ys, a2s)),
+                                      float(a3))
+
+        rng = random.Random(13)
+        points = ([float(y) for y in ys if lo <= y <= hi]
+                  + [rng.uniform(lo, hi) for _ in range(300)])
+        for y in points:
+            assert _bits(alpha_ode_residual(prof, y)) == reference(y).hex()
+
+    @pytest.mark.parametrize("start", [START, (0.95, 0.15, -0.5 * 0.15 ** 2),
+                                       None])
+    def test_riccati_matches_four_call_loop(self, start):
+        if start is None:
+            # coarse steps in alpha, so a last-bit change in one stage
+            # survives into u instead of rounding away
+            ys = np.linspace(0.0, 1.0, 17)
+            prof = AlphaProfile(ys, 0.3 + 0.9 * ys, np.full_like(ys, 0.9),
+                                np.sin(3 * ys))
+        else:
+            prof = integrate_alpha(*start, (0.0, 1.0), 1e-3)
+        alphas = prof.alpha.tolist()
+        slopes, curvs = prof.alpha1.tolist(), prof.alpha2.tolist()
+        u = curvs[0] / slopes[0] ** 2
+        worst = 0.0
+        for k in range(len(alphas)):
+            worst = max(worst, abs(u - curvs[k] / slopes[k] ** 2))
+            if k + 1 < len(alphas):
+                da = alphas[k + 1] - alphas[k]
+                k1 = riccati_rhs(alphas[k], u)
+                k2 = riccati_rhs(alphas[k] + 0.5 * da, u + 0.5 * da * k1)
+                k3 = riccati_rhs(alphas[k] + 0.5 * da, u + 0.5 * da * k2)
+                k4 = riccati_rhs(alphas[k] + da, u + da * k3)
+                u = u + (da / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert _bits(riccati_consistency(prof)) == worst.hex()
 
     def test_residual_and_oracles_are_floats(self, solved_profile):
         y = solved_profile.y_grid[500]

@@ -194,6 +194,15 @@ class TestRiemann:
         for idx in itertools.product(range(3), repeat=4):
             assert comp[idx] == riemann_component(metric, p, frame, idx)
 
+    def test_components_take_one_point(self, sphere_metric3):
+        frame = semi_geodesic_frame(sphere_metric3)
+        p, q = (0.1, 0.9, 0.2), (-0.3, 1.4, 0.0)
+        one = curvature_components(sphere_metric3, frame, [p])
+        assert one.values.tobytes() == curvature_components(
+            sphere_metric3, frame, p).values.tobytes()
+        with pytest.raises(ValueError, match="batch of 2"):
+            curvature_components(sphere_metric3, frame, [p, q])
+
     def test_rejects_non_orthonormal(self, flat_metric3):
         one = ScalarField.constant(1.0, 3)
         zero = ScalarField.constant(0.0, 3)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from biharm.errors import EmptyRange
 from biharm.frames import AdaptedFrameSpec, adapted_frame, integrability_data
 from biharm.geometry import ProductMetric3, gauss_curvature_2d
-from biharm.numkernel import ChartBox, ScalarField
+from biharm.numkernel import ChartBox, ScalarField, as_batch
 from biharm.submersion import (
     SubmersionSpec,
     base_curvature,
@@ -148,6 +149,37 @@ class TestResiduals:
         gc.collect()
         assert metric() is None
         assert frame_spec() is None
+
+
+@functools.cache
+def _catalog_residuals(mode):
+    """(spec, 7x7 verification points, r1 and r2 there) per catalog spec."""
+    out = []
+    for spec in catalog_examples():
+        if mode == "fd":
+            spec = spec.numeric_only()
+        pts = np.array(spec.verification_points((7, 7)))
+        r1, r2 = spec.residual_fields
+        out.append((spec, pts, r1(as_batch(pts)), r2(as_batch(pts))))
+    return out
+
+
+class TestShiftInvariance:
+    """The catalog depends on the base coordinate s only, so its residuals
+    do not move when the batch is shifted along t and z."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    @given(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0))
+    def test_residuals_invariant_under_t_and_z_shift(self, mode, dt, dz):
+        for spec, pts, r1_ref, r2_ref in _catalog_residuals(mode):
+            box = spec.domain_metric.box
+            # clipped to the guarded box, where every stencil fits
+            lo = np.array(box.lower) + box.guard
+            hi = np.array(box.upper) - box.guard
+            moved = as_batch(np.clip(pts + (dt, 0.0, dz), lo, hi))
+            r1, r2 = spec.residual_fields
+            assert np.max(np.abs(r1(moved) - r1_ref)) == 0.0, spec.label
+            assert np.max(np.abs(r2(moved) - r2_ref)) == 0.0, spec.label
 
 
 class TestScan:
