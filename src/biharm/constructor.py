@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +52,7 @@ from .numkernel import (
     sample_grid,
     sweep,
 )
-from .report import build_report, max_over_batch, max_over_points
+from .report import build_report, max_over_batch
 from .submersion import SubmersionSpec, projection_spec, residual_report
 
 EPS_SING = 1e-3  # margin on |sin(a) cos(a)| away from the ODE singularities
@@ -105,25 +105,6 @@ def _floats(column):
     return memoryview(np.asarray(column, dtype=float))
 
 
-def _interp_linear(x, xp, fp):
-    """np.interp(x, xp, fp) at one abscissa, operation for operation."""
-    x = float(x)
-    if math.isnan(x):
-        return x
-    j = bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    out = slope * (x - xp[j]) + fp[j]
-    if math.isnan(out):  # numpy retries from the right node
-        out = slope * (x - xp[j + 1]) + fp[j + 1]
-        if math.isnan(out) and fp[j] == fp[j + 1]:
-            out = fp[j]
-    return out
-
-
 class _CubicHermite:
     """Piecewise-cubic interpolant matching values and first derivatives.
 
@@ -137,23 +118,15 @@ class _CubicHermite:
         self.ds = np.asarray(ds, dtype=float)
         if not np.all(np.diff(self.xs) > 0):
             raise ValueError("nodes must be strictly increasing")
-        self._views = (_floats(self.xs), _floats(self.ys), _floats(self.ds))
-
-    def _outside(self, bad):
-        xs = self.xs
-        return OutOfProfile(
-            f"{bad:.6g} outside the profile span "
-            f"[{xs[0]:.6g}, {xs[-1]:.6g}]"
-        )
 
     def __call__(self, x):
-        if isinstance(x, float):
-            return self._at(float(x))
         xs = self.xs
         x = np.asarray(x, dtype=float)
         outside = (x < xs[0] - 1e-12) | (x > xs[-1] + 1e-12)
         if outside.any():
-            raise self._outside(float(x.flat[np.argmax(outside)]))
+            bad = float(x.flat[np.argmax(outside)])
+            raise OutOfProfile(f"{bad:.6g} outside the profile span "
+                               f"[{xs[0]:.6g}, {xs[-1]:.6g}]")
         i = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
         h = xs[i + 1] - xs[i]
         t = (x - xs[i]) / h
@@ -163,20 +136,6 @@ class _CubicHermite:
                + (-2 * t3 + 3 * t2) * self.ys[i + 1]
                + (t3 - t2) * h * self.ds[i + 1])
         return out if out.ndim else float(out)
-
-    def _at(self, x):
-        """The array path above for one float abscissa."""
-        xs, ys, ds = self._views
-        if x < xs[0] - 1e-12 or x > xs[-1] + 1e-12:
-            raise self._outside(x)
-        i = min(max(bisect_left(xs, x) - 1, 0), len(xs) - 2)
-        h = xs[i + 1] - xs[i]
-        t = (x - xs[i]) / h
-        t2, t3 = t * t, t * t * t
-        return ((2 * t3 - 3 * t2 + 1) * ys[i]
-                + (t3 - 2 * t2 + t) * h * ds[i]
-                + (-2 * t3 + 3 * t2) * ys[i + 1]
-                + (t3 - t2) * h * ds[i + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +163,8 @@ class AlphaProfile:
 
     @property
     def node_step(self):
+        if len(self.y_grid) < 2:
+            raise SingularProfile("profile has fewer than 2 nodes")
         return float(self.y_grid[1] - self.y_grid[0])
 
     def _alpha3_nodes(self):
@@ -219,6 +180,8 @@ class AlphaProfile:
         return cached
 
     def validate(self, eps_sing=EPS_SING, min_slope=MIN_SLOPE):
+        if len(self.y_grid) < 5:
+            raise SingularProfile("profile has fewer than 5 nodes")
         sc = np.sin(self.alpha) * np.cos(self.alpha)
         if np.min(np.abs(sc)) < eps_sing:
             raise SingularProfile(
@@ -229,18 +192,19 @@ class AlphaProfile:
                 f"min |alpha'| = {np.min(np.abs(self.alpha1)):.3e} "
                 f"below {min_slope:g}"
             )
-        if len(self.y_grid) < 5:
-            raise SingularProfile("profile has fewer than 5 nodes")
 
-    def _residual_lookup(self):
-        """(y0, y1, node step, y and alpha'' node views, angle and slope at
-        one float) for alpha_ode_residual, made once per profile."""
-        cached = self.__dict__.get("_residual_data")
+    def _node_residuals(self):
+        """(node view, alpha_ode_residual at the interior nodes and NaN at
+        the others), made once per profile."""
+        cached = self.__dict__.get("_node_table")
         if cached is None:
-            cached = (*self.span, self.node_step, _floats(self.y_grid),
-                      _floats(self.alpha2), self._interp("alpha")._at,
-                      self._interp("alpha1")._at)
-            self.__dict__["_residual_data"] = cached
+            d = self.node_step
+            (y0, y1), ys = self.span, self.y_grid
+            table = np.full(len(ys), math.nan)
+            inside = (y0 + d <= ys) & (ys <= y1 - d)
+            table[inside] = _ode_residuals(self, ys[inside])
+            cached = (_floats(ys), _floats(table))
+            self.__dict__["_node_table"] = cached
         return cached
 
     def _interp(self, which):
@@ -302,23 +266,6 @@ def _node(state, eps_sing, min_slope):
         return None, "non-finite state"
 
 
-def _step_end(state, full, half, eps_sing, min_slope):
-    """_node of the end ``half`` of a step from ``state``, taken whole as
-    ``full``.
-
-    The margins are checked at nodes only, so a step that jumps over
-    zeros of sin(2 alpha) is caught by its ends lying in different quarter
-    periods floor(2 alpha / pi), however many zeros it jumps.
-    """
-    if not all(math.isfinite(v) for v in full + half):
-        return None, "non-finite state"
-    if (math.floor(2.0 * state[0] / math.pi)
-            != math.floor(2.0 * half[0] / math.pi)):
-        return None, (f"step crossed sin(2 alpha) = 0 between alpha="
-                      f"{state[0]:.6g} and alpha={half[0]:.6g}")
-    return _node(half, eps_sing, min_slope)
-
-
 def _rk4_step(state, f1, h):
     """One classical RK4 step of (alpha, alpha', alpha''), in the operation
     order of the array form state + (h/6)(k1 + 2 k2 + 2 k3 + k4); ``f1`` is
@@ -359,6 +306,9 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
         raise EmptyRange(f"span [{y0}, {y1}] is empty")
     if step <= 0:
         raise ValueError("step must be positive")
+    if step <= math.ulp(max(abs(y0), abs(y1))):  # nodes must be distinct
+        raise ValueError(f"step {step:g} is below the float spacing of the "
+                         "span")
     state = (float(alpha0), float(alpha1_0), float(alpha2_0))
     alpha3, reason = _node(state, eps_sing, min_slope)
     if reason:
@@ -371,25 +321,44 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
     # column is exact on solution trajectories
     nodes = array("d", (y0, *state, alpha3))
     worst = 0.0
+    # bound per call, not at import, so that call counters rebinding the
+    # module names still count
+    rk4, third, isfinite = _rk4_step, _third_derivative, math.isfinite
+    sin, cos, floor, pi = math.sin, math.cos, math.floor, math.pi
+    # margins are checked at nodes only: a step jumping over zeros of
+    # sin(2 alpha) ends outside the start's quarter period floor(2 alpha/pi)
+    quarter = floor(2.0 * state[0] / pi)
     for k in range(n):
         try:
             # alpha3 is the third derivative at ``state`` (first same as
             # last): both the whole step and the first half step start there
-            full = _rk4_step(state, alpha3, h)
-            mid = _rk4_step(state, alpha3, 0.5 * h)
-            half = _rk4_step(mid, _third_derivative(*mid), 0.5 * h)
-            alpha3, reason = _step_end(state, full, half, eps_sing,
-                                       min_slope)
+            full = rk4(state, alpha3, h)
+            mid = rk4(state, alpha3, 0.5 * h)
+            half = rk4(mid, third(*mid), 0.5 * h)
+            a, b, c = half
+            if not (isfinite(full[0]) and isfinite(full[1])
+                    and isfinite(full[2]) and isfinite(a) and isfinite(b)
+                    and isfinite(c)):
+                reason = "non-finite state"
+            elif floor(2.0 * a / pi) != quarter:
+                reason = (f"step crossed sin(2 alpha) = 0 between alpha="
+                          f"{state[0]:.6g} and alpha={a:.6g}")
+            elif abs(sin(a) * cos(a)) < eps_sing:
+                reason = f"|sin*cos| margin {eps_sing:g} hit at alpha={a:.6g}"
+            elif abs(b) < min_slope:
+                reason = f"|alpha'| fell below {min_slope:g}"
+            else:
+                alpha3 = third(a, b, c)
         except SingularCoefficient as err:
             reason = str(err)
         except (OverflowError, ValueError):  # a stage left the float range
             reason = "non-finite state"
         if reason:
             break
-        worst = max(worst, max(abs(full[0] - half[0]), abs(full[1] - half[1]),
-                               abs(full[2] - half[2])) / 15.0)
+        worst = max(worst, max(abs(full[0] - a), abs(full[1] - b),
+                               abs(full[2] - c)) / 15.0)
         state = half
-        nodes.extend((y0 + (k + 1) * h, *state, alpha3))
+        nodes.extend((y0 + (k + 1) * h, a, b, c, alpha3))
     ys, alpha, alpha1, alpha2, alpha3 = np.array(nodes).reshape(-1, 5).T.copy()
     return AlphaProfile(
         y_grid=ys, alpha=alpha, alpha1=alpha1, alpha2=alpha2,
@@ -398,24 +367,46 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
     )
 
 
+def _ode_residuals(profile, ys):
+    """alpha_ode_residual at every abscissa of the array ``ys`` in one pass:
+    the operation order of ode_residual_terms, with sin, cos and the cube
+    from libm as there (numpy's may differ in the last bit)."""
+    d = profile.node_step
+    y0, y1 = profile.span
+    ys = np.asarray(ys, dtype=float)
+    inside = (y0 + d <= ys) & (ys <= y1 - d)
+    if not inside.all():
+        raise OutOfProfile(f"{ys.flat[np.argmin(inside)]:.6g} is not "
+                           f"interior to [{y0:.6g}, {y1:.6g}]")
+    xp, fp = profile.y_grid, profile.alpha2
+    a3 = (np.interp(ys + d, xp, fp) - np.interp(ys - d, xp, fp)) / (2.0 * d)
+    alpha, a1 = profile.angle(ys), profile.slope(ys)
+
+    def libm(f, col):  # one float at a time, as in ode_residual_terms
+        return np.fromiter(map(f, _floats(col.ravel())), float, col.size
+                           ).reshape(ys.shape)
+    s, c = libm(math.sin, alpha), libm(math.cos, alpha)
+    cube = libm(lambda v: v ** 3, a1)
+    return (a3 * s * c * c + c * (s * s + 3.0) * a1 * np.interp(ys, xp, fp)
+            + s * (2.0 * c * c + 3.0) * cube)
+
+
 def alpha_ode_residual(profile: AlphaProfile, y):
-    """Third-order residual at y from the integrated columns alone.
+    """Third-order residual at y, a float or an array, from the integrated
+    columns alone.
 
     alpha''' is recomputed by a central difference of the stored alpha''
     values (node-step wide, linear interpolation off the nodes), so the
     check does not reuse the right side that drove the integration.
     """
-    y0, y1, d, ys, a2s, angle, slope = profile._residual_lookup()
-    if not (y0 + d <= y <= y1 - d):
-        raise OutOfProfile(f"{y:.6g} is not interior to [{y0:.6g}, {y1:.6g}]")
-    a3 = (_interp_linear(y + d, ys, a2s)
-          - _interp_linear(y - d, ys, a2s)) / (2.0 * d)
-    return ode_residual_terms(
-        angle(float(y)),
-        slope(float(y)),
-        _interp_linear(y, ys, a2s),
-        a3,
-    )
+    if not isinstance(y, float) and np.ndim(y):
+        return _ode_residuals(profile, y)
+    ys, table = profile._node_residuals()
+    y = float(y)
+    j = bisect_left(ys, y)
+    if j < len(ys) and ys[j] == y and not math.isnan(table[j]):
+        return table[j]
+    return float(_ode_residuals(profile, [y])[0])
 
 
 def riccati_consistency(profile: AlphaProfile):
@@ -427,6 +418,9 @@ def riccati_consistency(profile: AlphaProfile):
     """
     alphas = profile.alpha.tolist()
     slopes, curvs = profile.alpha1.tolist(), profile.alpha2.tolist()
+    if min(map(abs, slopes)) ** 2 == 0.0:
+        raise SingularProfile("alpha'^2 = 0 at a node: u = alpha''/alpha'^2 "
+                              "is undefined")
     u = curvs[0] / slopes[0] ** 2
     worst = 0.0
     for k in range(len(alphas)):
@@ -648,12 +642,11 @@ def verify_construction(spec: SubmersionSpec, tol=1e-4, grid=(21, 21)):
     profile = getattr(spec, "extras", {}).get("profile")
     if profile is not None:
         r1f, _ = spec.residual_fields
-        gaps = []
-        for p, r1 in zip(pts, r1f(batch).tolist()):
-            ode = alpha_ode_residual(profile, p[1])
-            ca = math.cos(profile.angle(p[1]))
-            gaps.append((p, ode - ca ** 3 * r1))
-        channels.append(max_over_points("ode_vs_channel_gap", gaps))
+        ys = batch[:, 1]
+        cos3 = [math.cos(a) ** 3 for a in profile.angle(ys).tolist()]
+        channels.append(max_over_batch(
+            "ode_vs_channel_gap", pts,
+            alpha_ode_residual(profile, ys) - np.array(cos3) * r1f(batch)))
 
     product_min = float(np.min(np.abs(d.f2(batch) * d.kappa1(batch) * sigma)))
     kn_min = float(np.min(np.abs(spec.target_curvature_field(batch))))
@@ -680,9 +673,14 @@ def profile_to_text(profile: AlphaProfile) -> str:
 
 
 def profile_from_text(text) -> AlphaProfile:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["y", "alpha", "alpha1", "alpha2"]:
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or lines[0][1] != ["y", "alpha", "alpha1", "alpha2"]:
         raise ValueError("expected header 'y alpha alpha1 alpha2'")
-    rows = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
+    # a header alone: the first row is missing from the line after it
+    for no, cols in lines[1:] or [(lines[0][0] + 1, [])]:
+        if len(cols) != 4:
+            raise ValueError(f"line {no}: expected a node row of 4 numbers")
+    rows = np.array([[float(v) for v in cols] for _, cols in lines[1:]])
     return AlphaProfile(y_grid=rows[:, 0], alpha=rows[:, 1],
                         alpha1=rows[:, 2], alpha2=rows[:, 3])

@@ -193,6 +193,16 @@ class TestConstructCommand:
         assert "is not finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("step", ["1e-320", "1e-300"])
+    def test_step_below_float_spacing_exits_2(self, tmp_path, capsys, step):
+        argv = ["construct", "--alpha0", "0.8", "--alpha1", "0.1",
+                "--u0", "-1", "--yspan", "0:1", "--step", step,
+                "--out", str(tmp_path / "c.jsonl")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "below the float spacing" in err
+        assert "Traceback" not in err
+
     def test_coarse_profile_exits_2(self, tmp_path, capsys):
         code = run([
             "construct", "--alpha0", "0.8", "--alpha1", "0.1", "--u0", "-1",

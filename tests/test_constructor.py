@@ -6,9 +6,8 @@ import pytest
 import sympy as sp
 
 from biharm import constructor
+from biharm.cli import run
 from biharm.constructor import (
-    EPS_SING,
-    MIN_SLOPE,
     AlphaProfile,
     ConstructionSpec,
     alpha_ode_residual,
@@ -22,7 +21,6 @@ from biharm.constructor import (
     riccati_rhs,
     simpson_integral,
     verify_construction,
-    _step_end,
 )
 from biharm.errors import (
     ImmediateSingularity,
@@ -30,7 +28,8 @@ from biharm.errors import (
     SingularCoefficient,
     SingularProfile,
 )
-from biharm.numkernel import ChartBox, ScalarField
+from biharm.numkernel import ChartBox, ScalarField, as_batch
+from biharm.report import write_report
 from conftest import S, T, field_of
 
 START = (math.pi / 4, 0.1, -0.01)  # alpha0, alpha1, alpha2 = u0 * alpha1^2
@@ -113,14 +112,22 @@ class TestIntegration:
             f"step crossed sin(2 alpha) = 0 between alpha={start[0]:.6g} "
             f"and alpha={end}")
 
-    def test_overflow_reason_kept(self):
+    def test_overflow_reason_kept(self, monkeypatch):
         # alpha' = 1e30: the last stage's alpha'**3 leaves the float range
         prof = integrate_alpha(0.3, 1e30, 0.0, (0.0, 1.0), 1e-2)
         assert prof.truncate_reason == "non-finite state"
         assert len(prof.y_grid) == 1
-        state = (0.3, 1.0, 0.0)
-        assert _step_end(state, (math.inf, 1.0, 0.0), state, EPS_SING,
-                         MIN_SLOPE) == (None, "non-finite state")
+        # a whole step leaving the float range while its halves stay finite
+        rk4 = constructor._rk4_step
+
+        def infinite_whole_step(state, f1, h):
+            out = rk4(state, f1, h)
+            return (math.inf, *out[1:]) if h == 1e-2 else out
+
+        monkeypatch.setattr(constructor, "_rk4_step", infinite_whole_step)
+        prof = integrate_alpha(0.3, 1.0, 0.0, (0.0, 1.0), 1e-2)
+        assert prof.truncate_reason == "non-finite state"
+        assert len(prof.y_grid) == 1
 
     @pytest.mark.parametrize("span, step", [
         ((0.0, math.inf), 1e-3), ((math.nan, 1.0), 1e-3),
@@ -130,6 +137,13 @@ class TestIntegration:
         name = "span" if step == 1e-3 else "step"
         with pytest.raises(ValueError, match=f"{name} .* is not finite"):
             integrate_alpha(*START, span, step)
+
+    @pytest.mark.parametrize("step", [1e-320, 1e-300, math.ulp(1.0)])
+    def test_step_below_float_spacing_rejected(self, step):
+        # nodes this close could not be distinct floats (1e-300 would also
+        # never finish), so the step is refused before any integration
+        with pytest.raises(ValueError, match="below the float spacing"):
+            integrate_alpha(0.8, 0.1, -0.01, (0.0, 1.0), step)
 
     def test_truncation_on_margin(self):
         # drive alpha towards pi/2 fast: the sin*cos margin must stop it
@@ -166,6 +180,23 @@ class TestOdeResidual:
         with pytest.raises(OutOfProfile):
             alpha_ode_residual(solved_profile, 2.0)
 
+    def test_too_few_nodes(self):
+        one = integrate_alpha(0.3, 1e30, 0.0, (0.0, 1.0), 1e-2)
+        assert len(one.y_grid) == 1
+        with pytest.raises(SingularProfile):
+            alpha_ode_residual(one, 0.0)
+        empty = np.array([])
+        with pytest.raises(SingularProfile):
+            AlphaProfile(empty, empty, empty, empty).validate()
+
+    def test_riccati_zero_slope_node(self):
+        ys = np.linspace(0.0, 1.0, 11)
+        slopes = np.full(11, 0.5)
+        slopes[4] = 0.0
+        prof = AlphaProfile(ys, 0.3 + 0.5 * ys, slopes, np.zeros(11))
+        with pytest.raises(SingularProfile):
+            riccati_consistency(prof)
+
     def test_residual_terms_sign(self):
         # straight substitution of the printed third-order expression
         val = ode_residual_terms(math.pi / 4, 0.1, -0.01, 0.0)
@@ -190,6 +221,22 @@ def _numpy_rk4_step(state, h):
 def _bits(value):
     assert type(value) is float
     return value.hex()
+
+
+def _reference_residual(prof, y):
+    """alpha_ode_residual at one abscissa from np.interp and the
+    _CubicHermite array path, one point at a time."""
+    ys, a2s = prof.y_grid, prof.alpha2
+    d = float(ys[1] - ys[0])
+    a3 = (np.interp(y + d, ys, a2s) - np.interp(y - d, ys, a2s)) / (2.0 * d)
+    at = np.array([y])
+    return ode_residual_terms(float(prof._interp("alpha")(at)[0]),
+                              float(prof._interp("alpha1")(at)[0]),
+                              float(np.interp(y, ys, a2s)), float(a3))
+
+
+# the corners of the fiber-angle box every benchmark construction comes from
+BOX_CORNERS = [(0.6, 0.05, -1.5 * 0.05 ** 2), (0.95, 0.15, -0.5 * 0.15 ** 2)]
 
 
 class TestScalarPaths:
@@ -219,23 +266,65 @@ class TestScalarPaths:
         assert math.isnan(herm(math.nan))
         assert math.isnan(herm(np.array([math.nan]))[0])
 
-    def test_linear_interp_matches_numpy(self, solved_profile):
+    @pytest.mark.parametrize("start", BOX_CORNERS)
+    def test_node_table_matches_reference(self, start):
+        prof = integrate_alpha(*start, (0.0, 1.0), 1e-4)
+        nodes = prof.y_grid[1:-1]
+        got = [alpha_ode_residual(prof, y) for y in nodes]
+        assert [_bits(v) for v in got] == [
+            _reference_residual(prof, float(y)).hex() for y in nodes]
+
+    def test_uneven_nodes_match_reference(self):
+        # off the nodes np.interp differences an uneven grid, read back
+        # from text
         rng = np.random.default_rng(3)
         ys = np.sort(np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 60))))
-        uneven = AlphaProfile(ys, 0.3 + 0.5 * ys, np.full_like(ys, 0.5),
-                              np.sin(7 * ys))
-        back = profile_from_text(profile_to_text(uneven))
-        for prof in (solved_profile, back):
-            xp, fp = prof.y_grid, prof.alpha2
-            xs = np.concatenate((xp[::13], xp[:1] - 1e-13, xp[-1:] + 1e-13,
-                                 rng.uniform(xp[0], xp[-1], 300)))
-            for x in xs:
-                got = constructor._interp_linear(
-                    x, constructor._floats(xp), constructor._floats(fp))
-                assert _bits(got) == float(np.interp(x, xp, fp)).hex()
-        got = constructor._interp_linear(math.nan, constructor._floats(xp),
-                                         constructor._floats(fp))
-        assert math.isnan(got)
+        prof = profile_from_text(profile_to_text(AlphaProfile(
+            ys, 0.3 + 0.5 * ys, np.full_like(ys, 0.5), np.sin(7 * ys))))
+        d = prof.node_step
+        inner = ys[(ys[0] + d <= ys) & (ys <= ys[-1] - d)]
+        points = np.concatenate((inner, rng.uniform(inner[0], inner[-1], 300)))
+        for y in points.tolist():
+            assert _bits(alpha_ode_residual(prof, y)) == \
+                _reference_residual(prof, y).hex()
+
+    def test_array_form_matches_scalar_form(self, solved_profile):
+        prof = solved_profile
+        d = prof.node_step
+        rng = random.Random(17)
+        ys = np.array(prof.y_grid[1:-1].tolist()
+                      + [rng.uniform(d, 1.0 - d) for _ in range(300)])
+        got = alpha_ode_residual(prof, ys)
+        assert got.shape == ys.shape
+        assert [float(v).hex() for v in got] == [
+            _bits(alpha_ode_residual(prof, y)) for y in ys.tolist()]
+        grid = alpha_ode_residual(prof, ys[:300].reshape(20, 15))
+        assert np.array_equal(grid.ravel(), got[:300])
+        # the first abscissa outside the interior is named, as by a scalar
+        for bad in (2.0, math.nan, 0.0):
+            with pytest.raises(OutOfProfile) as scalar:
+                alpha_ode_residual(prof, bad)
+            with pytest.raises(OutOfProfile) as array:
+                alpha_ode_residual(prof, [0.5, bad, -1.0])
+            assert str(scalar.value) == str(array.value)
+
+    def test_node_table_built_once(self, monkeypatch):
+        calls = []
+        kernel = constructor._ode_residuals
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(constructor, "_ode_residuals", counted)
+        prof = integrate_alpha(*START, (0.0, 0.2), 1e-3)
+        for _ in range(3):
+            for y in prof.y_grid[1:-1]:
+                alpha_ode_residual(prof, y)
+        assert len(calls) == 1
+        # an abscissa between nodes is a batch of one
+        alpha_ode_residual(prof, 0.1234567)
+        assert len(calls) == 2
 
     def test_rk4_step_matches_numpy(self):
         rng = random.Random(11)
@@ -277,25 +366,15 @@ class TestScalarPaths:
 
     def test_ode_residual_matches_numpy(self, solved_profile):
         prof = solved_profile
-        ys, a2s = prof.y_grid, prof.alpha2
+        ys = prof.y_grid
         d = float(ys[1] - ys[0])
         lo, hi = float(ys[0]) + d, float(ys[-1]) - d
-        angle, slope = prof._interp("alpha"), prof._interp("alpha1")
-
-        def reference(y):
-            a3 = (np.interp(y + d, ys, a2s) - np.interp(y - d, ys, a2s)) \
-                / (2.0 * d)
-            at = np.array([y])
-            return ode_residual_terms(float(angle(at)[0]),
-                                      float(slope(at)[0]),
-                                      float(np.interp(y, ys, a2s)),
-                                      float(a3))
-
         rng = random.Random(13)
         points = ([float(y) for y in ys if lo <= y <= hi]
                   + [rng.uniform(lo, hi) for _ in range(300)])
         for y in points:
-            assert _bits(alpha_ode_residual(prof, y)) == reference(y).hex()
+            assert _bits(alpha_ode_residual(prof, y)) == \
+                _reference_residual(prof, y).hex()
 
     @pytest.mark.parametrize("start", [START, (0.95, 0.15, -0.5 * 0.15 ** 2),
                                        None])
@@ -435,6 +514,45 @@ class TestNonflatBuilder:
             build_nonflat_target(ConstructionSpec(prof))
 
 
+class TestConstructCommandOracles:
+    """`biharm construct` output against the point-by-point reference."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_report_table_and_stdout(self, tmp_path, capsys, mode):
+        out, table = tmp_path / "c.jsonl", tmp_path / "p.txt"
+        assert run(["construct", "--mode", mode, "--alpha0", "0.8",
+                    "--alpha1", "0.1", "--u0", "-1", "--yspan", "0:1",
+                    "--step", "1e-3", "--out", str(out),
+                    "--profile-out", str(table)]) == 0
+        stdout = capsys.readouterr().out
+        prof = integrate_alpha(0.8, 0.1, -1.0 * 0.1 ** 2, (0.0, 1.0), 1e-3)
+        assert table.read_text() == profile_to_text(prof)
+        ode = max(abs(_reference_residual(prof, y))
+                  for y in prof.y_grid[2:-2].tolist())
+        ricc = riccati_consistency(prof)
+        assert (f"third-order residual (differenced) <= {ode:.3e}; "
+                f"Riccati cross-check deviation {ricc:.3e}\n") in stdout
+
+        spec = build_nonflat_target(ConstructionSpec(prof)).canonical
+        if mode == "fd":
+            spec = spec.numeric_only()
+        rep = verify_construction(spec, tol=1e-4)
+        pts = spec.verification_points((21, 21))
+        r1 = spec.residual_fields[0](as_batch(pts)).tolist()
+        gaps = [abs(_reference_residual(prof, p[1])
+                    - math.cos(prof.angle(p[1])) ** 3 * r)
+                for p, r in zip(pts, r1)]
+        assert _bits(rep.channel("ode_vs_channel_gap").max_abs) == \
+            max(gaps).hex()
+        expected = tmp_path / "expected.jsonl"
+        write_report(str(expected), [rep], header={
+            "command": "construct", "mode": mode, "tolerance": 1e-4,
+            "alpha0": 0.8, "alpha1": 0.1, "u0": -1.0, "yspan": [0.0, 1.0],
+            "step": 1e-3, "ode_residual": ode, "riccati_deviation": ricc,
+        })
+        assert out.read_bytes() == expected.read_bytes()
+
+
 class TestSerialization:
     def test_round_trip(self, solved_profile):
         text = profile_to_text(solved_profile)
@@ -448,6 +566,14 @@ class TestSerialization:
     def test_header_required(self):
         with pytest.raises(ValueError):
             profile_from_text("a b c\n1 2 3\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("y alpha alpha1 alpha2\n", "line 2"),
+        ("\ny alpha alpha1 alpha2\n\n0 0.5 0.1 0\n0.1 0.6 0.1\n", "line 5"),
+    ])
+    def test_missing_or_short_row_names_the_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^{line}: "):
+            profile_from_text(text)
 
 
 class TestQuadrature:
