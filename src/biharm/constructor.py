@@ -57,6 +57,7 @@ from .submersion import SubmersionSpec, projection_spec, residual_report
 
 EPS_SING = 1e-3  # margin on |sin(a) cos(a)| away from the ODE singularities
 MIN_SLOPE = 1e-6  # |a'| below this is the degenerate constant-angle branch
+MAX_STEPS = 10**7  # about 400 MB of node rows
 
 
 def _riccati_coefficients(alpha):
@@ -295,7 +296,8 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
     leaves the float range, crosses a zero of sin(2 alpha), or violates a
     singularity margin or the nonzero-slope requirement.  Initial data
     violating the margins raises ImmediateSingularity; a span or step
-    that is not finite raises ValueError.
+    that is not finite, or that asks for more than MAX_STEPS steps,
+    raises ValueError.
     """
     y0, y1 = y_span
     if not (math.isfinite(y0) and math.isfinite(y1)):
@@ -309,12 +311,16 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
     if step <= math.ulp(max(abs(y0), abs(y1))):  # nodes must be distinct
         raise ValueError(f"step {step:g} is below the float spacing of the "
                          "span")
+    steps = (y1 - y0) / step  # inf when the span overflows
+    if steps > MAX_STEPS:
+        raise ValueError(f"step {step:g} asks for {steps:.6g} steps, more "
+                         f"than {MAX_STEPS}")
+    n = max(1, round(steps))
     state = (float(alpha0), float(alpha1_0), float(alpha2_0))
     alpha3, reason = _node(state, eps_sing, min_slope)
     if reason:
         raise ImmediateSingularity(f"initial data rejected: {reason}")
 
-    n = max(1, round((y1 - y0) / step))
     h = (y1 - y0) / n
     # node rows (y, alpha, alpha', alpha'', alpha''') packed as doubles, so
     # a long profile keeps no Python object per node; the third-derivative

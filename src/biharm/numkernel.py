@@ -14,7 +14,14 @@ is derived from fields by a rule: algebra, ``compose``,
 such as log(a(t) s + b(t)) is a graph over coordinate fields.  Exact
 numbers fold (0·f is 0, 1·f and f ± 0 are f, and an operation on exact
 numbers is an exact number), so constant frame entries prune the terms
-they zero.
+they zero.  The unnamed numbers +0.0 and 1.0 are one shared field per
+chart dimension, so the derivative rules of numbers and coordinates make
+no new fields.
+
+A rule reads its inputs from the value table of the batch being
+evaluated (see ``sweep``), and a finite exact number enters a rule as
+its float, not as an array of copies: numpy applies the same IEEE
+operation to every element either way.
 
 ``ScalarField.diff`` is the only place a derivative field is made.  Every
 field that is not an opaque leaf carries one derivative rule: the
@@ -196,6 +203,8 @@ class _Sweep:
     Batches made during a sweep (stencil legs, restrictions, pullbacks) are
     kept once per set of points, so every route to the same points yields
     the same batch object, and a field is evaluated at most once per batch.
+    Each batch has a value table, {field: values}, that the rules of the
+    fields evaluated on it read their inputs from (``_input``).
     """
 
     def __init__(self):
@@ -209,7 +218,7 @@ class _Sweep:
         known = entry[1]
         values = known.get(field)
         if values is None:
-            values = known[field] = field._evaluate(batch)
+            values = known[field] = field._evaluate(batch, known)
         return values
 
     def batch(self, array):
@@ -230,7 +239,9 @@ def sweep():
     Inside the block every field is evaluated at most once per batch, so a
     grid sweep that evaluates several channels on one batch wraps them in
     one block.  Each evaluation outside a block is a sweep of its own; the
-    values are released when the sweep ends.
+    values are released when the sweep ends.  Within a batch, a rule reads
+    its inputs straight from the batch's value table; a finite exact
+    number is read as its float and kept in no table.
     """
     if _SWEEP.get() is not None:
         yield
@@ -285,11 +296,19 @@ class ScalarField:
     @classmethod
     def constant(cls, value, dim, name=""):
         """The exact number ``value``; a NaN or an infinity raises
-        NonFiniteValue when evaluated."""
-        value = float(value)
-        out = _derived(dim, _number_values, _number_diff, value, int(dim),
-                       name=name)
-        out.number = value
+        NonFiniteValue when evaluated.  Unnamed, +0.0 and 1.0 are one shared
+        field per dimension."""
+        value, dim = float(value), int(dim)
+        # -0.0 == 0.0, so its sign bit keeps it out of the shared table
+        shared = (not name and value in (0.0, 1.0)
+                  and math.copysign(1.0, value) > 0.0)
+        out = _UNITS.get((value, dim)) if shared else None
+        if out is None:
+            out = _derived(dim, _number_values, _number_diff, value, dim,
+                           name=name)
+            out.number = value
+            if shared:
+                _UNITS[value, dim] = out
         return out
 
     @classmethod
@@ -299,9 +318,10 @@ class ScalarField:
 
     # -- evaluation ---------------------------------------------------------
 
-    # Each level of a field graph costs few Python frames (a rule is called
-    # directly): on CPython 3.11 a hot call on a frame-stack chunk boundary
-    # maps and unmaps a chunk every time (page faults in fd sweeps).
+    # Each level of a field graph costs three Python frames (``_input``,
+    # ``_evaluate`` and the rule): on CPython 3.11 a hot call on a
+    # frame-stack chunk boundary maps and unmaps a chunk every time (page
+    # faults in fd sweeps).
 
     def __call__(self, point):
         current = _SWEEP.get()
@@ -312,10 +332,10 @@ class ScalarField:
         values = current.values(self, batch)
         return values if batch is point else _result(values, point)
 
-    def _evaluate(self, batch):
+    def _evaluate(self, batch, known):
         fn = self._fn
         if type(fn) is _Rule:
-            return _checked(fn.evaluate(batch, *fn.args), batch)
+            return _checked(fn.evaluate(batch, known, *fn.args), batch)
         return _checked(fn(batch), batch)
 
     # -- differentiation ----------------------------------------------------
@@ -425,6 +445,9 @@ class ScalarField:
         return f"ScalarField({tag}, dim={self.dim})"
 
 
+# (value, dim) -> the shared unnamed +0.0 or 1.0 field
+_UNITS = {}
+
 # one table serves exact numbers and arrays of values alike
 _OPS = {
     "+": operator.add,
@@ -432,6 +455,19 @@ _OPS = {
     "*": operator.mul,
     "/": operator.truediv,
 }
+
+
+def _input(field, batch, known):
+    """Values of ``field`` on ``batch`` for a rule evaluating there, read
+    from the batch's value table ``known``; a finite exact number is its
+    float (a NaN or an infinity takes the checked path and raises)."""
+    number = field.number
+    if number is not None and math.isfinite(number):
+        return number
+    values = known.get(field)
+    if values is None:
+        values = known[field] = field._evaluate(batch, known)
+    return values
 
 
 def _fold(fn, *numbers):
@@ -458,12 +494,13 @@ class _Rule:
 
 
 def _derived(dim, evaluate, derive, *args, name=""):
-    """Field evaluated as ``evaluate(batch, *args)`` whose partial along an
-    axis is ``derive(axis, *args)``."""
+    """Field evaluated as ``evaluate(batch, known, *args)``, ``known`` being
+    the batch's value table, whose partial along an axis is
+    ``derive(axis, *args)``."""
     return ScalarField(fn=_Rule(evaluate, derive, args), dim=dim, name=name)
 
 
-def _explicit_values(batch, fn, partials, dim):
+def _explicit_values(batch, known, fn, partials, dim):
     return fn(batch)
 
 
@@ -476,7 +513,7 @@ def _explicit_diff(axis, fn, partials, dim):
                        partials={axis: rest} if rest else None)
 
 
-def _number_values(batch, value, dim):
+def _number_values(batch, known, value, dim):
     return value
 
 
@@ -484,7 +521,7 @@ def _number_diff(axis, value, dim):
     return ScalarField.constant(0.0, dim)
 
 
-def _coordinate_values(batch, axis, dim):
+def _coordinate_values(batch, known, axis, dim):
     return batch[:, axis]
 
 
@@ -492,8 +529,8 @@ def _coordinate_diff(axis, coordinate_axis, dim):
     return ScalarField.constant(1.0 if axis == coordinate_axis else 0.0, dim)
 
 
-def _algebra_values(batch, op, f, g):
-    return _OPS[op](f(batch), g(batch))
+def _algebra_values(batch, known, op, f, g):
+    return _OPS[op](_input(f, batch, known), _input(g, batch, known))
 
 
 def _algebra_diff(axis, op, f, g):
@@ -594,19 +631,11 @@ def frame_derivative(vector_components, field, point):
 
     A partial is only evaluated where its coefficient is nonzero.
     """
-    if len(vector_components) != field.dim:
+    comps = tuple(vector_components)
+    if len(comps) != field.dim:
         raise ValueError("component count must equal the chart dimension")
-    batch = as_batch(point)
-    total = np.zeros(len(batch))
-    for axis, comp in enumerate(vector_components):
-        c = comp(batch)
-        live = c != 0.0
-        if live.all():
-            total = total + c * field.partial(batch, axis, 1)
-        elif live.any():
-            sub = _new_batch(batch[live])
-            total[live] += c[live] * field.partial(sub, axis, 1)
-    return _result(total, point)
+    return _derived(field.dim, _directional_values, _directional_diff,
+                    comps, field)(point)
 
 
 def directional_field(vector_components, field) -> ScalarField:
@@ -625,8 +654,17 @@ def directional_field(vector_components, field) -> ScalarField:
                     comps, field)
 
 
-def _directional_values(batch, comps, field):
-    return frame_derivative(comps, field, batch)
+def _directional_values(batch, known, comps, field):
+    total = np.zeros(len(batch))
+    for axis, comp in enumerate(comps):
+        c = _input(comp, batch, known)
+        live = np.asarray(c != 0.0)  # 0-d when c is a number
+        if live.all():
+            total = total + c * _input(field._partial(axis, 1), batch, known)
+        elif live.any():
+            sub = _new_batch(batch[live])
+            total[live] += c[live] * field.partial(sub, axis, 1)
+    return total
 
 
 def _directional_diff(axis, comps, field):
@@ -648,7 +686,8 @@ def lift(field, dim, axes: Sequence[int]) -> ScalarField:
     if len(axes) != field.dim:
         raise ValueError("axes must list one target axis per original axis")
     out = compose(field, [ScalarField.coordinate(a, dim) for a in axes])
-    out.name = field.name
+    if out.number is None:  # a number may be a shared field
+        out.name = field.name
     return out
 
 
@@ -673,8 +712,11 @@ def compose(field, components) -> ScalarField:
     return _derived(dim, _compose_values, _compose_diff, field, comps)
 
 
-def _compose_values(batch, field, comps):
-    return field(_new_batch(np.column_stack([c(batch) for c in comps])))
+def _compose_values(batch, known, field, comps):
+    inner = np.empty((len(batch), len(comps)))
+    for l, c in enumerate(comps):
+        inner[:, l] = _input(c, batch, known)
+    return field(_new_batch(inner))
 
 
 def _compose_diff(axis, field, comps):
@@ -709,8 +751,9 @@ def _unary(field, label):
                     name=f"{label}({field.name})")
 
 
-def _unary_values(batch, label, field):
-    return list(map(_UNARY[label], field(batch).tolist()))
+def _unary_values(batch, known, label, field):
+    values = _input(field, batch, known).tolist()
+    return np.fromiter(map(_UNARY[label], values), float, len(values))
 
 
 def _unary_diff(axis, label, field):
@@ -781,8 +824,11 @@ def fatan2(y, x):
     return _derived(y.dim, _atan2_values, _atan2_diff, y, x)
 
 
-def _atan2_values(batch, y, x):
-    return list(map(math.atan2, y(batch).tolist(), x(batch).tolist()))
+def _atan2_values(batch, known, y, x):
+    n = len(batch)
+    ys, xs = (np.broadcast_to(_input(f, batch, known), n).tolist()
+              for f in (y, x))
+    return np.fromiter(map(math.atan2, ys, xs), float, n)
 
 
 def _atan2_diff(axis, y, x):

@@ -203,6 +203,16 @@ class TestConstructCommand:
         assert "below the float spacing" in err
         assert "Traceback" not in err
 
+    def test_too_many_steps_exits_2(self, tmp_path, capsys):
+        argv = ["construct", "--alpha0", "0.8", "--alpha1", "0.1",
+                "--u0", "-1", "--yspan", "0:1", "--step", "1e-12",
+                "--out", str(tmp_path / "c.jsonl")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "asks for 1e+12 steps" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_coarse_profile_exits_2(self, tmp_path, capsys):
         code = run([
             "construct", "--alpha0", "0.8", "--alpha1", "0.1", "--u0", "-1",

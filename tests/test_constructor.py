@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import sympy as sp
 from biharm import constructor
 from biharm.cli import run
 from biharm.constructor import (
+    MAX_STEPS,
     AlphaProfile,
     ConstructionSpec,
     alpha_ode_residual,
@@ -144,6 +146,15 @@ class TestIntegration:
         # never finish), so the step is refused before any integration
         with pytest.raises(ValueError, match="below the float spacing"):
             integrate_alpha(0.8, 0.1, -0.01, (0.0, 1.0), step)
+
+    @pytest.mark.parametrize("span, step, count", [
+        ((0.0, 1.0), 1e-12, "1e+12"), ((-1e308, 1e308), 1e300, "inf"),
+    ])
+    def test_step_count_is_bounded(self, span, step, count):
+        # refused before the node array is made; no such run is started
+        with pytest.raises(ValueError, match=re.escape(
+                f"asks for {count} steps, more than {MAX_STEPS}")):
+            integrate_alpha(0.8, 0.1, -0.01, span, step)
 
     def test_truncation_on_margin(self):
         # drive alpha towards pi/2 fast: the sin*cos margin must stop it

@@ -482,3 +482,130 @@ def test_numeric_only_number_keeps_zero_derivative():
     x = ScalarField.coordinate(1, 3)
     assert x.diff(1).number == 1.0 and x.diff(0).number == 0.0
     assert x.numeric_only().stencil_reach(1, 1) == H_FD
+
+
+def _outcome(field, batch):
+    """The bytes of ``field``'s values on ``batch``, or the message of the
+    NonFiniteValue it raises."""
+    try:
+        return field(batch).tobytes()
+    except NonFiniteValue as err:
+        return str(err)
+
+
+# 1e300 overflows on both routes alike
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNumbersInRules:
+    """A finite exact number enters a rule as its float; the values are
+    those of the same rule on an array of copies of it (a numeric_only()
+    copy), bit for bit.  A NaN or an infinity raises as before."""
+
+    BATCH = np.array([(0.1, 0.2, 0.3), (0.4, -0.5, 0.6), (-0.7, 0.8, 0.9)])
+    NUMBERS = (-0.0, 2.5, -3.0, 1e-300, 1e300, 1.0 / 3.0)
+
+    @staticmethod
+    def _field():
+        return field_of_text("sin(t) + 2 + s*z", ("t", "s", "z"))
+
+    def test_algebra_on_either_side(self):
+        f = self._field()
+        compared = 0
+        for value in self.NUMBERS:
+            c = const(value)
+            for op in ("+", "-", "*", "/"):
+                for lhs, rhs in ((f, c), (c, f)):
+                    exact = lhs._binary(rhs, op)
+                    if exact is f or exact.number is not None:
+                        continue  # folded: no number reaches a rule
+                    filled = (lhs._binary(c.numeric_only(), op) if lhs is f
+                              else c.numeric_only()._binary(rhs, op))
+                    assert (_outcome(exact, self.BATCH)
+                            == _outcome(filled, self.BATCH)), (value, op)
+                    compared += 1
+        assert compared >= 40
+
+    def test_compose_frame_derivative_and_atan2(self):
+        f = self._field()
+        g = field_of_text("x*x - 3*y", ("x", "y"))
+        for value in self.NUMBERS:
+            c, filled = const(value), const(value).numeric_only()
+            pairs = [
+                (compose(g, (f, c)), compose(g, (f, filled))),
+                (compose(g, (c, f)), compose(g, (filled, f))),
+                (fatan2(c, f), fatan2(filled, f)),
+                (fatan2(f, c), fatan2(f, filled)),
+                (directional_field((c, f, c), f),
+                 directional_field((filled, f, filled), f)),
+            ]
+            for exact, fd in pairs:
+                assert (_outcome(exact, self.BATCH)
+                        == _outcome(fd, self.BATCH)), value
+            assert (frame_derivative((f, c, c), f, self.BATCH).tobytes()
+                    == frame_derivative((f, filled, filled), f,
+                                        self.BATCH).tobytes())
+
+    @pytest.mark.parametrize("make", [
+        lambda: const(math.nan), lambda: const(math.inf),
+        lambda: const(-math.inf), lambda: const(1.0) / const(0.0),
+    ], ids=["nan", "inf", "-inf", "fold-of-1/0"])
+    def test_non_finite_number_names_the_first_point(self, make):
+        f = self._field()
+        number = make()
+        assert not math.isfinite(number.number)
+        first = r"evaluated to -?(nan|inf) at \(0\.1, 0\.2, 0\.3\)"
+        with pytest.raises(NonFiniteValue, match=first):
+            (f * number)(self.BATCH)
+        with pytest.raises(NonFiniteValue, match=first):
+            (number - f)(self.BATCH)
+        # the outer point is named, not the point of the inner batch
+        g = field_of_text("x + y", ("x", "y"))
+        with pytest.raises(NonFiniteValue, match=first):
+            compose(g, (f, number))(self.BATCH)
+        with pytest.raises(NonFiniteValue, match=first):
+            frame_derivative((f, number, f), f, self.BATCH)
+
+
+class TestSharedUnits:
+    """The unnamed numbers +0.0 and 1.0 are one field per dimension."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_and_one_are_shared(self, dim):
+        assert ScalarField.constant(0.0, dim) is ScalarField.constant(0, dim)
+        assert ScalarField.constant(1.0, dim) is ScalarField.constant(1, dim)
+        assert ScalarField.coordinate(0, dim).diff(0) is const(1.0, dim)
+        assert const(2.0, dim).diff(0) is const(0.0, dim)
+
+    def test_negative_zero_keeps_its_sign_and_is_not_shared(self):
+        neg = const(-0.0, 2)
+        assert math.copysign(1.0, neg.number) == -1.0
+        assert neg is not const(0.0, 2) and neg is not const(-0.0, 2)
+        assert math.copysign(1.0, neg((0.3, 0.4))) == -1.0
+
+    def test_named_number_is_not_shared(self):
+        named = ScalarField.constant(0.0, 2, name="q")
+        assert named is not const(0.0, 2) and named.name == "q"
+        assert ScalarField.constant(1.0, 2, name="one") is not const(1.0, 2)
+
+    def test_lift_never_renames_a_shared_number(self):
+        lifted = lift(ScalarField.constant(0.0, 1, name="q"), 3, (1,))
+        assert lifted is const(0.0) and lifted.name == ""
+        x = ScalarField.coordinate(0, 1)
+        x.name = "s"
+        assert lift(x, 3, (1,)).name == "s"
+
+
+def test_deep_left_sum_evaluates():
+    # one graph level per term: a left-deep sum of 250 terms must stay
+    # within the default recursion limit
+    x, y = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
+    total = x
+    for k in range(1, 250):
+        total = total + k * y
+    batch = np.array([(0.3, 0.7), (-1.1, 0.2)])
+    want = []
+    for px, py in batch.tolist():
+        ref = px
+        for k in range(1, 250):
+            ref = ref + k * py
+        want.append(ref)
+    assert total(batch).tolist() == want
