@@ -106,6 +106,24 @@ def _floats(column):
     return memoryview(np.asarray(column, dtype=float))
 
 
+def _libm(f, column):
+    """f of every item of a float array, one Python float at a time: libm's
+    sin, cos and cube, whose last bit numpy's may not match."""
+    return np.fromiter(map(f, _floats(column.ravel())), float, column.size
+                       ).reshape(column.shape)
+
+
+def _third_derivatives(alpha, a1, a2):
+    """_third_derivative over node columns, in its operation order; a
+    column item inside its margin raises SingularCoefficient."""
+    s, c = _libm(math.sin, alpha), _libm(math.cos, alpha)
+    lead = s * c * c
+    if (np.abs(lead) < EPS_SING ** 2).any():
+        raise SingularCoefficient("sin*cos^2 inside the margin in a column")
+    return -(c * (s * s + 3.0) * a1 * a2
+             + s * (2.0 * c * c + 3.0) * _libm(lambda v: v ** 3, a1)) / lead
+
+
 class _CubicHermite:
     """Piecewise-cubic interpolant matching values and first derivatives.
 
@@ -146,7 +164,9 @@ class AlphaProfile:
     Nodes carry (alpha, alpha', alpha''); interpolation between nodes is
     cubic Hermite.  ``truncated`` flags an integration stopped early (see
     integrate_alpha); ``step_error`` is the worst per-step Richardson
-    estimate from step halving over the kept steps.
+    estimate from step halving over the kept steps, each kept node against
+    the whole step from the node before it (taken for all nodes at once
+    after the integration).
     """
 
     y_grid: np.ndarray
@@ -270,15 +290,18 @@ def _node(state, eps_sing, min_slope):
 def _rk4_step(state, f1, h):
     """One classical RK4 step of (alpha, alpha', alpha''), in the operation
     order of the array form state + (h/6)(k1 + 2 k2 + 2 k3 + k4); ``f1`` is
-    the third derivative at ``state``, which the caller already has."""
+    the third derivative at ``state``, which the caller already has.  The
+    state items and ``f1`` are floats, or node columns for the whole steps
+    that integrate_alpha takes in one array pass."""
+    third = _third_derivative if type(f1) is float else _third_derivatives
     a, b, c = state
     hh = 0.5 * h
     a2, b2, c2 = a + hh * b, b + hh * c, c + hh * f1
-    f2 = _third_derivative(a2, b2, c2)
+    f2 = third(a2, b2, c2)
     a3, b3, c3 = a + hh * b2, b + hh * c2, c + hh * f2
-    f3 = _third_derivative(a3, b3, c3)
+    f3 = third(a3, b3, c3)
     a4, b4, c4 = a + h * b3, b + h * c3, c + h * f3
-    f4 = _third_derivative(a4, b4, c4)
+    f4 = third(a4, b4, c4)
     h6 = h / 6.0
     return (a + h6 * (((b + 2 * b2) + 2 * b3) + b4),
             b + h6 * (((c + 2 * c2) + 2 * c3) + c4),
@@ -289,12 +312,15 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
                     eps_sing=EPS_SING, min_slope=MIN_SLOPE) -> AlphaProfile:
     """Integrate the third-order angle ODE with classical 4th-order steps.
 
-    Every step is taken twice (once at h, once as two h/2 steps) and the
-    halved result is kept; the difference/15 gives the per-step error
-    estimate, and ``step_error`` is the worst of it over the kept steps.
+    Every step is taken as two h/2 steps, whose result is kept as the next
+    node.  After the last step, the whole step at h from every node a step
+    started from is taken in one array pass (see _whole_steps); its
+    difference from the kept node over 15 is the per-step error estimate,
+    and ``step_error`` is the worst of it over the kept steps.
     Integration stops early, returning a truncated profile, when a step
     leaves the float range, crosses a zero of sin(2 alpha), or violates a
-    singularity margin or the nonzero-slope requirement.  Initial data
+    singularity margin or the nonzero-slope requirement; a whole step
+    that fails stops it at the node where that step starts.  Initial data
     violating the margins raises ImmediateSingularity; a span or step
     that is not finite, or that asks for more than MAX_STEPS steps,
     raises ValueError.
@@ -326,7 +352,6 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
     # a long profile keeps no Python object per node; the third-derivative
     # column is exact on solution trajectories
     nodes = array("d", (y0, *state, alpha3))
-    worst = 0.0
     # bound per call, not at import, so that call counters rebinding the
     # module names still count
     rk4, third, isfinite = _rk4_step, _third_derivative, math.isfinite
@@ -334,17 +359,15 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
     # margins are checked at nodes only: a step jumping over zeros of
     # sin(2 alpha) ends outside the start's quarter period floor(2 alpha/pi)
     quarter = floor(2.0 * state[0] / pi)
+    half = state  # after a break, still ``state`` if a half step raised
     for k in range(n):
         try:
             # alpha3 is the third derivative at ``state`` (first same as
-            # last): both the whole step and the first half step start there
-            full = rk4(state, alpha3, h)
+            # last), where the first half step starts
             mid = rk4(state, alpha3, 0.5 * h)
             half = rk4(mid, third(*mid), 0.5 * h)
             a, b, c = half
-            if not (isfinite(full[0]) and isfinite(full[1])
-                    and isfinite(full[2]) and isfinite(a) and isfinite(b)
-                    and isfinite(c)):
+            if not (isfinite(a) and isfinite(b) and isfinite(c)):
                 reason = "non-finite state"
             elif floor(2.0 * a / pi) != quarter:
                 reason = (f"step crossed sin(2 alpha) = 0 between alpha="
@@ -361,16 +384,60 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
             reason = "non-finite state"
         if reason:
             break
-        worst = max(worst, max(abs(full[0] - a), abs(full[1] - b),
-                               abs(full[2] - c)) / 15.0)
         state = half
         nodes.extend((y0 + (k + 1) * h, a, b, c, alpha3))
-    ys, alpha, alpha1, alpha2, alpha3 = np.array(nodes).reshape(-1, 5).T.copy()
+    table = np.array(nodes).reshape(-1, 5).T.copy()
+    kept, reason, worst = _whole_steps(table, h, reason, half is state)
+    ys, alpha, alpha1, alpha2, alpha3 = table[:, :kept + 1]
     return AlphaProfile(
         y_grid=ys, alpha=alpha, alpha1=alpha1, alpha2=alpha2,
         truncated=bool(reason), truncate_reason=reason, step_error=worst,
         alpha3=alpha3,
     )
+
+
+def _whole_steps(table, h, reason, halves_raised):
+    """(steps kept, truncate reason, step_error) from the whole steps at h.
+
+    ``table`` holds the node columns (y, alpha, alpha', alpha'', alpha''')
+    that the half steps kept, and ``reason`` says why they stopped.  A
+    whole step is taken from every node a step started from, the stopped
+    step's included, in one array pass.  A whole step that fails (raises,
+    leaves the float range or has a stage inside the margin) ends the
+    integration at its start node, before its halves: on any anomaly in
+    the pass the whole steps are replayed one at a time in node order
+    with the float code, which finds the first failure and its reason.
+    """
+    m = table.shape[1] - 1
+    cols = table[1:, :m + 1 if reason else m]
+    try:
+        with np.errstate(all="ignore"):
+            whole = _rk4_step(tuple(cols[:3]), cols[3], h)
+            if all(np.isfinite(w).all() for w in whole):
+                err = max(np.abs(w[:m] - node[1:]).max(initial=0.0)
+                          for w, node in zip(whole, table[1:4]))
+                return m, reason, float(err) / 15.0
+    except (SingularCoefficient, OverflowError, ValueError):
+        pass
+    alpha, alpha1, alpha2, alpha3 = cols.tolist()
+    worst = 0.0
+    for k in range(len(alpha)):
+        try:
+            full = _rk4_step((alpha[k], alpha1[k], alpha2[k]), alpha3[k], h)
+        except SingularCoefficient as err:
+            return k, str(err), worst
+        except (OverflowError, ValueError):  # a stage left the float range
+            return k, "non-finite state", worst
+        if not all(map(math.isfinite, full)):
+            # at the step where the loop stopped, an exception from a half
+            # step came before the finiteness check of this whole step
+            return k, (reason if k == m and halves_raised
+                       else "non-finite state"), worst
+        if k < m:
+            worst = max(worst, max(abs(full[0] - alpha[k + 1]),
+                                   abs(full[1] - alpha1[k + 1]),
+                                   abs(full[2] - alpha2[k + 1])) / 15.0)
+    return m, reason, worst
 
 
 def _ode_residuals(profile, ys):
@@ -387,12 +454,8 @@ def _ode_residuals(profile, ys):
     xp, fp = profile.y_grid, profile.alpha2
     a3 = (np.interp(ys + d, xp, fp) - np.interp(ys - d, xp, fp)) / (2.0 * d)
     alpha, a1 = profile.angle(ys), profile.slope(ys)
-
-    def libm(f, col):  # one float at a time, as in ode_residual_terms
-        return np.fromiter(map(f, _floats(col.ravel())), float, col.size
-                           ).reshape(ys.shape)
-    s, c = libm(math.sin, alpha), libm(math.cos, alpha)
-    cube = libm(lambda v: v ** 3, a1)
+    s, c = _libm(math.sin, alpha), _libm(math.cos, alpha)
+    cube = _libm(lambda v: v ** 3, a1)
     return (a3 * s * c * c + c * (s * s + 3.0) * a1 * np.interp(ys, xp, fp)
             + s * (2.0 * c * c + 3.0) * cube)
 
@@ -429,22 +492,27 @@ def riccati_consistency(profile: AlphaProfile):
                               "is undefined")
     u = curvs[0] / slopes[0] ** 2
     worst = 0.0
+    end, end_pq = math.nan, None  # the last step's end and its (p, q)
     for k in range(len(alphas)):
         u_profile = curvs[k] / slopes[k] ** 2
         worst = max(worst, abs(u - u_profile))
         if k + 1 < len(alphas):
             # riccati_rhs written out, so that k2 and k3 share the
-            # coefficients of the midpoint
+            # coefficients of the midpoint, and a step starts with the
+            # coefficients its predecessor ended with when a + da rounded
+            # to alphas[k + 1] (always, by Sterbenz's lemma, between
+            # neighbours of one sign within a factor 2)
             a = alphas[k]
             da = alphas[k + 1] - a
-            p, q = _riccati_coefficients(a)
+            p, q = end_pq if end == a else _riccati_coefficients(a)
             k1 = -2.0 * u * u - p * u - q
             p, q = _riccati_coefficients(a + 0.5 * da)
             v = u + 0.5 * da * k1
             k2 = -2.0 * v * v - p * v - q
             v = u + 0.5 * da * k2
             k3 = -2.0 * v * v - p * v - q
-            p, q = _riccati_coefficients(a + da)
+            end = a + da
+            p, q = end_pq = _riccati_coefficients(end)
             v = u + da * k3
             k4 = -2.0 * v * v - p * v - q
             u = u + (da / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)

@@ -50,10 +50,6 @@ class ResidualReport:
     def worst_channel(self):
         return max(self.channels, key=lambda c: c.max_abs)
 
-    @property
-    def worst_point(self):
-        return self.worst_channel.at
-
     def channel(self, name):
         for c in self.channels:
             if c.name == name:

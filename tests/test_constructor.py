@@ -1,10 +1,12 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
 from biharm import constructor
 from biharm.cli import run
@@ -348,7 +350,8 @@ class TestScalarPaths:
             ref = _numpy_rk4_step(np.array(state), h)
             assert [_bits(v) for v in got] == [float(v).hex() for v in ref]
 
-    def test_three_rk4_calls_per_step(self, monkeypatch):
+    def test_two_rk4_calls_per_step_and_one_pass(self, monkeypatch):
+        # the two half steps of every step, then the whole steps at once
         calls = []
         rk4 = constructor._rk4_step
 
@@ -359,10 +362,11 @@ class TestScalarPaths:
         monkeypatch.setattr(constructor, "_rk4_step", counted)
         prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
         assert not prof.truncated
-        assert len(calls) == 3 * (len(prof.y_grid) - 1) == 150
+        assert len(calls) == 2 * (len(prof.y_grid) - 1) + 1 == 101
 
-    def test_eleven_evaluations_per_step(self, monkeypatch):
-        # the third derivative at a step's start is the previous node's
+    def test_eight_evaluations_per_step(self, monkeypatch):
+        # the third derivative at a step's start is the previous node's,
+        # and the array pass of the whole steps evaluates none one at a time
         calls = []
         third = constructor._third_derivative
 
@@ -373,7 +377,7 @@ class TestScalarPaths:
         monkeypatch.setattr(constructor, "_third_derivative", counted)
         prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
         assert not prof.truncated
-        assert len(calls) == 1 + 11 * (len(prof.y_grid) - 1) == 551
+        assert len(calls) == 1 + 8 * (len(prof.y_grid) - 1) == 401
 
     def test_ode_residual_matches_numpy(self, solved_profile):
         prof = solved_profile
@@ -388,7 +392,7 @@ class TestScalarPaths:
                 _reference_residual(prof, y).hex()
 
     @pytest.mark.parametrize("start", [START, (0.95, 0.15, -0.5 * 0.15 ** 2),
-                                       None])
+                                       None, "jumps"])
     def test_riccati_matches_four_call_loop(self, start):
         if start is None:
             # coarse steps in alpha, so a last-bit change in one stage
@@ -396,6 +400,16 @@ class TestScalarPaths:
             ys = np.linspace(0.0, 1.0, 17)
             prof = AlphaProfile(ys, 0.3 + 0.9 * ys, np.full_like(ys, 0.9),
                                 np.sin(3 * ys))
+        elif start == "jumps":
+            # alpha more than doubles or halves between nodes, so a + da
+            # can miss the next node (0.7 + (0.19 - 0.7) != 0.19): that
+            # step's start coefficients are made afresh, and reusing the
+            # last step's would change the result in the last bits
+            alphas = [0.35, 0.7, 0.19, 0.89, 0.54]
+            assert 0.7 + (0.19 - 0.7) != 0.19
+            ys = np.linspace(0.0, 1.0, len(alphas))
+            prof = AlphaProfile(ys, np.array(alphas), np.ones_like(ys),
+                                np.zeros_like(ys))
         else:
             prof = integrate_alpha(*start, (0.0, 1.0), 1e-3)
         alphas = prof.alpha.tolist()
@@ -418,6 +432,133 @@ class TestScalarPaths:
         assert type(alpha_ode_residual(solved_profile, y)) is float
         assert type(solved_profile.angle(y)) is float
         assert type(riccati_consistency(solved_profile)) is float
+
+
+def _reference_integrate(alpha0, alpha1_0, alpha2_0, y_span, step,
+                         eps_sing=constructor.EPS_SING,
+                         min_slope=constructor.MIN_SLOPE):
+    """integrate_alpha with the whole step of every step taken inside the
+    loop, before its two halves (valid inputs only)."""
+    y0, y1 = y_span
+    n = max(1, round((y1 - y0) / step))
+    state = (float(alpha0), float(alpha1_0), float(alpha2_0))
+    alpha3, reason = constructor._node(state, eps_sing, min_slope)
+    assert not reason
+    h = (y1 - y0) / n
+    rows = [(y0, *state, alpha3)]
+    worst = 0.0
+    rk4, third = constructor._rk4_step, constructor._third_derivative
+    quarter = math.floor(2.0 * state[0] / math.pi)
+    for k in range(n):
+        try:
+            full = rk4(state, alpha3, h)
+            mid = rk4(state, alpha3, 0.5 * h)
+            a, b, c = half = rk4(mid, third(*mid), 0.5 * h)
+            if not all(map(math.isfinite, (*full, a, b, c))):
+                reason = "non-finite state"
+            elif math.floor(2.0 * a / math.pi) != quarter:
+                reason = (f"step crossed sin(2 alpha) = 0 between alpha="
+                          f"{state[0]:.6g} and alpha={a:.6g}")
+            elif abs(math.sin(a) * math.cos(a)) < eps_sing:
+                reason = f"|sin*cos| margin {eps_sing:g} hit at alpha={a:.6g}"
+            elif abs(b) < min_slope:
+                reason = f"|alpha'| fell below {min_slope:g}"
+            else:
+                alpha3 = third(a, b, c)
+        except SingularCoefficient as err:
+            reason = str(err)
+        except (OverflowError, ValueError):
+            reason = "non-finite state"
+        if reason:
+            break
+        worst = max(worst, max(abs(full[0] - a), abs(full[1] - b),
+                               abs(full[2] - c)) / 15.0)
+        state = half
+        rows.append((y0 + (k + 1) * h, a, b, c, alpha3))
+    ys, alpha, alpha1, alpha2, alpha3 = np.array(rows).T.copy()
+    return AlphaProfile(ys, alpha, alpha1, alpha2, bool(reason), reason,
+                        worst, alpha3)
+
+
+def _assert_same_integration(*args):
+    prof = integrate_alpha(*args)
+    ref = _reference_integrate(*args)
+    for name in ("y_grid", "alpha", "alpha1", "alpha2", "alpha3"):
+        assert getattr(prof, name).tobytes() == getattr(ref, name).tobytes()
+    assert _bits(prof.step_error) == _bits(ref.step_error)
+    assert prof.truncated is ref.truncated
+    assert prof.truncate_reason == ref.truncate_reason
+    return prof
+
+
+class TestWholeStepPass:
+    """integrate_alpha against the loop that takes each whole step before
+    its halves: node columns, step_error and truncation, bit for bit."""
+
+    @pytest.mark.parametrize("start, span, step", [
+        (START, (0.0, 1.0), 1e-3),
+        ((math.pi / 4, 0.6, -0.36), (0.0, 0.64), 0.08),
+        ((math.pi / 4, 0.6, -0.36), (0.0, 0.64), 0.04),
+        ((math.pi / 4, 0.6, -0.36), (0.0, 0.64), 0.02),
+        ((0.3, -50.0, 100.0), (0.0, 1.0), 1e-2),
+        ((0.8, 1.0, 1e6), (0.0, 1.0), 1e-2),
+        ((0.1, -0.5, -2.0), (0.0, 5.0), 1e-3),
+        ((0.3, 1e30, 0.0), (0.0, 1.0), 1e-2),
+        ((0.3, 1.0, 0.0), (0.0, 1.0), 1e-2),
+        ((0.8, 0.1, -0.01), (0.0, 1.0), 1e-3),
+        ((1.45, 0.8, 0.0), (0.0, 1.0), 1e-3),
+        *((corner, (0.0, 1.0), 1e-4) for corner in BOX_CORNERS),
+    ])
+    def test_matches_reference(self, start, span, step):
+        _assert_same_integration(*start, span, step)
+
+    def test_stage_margin_reason_from_the_whole_step(self):
+        # a whole-step stage enters the sin*cos^2 margin one step before
+        # the halves would stop; the loop alone read 9.990e-07
+        prof = _assert_same_integration(1.45, 0.8, 0.0, (0.0, 1.0), 1e-3)
+        assert prof.truncate_reason == ("sin*cos^2 = 9.934e-07 inside the "
+                                        "margin at alpha = 1.5698")
+
+    @settings(max_examples=30)
+    @example(1.45, 0.8, 1.0, 0.0, 1e-3)
+    @given(st.floats(0.02, 1.565), st.floats(0.05, 3.0),
+           st.sampled_from([1.0, -1.0]), st.floats(-3.0, 3.0),
+           st.sampled_from([1e-2, 2e-3, 1e-3]))
+    def test_draws_match_reference(self, alpha0, speed, sign, u0, step):
+        # initial data clear of the margins; some runs truncate at a stage
+        # margin near pi/2, others at a crossing
+        alpha1_0 = sign * speed
+        _assert_same_integration(alpha0, alpha1_0, u0 * alpha1_0 ** 2,
+                                 (0.0, 1.0), step)
+
+    @pytest.mark.parametrize("start, reason", [
+        # the half steps raise at a stage inside the margin: that comes
+        # before the non-finite whole step in the checks
+        ((1.566, 2.2, 0.0),
+         "sin*cos^2 = 4.952e-07 inside the margin at alpha = 1.5715"),
+        # the half steps cross a zero of sin(2 alpha)
+        ((0.3, -50.0, 100.0), "non-finite state"),
+        ((0.3, 1.0, 0.0), "non-finite state"),
+    ])
+    def test_non_finite_whole_step_where_halves_stop(self, monkeypatch,
+                                                     start, reason):
+        rk4 = constructor._rk4_step
+
+        def infinite_whole_step(state, f1, h):
+            out = rk4(state, f1, h)
+            return (math.inf, *out[1:]) if h == 1e-2 else out
+
+        monkeypatch.setattr(constructor, "_rk4_step", infinite_whole_step)
+        prof = _assert_same_integration(*start, (0.0, 1.0), 1e-2)
+        assert prof.truncate_reason == reason
+        assert len(prof.y_grid) == 1
+
+    @pytest.mark.parametrize("start", [(0.8, 1.0, 1e6), (0.3, 1e30, 0.0)])
+    def test_overflow_warns_nothing(self, start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = integrate_alpha(*start, (0.0, 1.0), 1e-2)
+        assert prof.truncated
 
 
 class TestFlatTargetBuilder:
