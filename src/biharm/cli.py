@@ -36,6 +36,7 @@ from .numkernel import (
     fcosh,
     flog,
     fsin,
+    numeric_only,
 )
 from .report import (
     ResidualReport,
@@ -128,7 +129,7 @@ def _cmd_verify(args):
             if not cfg.selected(spec.label):
                 continue
             if cfg.derivative_mode == "fd":
-                spec = spec.numeric_only()
+                spec = numeric_only(spec)
             r1f, r2f = spec.residual_fields
             points = spec.verification_points(cfg.grid)
             batch = as_batch(points)
@@ -181,7 +182,7 @@ def _chart_metric(name, radius, c):
 def _cmd_curvature(args):
     metric = _chart_metric(args.chart, args.radius, args.c)
     if args.mode == "fd":
-        metric = metric.numeric_only()
+        metric = numeric_only(metric)
     points = base_sweep(metric.box, (args.grid,) * 2)
     curvature = gauss_curvature_2d(metric, as_batch(points)).tolist()
     rows = [(t, s, k) for (t, s, _), k in zip(points, curvature)]
@@ -222,7 +223,7 @@ def _cmd_construct(args):
     )
     spec = built.canonical
     if args.mode == "fd":
-        spec = spec.numeric_only()
+        spec = numeric_only(spec)
     rep = constructor.verify_construction(spec, tol=tol)
     _print_report(rep)
     print(f"map: {built.map_note}")
@@ -311,7 +312,7 @@ def _cmd_surface(args):
 def _cylinder_report(cyl, mode, tol, label, channels, r1, r2):
     """Classify the vertical cylinder and check it against the Hopf system."""
     if mode == "fd":
-        cyl = cyl.numeric_only()
+        cyl = numeric_only(cyl)
     pts = hypersurface.surface_points(cyl, (4, 4))
     cls = hypersurface.cmc_classify(cyl, pts, tol=max(tol, 1e-8))
     print(f"classification: {cls.kind} (H = {cls.mean_curvature:.6g})")

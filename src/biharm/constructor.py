@@ -27,6 +27,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -188,17 +189,14 @@ class AlphaProfile:
             raise SingularProfile("profile has fewer than 2 nodes")
         return float(self.y_grid[1] - self.y_grid[0])
 
+    @cached_property
     def _alpha3_nodes(self):
         """Third-derivative node values: the stored column when the profile
         came from an integration, otherwise central differences of the
         stored alpha'' (no appeal to the differential equation)."""
         if self.alpha3 is not None:
             return self.alpha3
-        cached = self.__dict__.get("_alpha3_fd")
-        if cached is None:
-            cached = np.gradient(self.alpha2, self.y_grid)
-            self.__dict__["_alpha3_fd"] = cached
-        return cached
+        return np.gradient(self.alpha2, self.y_grid)
 
     def validate(self, eps_sing=EPS_SING, min_slope=MIN_SLOPE):
         if len(self.y_grid) < 5:
@@ -214,49 +212,43 @@ class AlphaProfile:
                 f"below {min_slope:g}"
             )
 
+    @cached_property
     def _node_residuals(self):
         """(node view, alpha_ode_residual at the interior nodes and NaN at
-        the others), made once per profile."""
-        cached = self.__dict__.get("_node_table")
-        if cached is None:
-            d = self.node_step
-            (y0, y1), ys = self.span, self.y_grid
-            table = np.full(len(ys), math.nan)
-            inside = (y0 + d <= ys) & (ys <= y1 - d)
-            table[inside] = _ode_residuals(self, ys[inside])
-            cached = (_floats(ys), _floats(table))
-            self.__dict__["_node_table"] = cached
-        return cached
+        the others)."""
+        d = self.node_step
+        (y0, y1), ys = self.span, self.y_grid
+        table = np.full(len(ys), math.nan)
+        inside = (y0 + d <= ys) & (ys <= y1 - d)
+        table[inside] = _ode_residuals(self, ys[inside])
+        return _floats(ys), _floats(table)
 
-    def _interp(self, which):
-        key = f"_interp_{which}"
-        cached = self.__dict__.get(key)
-        if cached is None:
-            if which == "alpha":
-                cached = _CubicHermite(self.y_grid, self.alpha, self.alpha1)
-            elif which == "alpha1":
-                cached = _CubicHermite(self.y_grid, self.alpha1, self.alpha2)
-            else:
-                cached = _CubicHermite(self.y_grid, self.alpha2,
-                                       self._alpha3_nodes())
-            self.__dict__[key] = cached
-        return cached
+    @cached_property
+    def _interp_alpha(self):
+        return _CubicHermite(self.y_grid, self.alpha, self.alpha1)
+
+    @cached_property
+    def _interp_alpha1(self):
+        return _CubicHermite(self.y_grid, self.alpha1, self.alpha2)
+
+    @cached_property
+    def _interp_alpha2(self):
+        return _CubicHermite(self.y_grid, self.alpha2, self._alpha3_nodes)
 
     def angle(self, y):
-        return self._interp("alpha")(y)
+        return self._interp_alpha(y)
 
     def slope(self, y):
-        return self._interp("alpha1")(y)
+        return self._interp_alpha1(y)
 
     def curvature2(self, y):
-        return self._interp("alpha2")(y)
+        return self._interp_alpha2(y)
 
     def field(self, dim=3, axis=1) -> ScalarField:
         """The angle as a chart field varying along one axis only."""
-        a = self._interp("alpha")
-        a1 = self._interp("alpha1")
-        a2 = self._interp("alpha2")
-        ys, a3s = self.y_grid, self._alpha3_nodes()
+        a, a1 = self._interp_alpha, self._interp_alpha1
+        a2 = self._interp_alpha2
+        ys, a3s = self.y_grid, self._alpha3_nodes
 
         zero = lambda b: 0.0
         partials = {
@@ -282,9 +274,12 @@ def _node(state, eps_sing, min_slope):
     if abs(a1) < min_slope:
         return None, f"|alpha'| fell below {min_slope:g}"
     try:
-        return _third_derivative(alpha, a1, a2), ""
+        alpha3 = _third_derivative(alpha, a1, a2)
     except OverflowError:  # alpha'^3 beyond the float range
+        alpha3 = math.inf
+    if not math.isfinite(alpha3):
         return None, "non-finite state"
+    return alpha3, ""
 
 
 def _rk4_step(state, f1, h):
@@ -470,7 +465,7 @@ def alpha_ode_residual(profile: AlphaProfile, y):
     """
     if not isinstance(y, float) and np.ndim(y):
         return _ode_residuals(profile, y)
-    ys, table = profile._node_residuals()
+    ys, table = profile._node_residuals
     y = float(y)
     j = bisect_left(ys, y)
     if j < len(ys) and ys[j] == y and not math.isnan(table[j]):
@@ -519,32 +514,6 @@ def riccati_consistency(profile: AlphaProfile):
     return worst
 
 
-# -- quadrature -----------------------------------------------------------------
-
-
-def simpson_integral(f, a, b, abs_tol=1e-10, max_doublings=24):
-    """Composite Simpson quadrature with interval doubling to ``abs_tol``."""
-    if b == a:
-        return 0.0
-
-    def composite(n):
-        xs = np.linspace(a, b, n + 1)
-        ys = np.array([f(x) for x in xs])
-        h = (b - a) / n
-        return h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum()
-                          + 2 * ys[2:-2:2].sum())
-
-    n = 8
-    prev = composite(n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = composite(n)
-        if abs(cur - prev) <= abs_tol:
-            return cur
-        prev = cur
-    return prev
-
-
 # -- builders --------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -562,7 +531,6 @@ class ConstructionSpec:
     w: ScalarField = None
     F: ScalarField = None
     branch_sign: int = 1
-    x_box: ChartBox = field(default_factory=lambda: ChartBox((-1.0,), (1.0,)))
     u_box: ChartBox = field(default_factory=lambda: ChartBox((-1.0,), (1.0,)))
 
     def __post_init__(self):
@@ -578,13 +546,6 @@ class ConstructionSpec:
         slope = float(np.max(np.abs(self.F.partial(as_batch(grid), 0, 1))))
         if slope <= 1e-12:
             raise ValueError("the fiber collapse F must be nonconstant")
-
-    def horizontal_arc(self, x):
-        """The coordinate change t(x) = integral of e^{phi} from the left
-        edge of the x box (composite Simpson, abs tol 1e-10)."""
-        return simpson_integral(
-            lambda xi: math.exp(self.phi((xi,))), self.x_box.lower[0], x
-        )
 
 
 @dataclass(frozen=True)
@@ -658,9 +619,8 @@ def build_nonflat_target(cspec: ConstructionSpec,
 
     canonical = SubmersionSpec(
         canonical_metric, frame_spec, label + "-canonical",
-        target_metric=target, family="nonflat_target",
+        target_metric=target, family="nonflat_target", profile=prof,
     )
-    canonical.extras = {"profile": prof}
 
     phi3 = lift(cspec.phi, 3, (0,))
     general_metric = ProductMetric3(q_canonical + phi3, domain_box())
@@ -668,9 +628,8 @@ def build_nonflat_target(cspec: ConstructionSpec,
     general_target = SurfaceMetric(lam + w2, target_box, weighted_axis=1)
     general = SubmersionSpec(
         general_metric, frame_spec, label + "-general",
-        target_metric=general_target, family="nonflat_target",
+        target_metric=general_target, family="nonflat_target", profile=prof,
     )
-    general.extras = {"profile": prof}
 
     sign = "+" if cspec.branch_sign > 0 else "-"
     note = (f"(x, y, z) -> (y, F(z {sign} t(x))) with "
@@ -713,7 +672,7 @@ def verify_construction(spec: SubmersionSpec, tol=1e-4, grid=(21, 21)):
             channels.append(max_over_batch(
                 f"transverse_e{leg + 1}_{name}", pts, der(batch)))
 
-    profile = getattr(spec, "extras", {}).get("profile")
+    profile = spec.profile
     if profile is not None:
         r1f, _ = spec.residual_fields
         ys = batch[:, 1]

@@ -60,6 +60,7 @@ from .numkernel import (
     fsin,
     fsqrt,
     ftan,
+    numeric_only,
     sweep,
 )
 from .report import build_report, max_over_batch
@@ -80,10 +81,6 @@ class AdaptedFrameSpec:
     def __post_init__(self):
         object.__setattr__(self, "theta", as_field(self.theta, 3))
         object.__setattr__(self, "alpha", as_field(self.alpha, 3))
-
-    def numeric_only(self):
-        return AdaptedFrameSpec(self.theta.numeric_only(),
-                                self.alpha.numeric_only())
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +387,7 @@ def random_adapted_specs(rng, count, mode="analytic"):
             spec = AdaptedFrameSpec(fatan2(ds, dt), fatan(cc * r))
             name = "polar"
         if mode == "fd":
-            metric = metric.numeric_only()
-            spec = spec.numeric_only()
+            metric, spec = numeric_only(metric), numeric_only(spec)
         out.append((f"frame[{k:02d}]-{name}", metric, spec))
     return out
 

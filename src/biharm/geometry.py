@@ -104,11 +104,6 @@ class ProductMetric3:
         box2 = ChartBox(self.box.lower[:2], self.box.upper[:2], self.box.guard)
         return SurfaceMetric(q2, box2, self.weighted_axis)
 
-    def numeric_only(self) -> "ProductMetric3":
-        return ProductMetric3(
-            self.conformal_exponent.numeric_only(), self.box, self.weighted_axis
-        )
-
 
 def _diagonal_weights(metric, point):
     batch = as_batch(point)
@@ -153,11 +148,6 @@ class SurfaceMetric:
     def weights(self, point):
         return _diagonal_weights(self, point)
 
-    def numeric_only(self) -> "SurfaceMetric":
-        return SurfaceMetric(
-            self.conformal_exponent.numeric_only(), self.box, self.weighted_axis
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class FrameField:
@@ -196,16 +186,6 @@ class FrameField:
         defect = np.max(np.abs(gram - np.eye(self.dim)), axis=(-2, -1))
         return float(defect) if np.ndim(point) == 1 else defect
 
-    def numeric_only(self):
-        strip = lambda rows: tuple(
-            tuple(c.numeric_only() for c in row) for row in rows
-        )
-        return FrameField(
-            strip(self.components),
-            self.metric.numeric_only(),
-            strip(self.coeff) if self.coeff else None,
-        )
-
 
 def _field_matrix(rows, point):
     batch = as_batch(point)
@@ -222,13 +202,6 @@ class CurvatureComponents:
 
     def __getitem__(self, idx):
         return float(self.values[idx])
-
-    def max_symmetry_defect(self):
-        """Worst violation of the antisymmetry and pair-swap symmetries."""
-        r = self.values
-        return float(max(np.max(np.abs(r + r.transpose(1, 0, 2, 3))),
-                         np.max(np.abs(r + r.transpose(0, 1, 3, 2))),
-                         np.max(np.abs(r - r.transpose(2, 3, 0, 1)))))
 
 
 # -- Christoffel symbols ------------------------------------------------------

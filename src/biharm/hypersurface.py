@@ -18,7 +18,7 @@ Gram-Schmidt from the coordinate tangents (first leg along d_u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +52,7 @@ from .numkernel import (
 _RANK_TOL = 1e-10
 
 
+@dataclass(frozen=True, eq=False)
 class SurfaceImmersion:
     """Codimension-one surface (u, v) -> (chart point) in a product 3-chart.
 
@@ -59,17 +60,20 @@ class SurfaceImmersion:
     flips the unit normal.
     """
 
-    def __init__(self, components, ambient: ProductMetric3, uv_box: ChartBox,
-                 orientation=1, label="surface"):
-        self.components = tuple(as_field(c, 2) for c in components)
+    components: tuple
+    ambient: ProductMetric3
+    uv_box: ChartBox
+    orientation: int = 1
+    label: str = "surface"
+
+    def __post_init__(self):
+        object.__setattr__(self, "components",
+                           tuple(as_field(c, 2) for c in self.components))
         if len(self.components) != 3:
             raise ValueError("an immersion needs three chart components")
-        self.ambient = ambient
-        if uv_box.dim != 2:
+        if self.uv_box.dim != 2:
             raise ValueError("the parameter box must be 2-dimensional")
-        self.uv_box = uv_box
-        self.orientation = int(orientation)
-        self.label = label
+        object.__setattr__(self, "orientation", int(self.orientation))
 
     def point(self, uv):
         """Chart point of a parameter point, or the (n, 3) chart batch of a
@@ -80,16 +84,8 @@ class SurfaceImmersion:
         return as_batch(np.column_stack([c(batch) for c in self.components]))
 
     def flipped(self):
-        return SurfaceImmersion(self.components, self.ambient, self.uv_box,
-                                orientation=-self.orientation,
-                                label=self.label + "-flipped")
-
-    def numeric_only(self):
-        return SurfaceImmersion(
-            tuple(c.numeric_only() for c in self.components),
-            self.ambient.numeric_only(), self.uv_box,
-            orientation=self.orientation, label=self.label,
-        )
+        return replace(self, orientation=-self.orientation,
+                       label=self.label + "-flipped")
 
     # -- derived fields on the (u, v) chart -----------------------------------
 
@@ -461,10 +457,6 @@ class HopfCylinderSpec:
     @property
     def mean_curvature_field(self):
         return 0.5 * self.geodesic_curvature
-
-    def numeric_only(self):
-        return HopfCylinderSpec(self.geodesic_curvature.numeric_only(),
-                                self.base_curvature.numeric_only())
 
 
 @sweep()

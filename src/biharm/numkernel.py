@@ -6,7 +6,7 @@ gives n values, and a single point (a sequence of dim floats) is a batch of
 one that gives a float.  Leaf fields are of four kinds: a coordinate (it
 reads its column of the batch), an exact number (a float on the field), an
 explicit leaf (an evaluator with per-axis derivative callables) and an
-opaque leaf (a bare evaluator, such as every ``numeric_only()`` field).
+opaque leaf (a bare evaluator, such as every field ``numeric_only`` makes).
 Evaluators and derivative callables receive the (n, dim) batch only, a
 single point included, so they are written for arrays.  Every other field
 is derived from fields by a rule: algebra, ``compose``,
@@ -46,7 +46,7 @@ import contextvars
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -377,22 +377,6 @@ class ScalarField:
         """Half-width of the set of points that partial() evaluates this
         field at (0 when no stencil is involved)."""
         return _reach(self._partial(axis, order), {})
-
-    # -- structure-stripping (finite-difference mode) ------------------------
-
-    def numeric_only(self) -> "ScalarField":
-        """Copy of this field with all analytic derivative routes removed.
-
-        A number keeps its zero derivative: every central difference of a
-        constant is exactly zero, so both routes give the same values, and
-        the terms that derivative multiplies fold away.  The copy itself is
-        not an exact number, so operations on it do not fold.
-        """
-        name = self.name and self.name + "[fd]"
-        if self.number is not None:
-            return _derived(self.dim, _number_values, _number_diff,
-                            self.number, self.dim, name=name)
-        return ScalarField(fn=self.__call__, dim=self.dim, name=name)
 
     # -- algebra -------------------------------------------------------------
 
@@ -844,3 +828,36 @@ def as_field(value, dim) -> ScalarField:
             return lift(value, dim, tuple(range(value.dim)))
         raise ValueError("cannot lower field dimension")
     return ScalarField.constant(float(value), dim)
+
+
+def numeric_only(obj):
+    """Copy of ``obj`` with every analytic derivative route removed
+    (finite-difference mode).
+
+    A ``ScalarField`` becomes an opaque leaf that evaluates it.  A number
+    keeps its zero derivative: every central difference of a constant is
+    exactly zero, so both routes give the same values, and the terms that
+    derivative multiplies fold away.  The copy itself is not an exact
+    number, so operations on it do not fold.  A tuple is rebuilt from the
+    copies of its items, and a dataclass instance by ``dataclasses.replace``
+    from those of its init fields (so ``__post_init__`` runs again); one
+    that holds no field comes back as itself, as does any other value.
+    """
+    if isinstance(obj, ScalarField):
+        name = obj.name and obj.name + "[fd]"
+        if obj.number is not None:
+            return _derived(obj.dim, _number_values, _number_diff,
+                            obj.number, obj.dim, name=name)
+        return ScalarField(fn=obj.__call__, dim=obj.dim, name=name)
+    if type(obj) is tuple:
+        items = tuple(map(numeric_only, obj))
+        return obj if all(map(operator.is_, items, obj)) else items
+    if is_dataclass(obj) and not isinstance(obj, type):
+        changes = {}
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            copy = numeric_only(value) if f.init else value
+            if copy is not value:
+                changes[f.name] = copy
+        return replace(obj, **changes) if changes else obj
+    return obj

@@ -49,6 +49,7 @@ from .numkernel import (
     fexp,
     flog,
     fsin,
+    numeric_only,
     sweep,
 )
 from .report import ResidualReport, build_report, max_over_batch
@@ -56,27 +57,28 @@ from .report import ResidualReport, build_report, max_over_batch
 Z_SPREAD_TOL = 1e-10  # all fields must be constant along the flat factor
 
 
+@dataclass(eq=False)
 class SubmersionSpec:
     """A submersion case: domain metric + adapted-frame angles.
 
     ``family`` tags how the spec was built ("flat_target" for projections
     along the weighted axis, "nonflat_target" for warped constructions);
     ``aux_residual`` optionally carries an independently assembled residual
-    field used for dual-route checks.
+    field used for dual-route checks, and ``profile`` the solved angle
+    profile of a warped construction.
     """
 
-    def __init__(self, domain_metric: ProductMetric3,
-                 frame_spec: AdaptedFrameSpec, label,
-                 target_metric: SurfaceMetric = None, family=None,
-                 aux_residual: ScalarField = None, flags=()):
-        self.domain_metric = domain_metric
-        self.frame_spec = frame_spec
-        self.label = label
-        self.target_metric = target_metric
-        self.family = family
-        self.aux_residual = aux_residual
-        self.flags = tuple(flags)
-        self.extras = {}
+    domain_metric: ProductMetric3
+    frame_spec: AdaptedFrameSpec
+    label: str
+    target_metric: SurfaceMetric = None
+    family: str = None
+    aux_residual: ScalarField = None
+    flags: tuple = ()
+    profile: object = None
+
+    def __post_init__(self):
+        self.flags = tuple(self.flags)
 
     # -- derived structure --------------------------------------------------
 
@@ -123,21 +125,6 @@ class SubmersionSpec:
         t, s, _ = box.midpoint()
         lo, hi = box.lower[2] + box.guard, box.upper[2] - box.guard
         return [(t, s, z) for z in (lo, 0.5 * (lo + hi), hi)]
-
-    def numeric_only(self) -> "SubmersionSpec":
-        spec = SubmersionSpec(
-            self.domain_metric.numeric_only(),
-            self.frame_spec.numeric_only(),
-            self.label,
-            target_metric=(self.target_metric.numeric_only()
-                           if self.target_metric else None),
-            family=self.family,
-            aux_residual=(self.aux_residual.numeric_only()
-                          if self.aux_residual else None),
-            flags=self.flags,
-        )
-        spec.extras = dict(self.extras)
-        return spec
 
 
 # -- module operations ---------------------------------------------------------
@@ -321,7 +308,7 @@ def catalog_suite(mode="analytic", tol=1e-6, grid=(21, 21)):
     reports = []
     for spec in catalog_examples():
         if mode == "fd":
-            spec = spec.numeric_only()
+            spec = numeric_only(spec)
         rep = residual_report(spec, tol=tol, grid=grid)
         if rep.passed and rep.classification != "proper biharmonic":
             rep = build_report(rep.case_label, tol, rep.channels,

@@ -23,7 +23,7 @@ from biharm.hypersurface import (
     umbilic_biharmonic_test,
     vertical_cylinder,
 )
-from biharm.numkernel import ChartBox, ScalarField
+from biharm.numkernel import ChartBox, ScalarField, numeric_only
 from conftest import X, field_of, field_of_text
 
 U, V = X[0], X[1]
@@ -105,7 +105,7 @@ _BATCH_SURFACES = {
         field_of(0.3 * sp.sin(U) * sp.cos(2 * V) + 0.1 * U * V, 2)),
     "cylinder": lambda: vertical_cylinder(1.0, 1.0),
     "hyperbolic-cylinder": lambda: vertical_cylinder(2.0, -1.0),
-    "fd-cylinder": lambda: vertical_cylinder(0.7, 0.2).numeric_only(),
+    "fd-cylinder": lambda: numeric_only(vertical_cylinder(0.7, 0.2)),
 }
 
 

@@ -19,6 +19,7 @@ from biharm.numkernel import (
     frame_derivative,
     fsin,
     lift,
+    numeric_only,
     partial_derivative,
     sample_grid,
 )
@@ -74,7 +75,7 @@ class TestPartialDerivative:
     ])
     def test_fd_matches_analytic_to_h_squared(self, expr, third):
         f = field_of(expr.subs(S, T), 1)
-        g = f.numeric_only()
+        g = numeric_only(f)
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = (float(rng.uniform(-1, 1)),)
@@ -289,7 +290,7 @@ class TestBatchEvaluation:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_numeric_only_partials(self, order):
         f = field_of_text("sin(t + 2*s) * exp(s*z)", ("t", "s", "z"))
-        g = f.numeric_only()
+        g = numeric_only(f)
         batch = np.array(self.POINTS)
         for axis in range(3):
             together = g.partial(batch, axis, order)
@@ -323,7 +324,7 @@ def _leaf_kinds():
     from biharm.constructor import integrate_alpha
 
     sym = field_of_text("sin(t + 2*s) * exp(s*z)", ("t", "s", "z"))
-    fd = sym.numeric_only()
+    fd = numeric_only(sym)
     explicit = _explicit_exp()
     profile = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-2)
     u = field_of_text("t + s*s", ("t", "s", "z"))
@@ -336,11 +337,11 @@ def _leaf_kinds():
         ("alpha-profile", profile.field(dim=3, axis=1), False),
         ("numeric-only", fd, True),
         ("algebra", fd * sym + explicit / (1.0 + sym * sym), False),
-        ("compose", compose(w.numeric_only(), (u, fd)), False),
+        ("compose", compose(numeric_only(w), (u, fd)), False),
         ("directional", directional_field((sym, explicit, fd), fd), False),
         ("lifted-explicit", lift(profile.field(dim=1, axis=0), 3, (1,)),
          False),
-        ("lifted-numeric-only", lift(w.numeric_only(), 3, (2, 0)), False),
+        ("lifted-numeric-only", lift(numeric_only(w), 3, (2, 0)), False),
     ]
 
 
@@ -364,8 +365,8 @@ class TestDerivativeRoute:
                 assert np.array_equal(got, chain(self.BATCH)), (label, axis)
 
     def test_opaque_second_partial_is_one_stencil(self):
-        g = field_of_text("sin(t + 2*s) * exp(s*z)",
-                                  ("t", "s", "z")).numeric_only()
+        g = numeric_only(field_of_text("sin(t + 2*s) * exp(s*z)",
+                                       ("t", "s", "z")))
         for axis in range(3):
             up, dn = self.BATCH.copy(), self.BATCH.copy()
             up[:, axis] += H_FD
@@ -473,7 +474,7 @@ def test_chain_rule_partials_match_sympy(rule, a, b, axes):
 
 
 def test_numeric_only_number_keeps_zero_derivative():
-    two = ScalarField.constant(2.0, 3).numeric_only()
+    two = numeric_only(ScalarField.constant(2.0, 3))
     assert two.number is None  # fd mode folds nothing
     for axis in range(3):
         assert two.diff(axis).number == 0.0
@@ -481,7 +482,7 @@ def test_numeric_only_number_keeps_zero_derivative():
     # a coordinate is a leaf like any other closed form: differenced in fd
     x = ScalarField.coordinate(1, 3)
     assert x.diff(1).number == 1.0 and x.diff(0).number == 0.0
-    assert x.numeric_only().stencil_reach(1, 1) == H_FD
+    assert numeric_only(x).stencil_reach(1, 1) == H_FD
 
 
 def _outcome(field, batch):
@@ -497,7 +498,7 @@ def _outcome(field, batch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNumbersInRules:
     """A finite exact number enters a rule as its float; the values are
-    those of the same rule on an array of copies of it (a numeric_only()
+    those of the same rule on an array of copies of it (a numeric_only
     copy), bit for bit.  A NaN or an infinity raises as before."""
 
     BATCH = np.array([(0.1, 0.2, 0.3), (0.4, -0.5, 0.6), (-0.7, 0.8, 0.9)])
@@ -517,8 +518,8 @@ class TestNumbersInRules:
                     exact = lhs._binary(rhs, op)
                     if exact is f or exact.number is not None:
                         continue  # folded: no number reaches a rule
-                    filled = (lhs._binary(c.numeric_only(), op) if lhs is f
-                              else c.numeric_only()._binary(rhs, op))
+                    filled = (lhs._binary(numeric_only(c), op) if lhs is f
+                              else numeric_only(c)._binary(rhs, op))
                     assert (_outcome(exact, self.BATCH)
                             == _outcome(filled, self.BATCH)), (value, op)
                     compared += 1
@@ -528,7 +529,7 @@ class TestNumbersInRules:
         f = self._field()
         g = field_of_text("x*x - 3*y", ("x", "y"))
         for value in self.NUMBERS:
-            c, filled = const(value), const(value).numeric_only()
+            c, filled = const(value), numeric_only(const(value))
             pairs = [
                 (compose(g, (f, c)), compose(g, (f, filled))),
                 (compose(g, (c, f)), compose(g, (filled, f))),

@@ -51,8 +51,8 @@ spec.loader.exec_module(spans)
 tracer = spans.Tracer(0)
 tracer.install()
 from biharm.constructor import integrate_alpha
-from biharm.numkernel import ScalarField, fsin
-f = fsin(ScalarField.coordinate(0, 1)).numeric_only()
+from biharm.numkernel import ScalarField, fsin, numeric_only
+f = numeric_only(fsin(ScalarField.coordinate(0, 1)))
 f.partial((0.3,), 0, 2)
 f.diff(0)((0.3,))
 integrate_alpha(0.8, 0.1, -0.01, (0.0, 0.1), 1e-2)
