@@ -480,38 +480,36 @@ def riccati_consistency(profile: AlphaProfile):
     node-to-node in the alpha variable) from the initial u and compared
     with the profile's own u at every node.
     """
-    alphas = profile.alpha.tolist()
-    slopes, curvs = profile.alpha1.tolist(), profile.alpha2.tolist()
+    alphas, slopes, curvs = map(_floats, (profile.alpha, profile.alpha1,
+                                          profile.alpha2))
     if min(map(abs, slopes)) ** 2 == 0.0:
         raise SingularProfile("alpha'^2 = 0 at a node: u = alpha''/alpha'^2 "
                               "is undefined")
     u = curvs[0] / slopes[0] ** 2
     worst = 0.0
     end, end_pq = math.nan, None  # the last step's end and its (p, q)
-    for k in range(len(alphas)):
-        u_profile = curvs[k] / slopes[k] ** 2
-        worst = max(worst, abs(u - u_profile))
-        if k + 1 < len(alphas):
-            # riccati_rhs written out, so that k2 and k3 share the
-            # coefficients of the midpoint, and a step starts with the
-            # coefficients its predecessor ended with when a + da rounded
-            # to alphas[k + 1] (always, by Sterbenz's lemma, between
-            # neighbours of one sign within a factor 2)
-            a = alphas[k]
-            da = alphas[k + 1] - a
-            p, q = end_pq if end == a else _riccati_coefficients(a)
-            k1 = -2.0 * u * u - p * u - q
-            p, q = _riccati_coefficients(a + 0.5 * da)
-            v = u + 0.5 * da * k1
-            k2 = -2.0 * v * v - p * v - q
-            v = u + 0.5 * da * k2
-            k3 = -2.0 * v * v - p * v - q
-            end = a + da
-            p, q = end_pq = _riccati_coefficients(end)
-            v = u + da * k3
-            k4 = -2.0 * v * v - p * v - q
-            u = u + (da / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return worst
+    for a, nxt, slope, curv in zip(alphas, alphas[1:], slopes, curvs):
+        worst = max(worst, abs(u - curv / slope ** 2))
+        # riccati_rhs written out, so that k2 and k3 share the coefficients
+        # of the midpoint, and a step starts with the coefficients its
+        # predecessor ended with when a + da rounded to the next node
+        # (always, by Sterbenz's lemma, between neighbours of one sign
+        # within a factor 2)
+        da = nxt - a
+        p, q = end_pq if end == a else _riccati_coefficients(a)
+        k1 = -2.0 * u * u - p * u - q
+        p, q = _riccati_coefficients(a + 0.5 * da)
+        v = u + 0.5 * da * k1
+        k2 = -2.0 * v * v - p * v - q
+        v = u + 0.5 * da * k2
+        k3 = -2.0 * v * v - p * v - q
+        end = a + da
+        p, q = end_pq = _riccati_coefficients(end)
+        v = u + da * k3
+        k4 = -2.0 * v * v - p * v - q
+        u = u + (da / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k = len(alphas) - 1  # the last node
+    return max(worst, abs(u - curvs[k] / slopes[k] ** 2))
 
 
 # -- builders --------------------------------------------------------------------
@@ -660,29 +658,34 @@ def verify_construction(spec: SubmersionSpec, tol=1e-4, grid=(21, 21)):
     frame = spec.frame
     alpha = spec.frame_spec.alpha
     pts = spec.verification_points(grid)
-    batch = as_batch(pts)
+    n = len(pts)
+    # the batch residual_report swept (grid plus flat-factor probes): its
+    # value table already holds r1, sigma, f2, kappa1, alpha and the frame
+    batch = as_batch(pts + spec.z_probe_points())
     e1_alpha = directional_field(frame.components[0], alpha)
-    sigma = d.sigma(batch)
-    channels.append(
-        max_over_batch("slope_plus_sigma", pts, e1_alpha(batch) + sigma))
+    sigma = d.sigma(batch)[:n]
+    channels.append(max_over_batch("slope_plus_sigma", pts,
+                                   e1_alpha(batch)[:n] + sigma))
     for name, fld in (("f2", d.f2), ("kappa1", d.kappa1),
                       ("sigma", d.sigma), ("alpha", alpha)):
         for leg in (1, 2):
             der = directional_field(frame.components[leg], fld)
             channels.append(max_over_batch(
-                f"transverse_e{leg + 1}_{name}", pts, der(batch)))
+                f"transverse_e{leg + 1}_{name}", pts, der(batch)[:n]))
 
     profile = spec.profile
     if profile is not None:
         r1f, _ = spec.residual_fields
-        ys = batch[:, 1]
+        ys = batch[:n, 1]
         cos3 = [math.cos(a) ** 3 for a in profile.angle(ys).tolist()]
         channels.append(max_over_batch(
             "ode_vs_channel_gap", pts,
-            alpha_ode_residual(profile, ys) - np.array(cos3) * r1f(batch)))
+            alpha_ode_residual(profile, ys) - np.array(cos3)
+            * r1f(batch)[:n]))
 
-    product_min = float(np.min(np.abs(d.f2(batch) * d.kappa1(batch) * sigma)))
-    kn_min = float(np.min(np.abs(spec.target_curvature_field(batch))))
+    product = d.f2(batch)[:n] * d.kappa1(batch)[:n] * sigma
+    product_min = float(np.min(np.abs(product)))
+    kn_min = float(np.min(np.abs(spec.target_curvature_field(batch)[:n])))
     notes.append(f"min |f2*kappa1*sigma| = {product_min:.3e}")
     notes.append(f"min |target curvature| = {kn_min:.3e}")
     if product_min < tol or kn_min < max(10.0 * tol, 1e-3):

@@ -79,11 +79,15 @@ class ProductMetric3:
         q = self.conformal_exponent
         p0 = self.box.midpoint()
         lo, hi = self.box.lower[PRODUCT_AXIS], self.box.upper[PRODUCT_AXIS]
-        for z in (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)):
+        probes = []  # one batch: z at 1/4 of the flat factor, at p0, at 3/4
+        for z in (lo + 0.25 * (hi - lo), p0[PRODUCT_AXIS],
+                  lo + 0.75 * (hi - lo)):
             p = list(p0)
             p[PRODUCT_AXIS] = z
-            if abs(q(tuple(p)) - q(p0)) > 1e-10:
-                raise ValueError("conformal exponent depends on the product axis")
+            probes.append(p)
+        low, mid, high = q(probes).tolist()
+        if abs(low - mid) > 1e-10 or abs(high - mid) > 1e-10:
+            raise ValueError("conformal exponent depends on the product axis")
 
     @property
     def dim(self):

@@ -11,10 +11,13 @@ Evaluators and derivative callables receive the (n, dim) batch only, a
 single point included, so they are written for arrays.  Every other field
 is derived from fields by a rule: algebra, ``compose``,
 ``directional_field`` and the unary functions, so a closed-form function
-such as log(a(t) s + b(t)) is a graph over coordinate fields.  Exact
-numbers fold (0·f is 0, 1·f and f ± 0 are f, and an operation on exact
-numbers is an exact number), so constant frame entries prune the terms
-they zero.  The unnamed numbers +0.0 and 1.0 are one shared field per
+such as log(a(t) s + b(t)) is a graph over coordinate fields.  ``compose``
+pulls a field back through a map, evaluating it on a batch of the map's
+values; ``lift`` moves a closed form to a higher-dimensional chart without
+it, by rebuilding the graph over that chart's coordinates.  Exact
+numbers fold (0·f is 0, 1·f and f ± 0 are f, a quotient rule with the
+numerator 0 gives 0, and an operation on exact numbers is an exact
+number), so constant frame entries prune the terms they zero.  The unnamed numbers +0.0 and 1.0 are one shared field per
 chart dimension, so the derivative rules of numbers and coordinates make
 no new fields.
 
@@ -525,7 +528,16 @@ def _algebra_diff(axis, op, f, g):
         return f.diff(axis) - g.diff(axis)
     if op == "*":
         return f.diff(axis) * g + f * g.diff(axis)
-    return (f.diff(axis) * g - f * g.diff(axis)) / (g * g)
+    return _quotient(f.diff(axis) * g - f * g.diff(axis), g * g)
+
+
+def _quotient(numerator, denominator):
+    """numerator / denominator for a quotient rule; a numerator that folds
+    to 0 is the derivative itself (the quotient is constant along the
+    axis), so the terms it zeroes fold too."""
+    if numerator.number == 0.0:
+        return numerator
+    return numerator / denominator
 
 
 class _Stencil:
@@ -663,13 +675,41 @@ def lift(field, dim, axes: Sequence[int]) -> ScalarField:
     """Reinterpret ``field`` on a higher-dimensional chart.
 
     ``axes[i]`` names the new-chart axis carrying the i-th original
-    coordinate; the new field is constant along all other axes.  This is
-    ``compose`` with coordinate fields.
+    coordinate; the new field is constant along all other axes.  The
+    closed-form part of the graph (algebra, unary functions, ``fatan2``) is
+    rebuilt over the new chart's coordinate fields with the same rules, so
+    it is evaluated on the new chart's batch itself; any other node (an
+    explicit or opaque leaf, a stencil, compose or directional node) is
+    pulled back by ``compose`` with coordinate fields.  The chain rules
+    then fold exactly as over the original coordinates, and to the exact
+    number 0 along the other axes, so every value and partial is that of
+    ``compose(field, coordinates)``, bit for bit.
     """
     axes = tuple(axes)
     if len(axes) != field.dim:
         raise ValueError("axes must list one target axis per original axis")
-    out = compose(field, [ScalarField.coordinate(a, dim) for a in axes])
+    coords = [ScalarField.coordinate(a, dim) for a in axes]
+    memo = {}  # id(original) -> lifted: shared nodes stay shared
+
+    def lifted(f):
+        out = memo.get(id(f))
+        if out is None:
+            fn = f._fn
+            rule = fn.evaluate if type(fn) is _Rule else None
+            if f.number is not None:
+                out = ScalarField.constant(f.number, dim)
+            elif rule is _coordinate_values:
+                out = coords[fn.args[0]]
+            elif rule in (_algebra_values, _unary_values, _atan2_values):
+                out = _derived(dim, rule, fn.derive, *(
+                    lifted(a) if isinstance(a, ScalarField) else a
+                    for a in fn.args), name=f.name)
+            else:
+                out = compose(f, coords)
+            memo[id(f)] = out
+        return out
+
+    out = lifted(field)
     if out.number is None:  # a number may be a shared field
         out.name = field.name
     return out
@@ -816,7 +856,7 @@ def _atan2_values(batch, known, y, x):
 
 
 def _atan2_diff(axis, y, x):
-    return (x * y.diff(axis) - y * x.diff(axis)) / (x * x + y * y)
+    return _quotient(x * y.diff(axis) - y * x.diff(axis), x * x + y * y)
 
 
 def as_field(value, dim) -> ScalarField:

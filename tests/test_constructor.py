@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from biharm import constructor
+from biharm import constructor, numkernel
 from biharm.cli import run
 from biharm.constructor import (
     MAX_STEPS,
@@ -565,6 +565,124 @@ class TestWholeStepPass:
             warnings.simplefilter("error")
             prof = integrate_alpha(*start, (0.0, 1.0), 1e-2)
         assert prof.truncated
+
+
+def _reference_riccati(profile):
+    """riccati_consistency as a loop over ``.tolist()`` columns, indexed by
+    node (the form it had before it walked the columns in place)."""
+    alphas = profile.alpha.tolist()
+    slopes, curvs = profile.alpha1.tolist(), profile.alpha2.tolist()
+    if min(map(abs, slopes)) ** 2 == 0.0:
+        raise SingularProfile("alpha'^2 = 0 at a node: u = alpha''/alpha'^2 "
+                              "is undefined")
+    coefficients = constructor._riccati_coefficients
+    u = curvs[0] / slopes[0] ** 2
+    worst = 0.0
+    end, end_pq = math.nan, None
+    for k in range(len(alphas)):
+        worst = max(worst, abs(u - curvs[k] / slopes[k] ** 2))
+        if k + 1 < len(alphas):
+            a = alphas[k]
+            da = alphas[k + 1] - a
+            p, q = end_pq if end == a else coefficients(a)
+            k1 = -2.0 * u * u - p * u - q
+            p, q = coefficients(a + 0.5 * da)
+            v = u + 0.5 * da * k1
+            k2 = -2.0 * v * v - p * v - q
+            v = u + 0.5 * da * k2
+            k3 = -2.0 * v * v - p * v - q
+            end = a + da
+            p, q = end_pq = coefficients(end)
+            v = u + da * k3
+            k4 = -2.0 * v * v - p * v - q
+            u = u + (da / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return worst
+
+
+def _riccati_outcome(check, profile):
+    try:
+        return _bits(check(profile))
+    except (SingularProfile, SingularCoefficient) as err:
+        return type(err).__name__, str(err)
+
+
+def _assert_same_riccati(profile):
+    got = _riccati_outcome(riccati_consistency, profile)
+    assert got == _riccati_outcome(_reference_riccati, profile)
+    return got
+
+
+class TestRiccatiWalk:
+    """riccati_consistency, walking the node columns in place, against the
+    loop over lists: the result bit for bit, and the same errors."""
+
+    @pytest.mark.parametrize("start, span, step", [
+        (START, (0.0, 1.0), 1e-3),
+        ((math.pi / 4, 0.6, -0.36), (0.0, 0.64), 0.08),
+        ((0.3, -50.0, 100.0), (0.0, 1.0), 1e-2),
+        ((0.8, 1.0, 1e6), (0.0, 1.0), 1e-2),
+        ((0.1, -0.5, -2.0), (0.0, 5.0), 1e-3),
+        ((1.45, 0.8, 0.0), (0.0, 1.0), 1e-3),
+        *((corner, (0.0, 1.0), 1e-4) for corner in BOX_CORNERS),
+    ])
+    def test_integration_inputs(self, start, span, step):
+        _assert_same_riccati(integrate_alpha(*start, span, step))
+
+    def test_jumps(self):
+        # a + da misses the next node, so a step's start coefficients are
+        # made afresh
+        ys = np.linspace(0.0, 1.0, 5)
+        prof = AlphaProfile(ys, np.array([0.35, 0.7, 0.19, 0.89, 0.54]),
+                            np.ones_like(ys), np.zeros_like(ys))
+        assert isinstance(_assert_same_riccati(prof), str)
+
+    def test_zero_slope_message(self):
+        ys = np.linspace(0.0, 1.0, 11)
+        slopes = np.full(11, 0.5)
+        slopes[4] = 0.0
+        prof = AlphaProfile(ys, 0.3 + 0.5 * ys, slopes, np.zeros(11))
+        assert _assert_same_riccati(prof)[0] == "SingularProfile"
+
+    def test_margin_message(self):
+        # the midpoint of the last step lies within the margin of pi/2
+        ys = np.linspace(0.0, 1.0, 11)
+        prof = AlphaProfile(ys, 1.0 + 0.6 * ys, np.ones_like(ys),
+                            np.zeros_like(ys))
+        assert _assert_same_riccati(prof)[0] == "SingularCoefficient"
+
+    def test_short_column_raises(self):
+        ys = np.linspace(0.0, 1.0, 5)
+        prof = AlphaProfile(ys, 0.5 + 0.1 * ys, np.ones(4), np.zeros(5))
+        for check in (riccati_consistency, _reference_riccati):
+            with pytest.raises(IndexError):
+                check(prof)
+
+    @given(st.floats(0.3, 1.2), st.floats(0.05, 1.0),
+           st.sampled_from([1.0, -1.0]), st.floats(-2.0, 2.0))
+    def test_draws(self, alpha0, speed, sign, u0):
+        alpha1_0 = sign * speed
+        _assert_same_riccati(integrate_alpha(
+            alpha0, alpha1_0, u0 * alpha1_0 ** 2, (0.0, 1.0), 1e-2))
+
+
+class TestOneBatchPerCheck:
+    def test_no_batch_of_the_grid_alone(self, solved_profile, monkeypatch):
+        # the side conditions are evaluated on residual_report's batch
+        # (grid plus flat-factor probes), never on the grid by itself
+        spec = build_nonflat_target(ConstructionSpec(solved_profile)).canonical
+        grid = (7, 7)
+        n = len(spec.verification_points(grid))
+        rows = []
+        batch = numkernel._Sweep.batch
+
+        def counted(self, array):
+            rows.append(len(array))
+            return batch(self, array)
+
+        monkeypatch.setattr(numkernel._Sweep, "batch", counted)
+        rep = verify_construction(spec, tol=1e-4, grid=grid)
+        assert rep.passed
+        assert n + 3 in rows and n not in rows
 
 
 class TestFlatTargetBuilder:

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
+from biharm import numkernel
 from biharm.errors import DegenerateBox, NonFiniteValue, PointOutsideGuard
 from biharm.numkernel import (
     H_FD,
@@ -564,6 +565,99 @@ class TestNumbersInRules:
             compose(g, (f, number))(self.BATCH)
         with pytest.raises(NonFiniteValue, match=first):
             frame_derivative((f, number, f), f, self.BATCH)
+
+
+def _nodes(field, seen=None):
+    """Every field of the graph below ``field``, itself included."""
+    seen = {} if seen is None else seen
+    if id(field) not in seen:
+        seen[id(field)] = field
+        fn = field._fn
+        for arg in fn.args if type(fn) is numkernel._Rule else ():
+            for f in arg if type(arg) is tuple else (arg,):
+                if isinstance(f, ScalarField):
+                    _nodes(f, seen)
+    return seen.values()
+
+
+def _composes(field):
+    return [f for f in _nodes(field) if type(f._fn) is numkernel._Rule
+            and f._fn.evaluate is numkernel._compose_values]
+
+
+# (chart dimension of the field, target dimension, target axes)
+_LIFTS = [(1, 2, (1,)), (1, 3, (2,)), (2, 3, (0, 1)), (2, 3, (2, 0))]
+
+
+def _assert_lift_is_compose(field, dim, axes, closed_form):
+    """lift(field) against compose(field, coordinates): values and every
+    pure and mixed partial up to order 3, byte for byte, and exact numbers
+    where compose has them; without a compose node for a closed form."""
+    lifted = lift(field, dim, axes)
+    oracle = compose(field, [ScalarField.coordinate(a, dim) for a in axes])
+    batch = ORACLE_BATCH[:, :dim]
+    level = [(lifted, oracle)]
+    for order in range(4):
+        for got, want in level:
+            assert (got.number is None) == (want.number is None)
+            assert got(batch).tobytes() == want(batch).tobytes()
+            if closed_form:
+                assert not _composes(got)
+        if order < 3:
+            level = [(got.diff(a), want.diff(a)) for got, want in level
+                     for a in range(dim)]
+
+
+class TestLift:
+    """``lift`` rebuilds a closed form over the new chart's coordinates and
+    pulls any other node back by ``compose``; both give compose's bits."""
+
+    @pytest.mark.parametrize("rule", _ORACLE_RULES)
+    @pytest.mark.parametrize("low, dim, axes", _LIFTS)
+    def test_closed_form_matches_compose(self, rule, low, dim, axes):
+        exact = _ORACLE_RULES[rule](X[0] + 0.3, 0.5 * X[low - 1] - 0.2)
+        _assert_lift_is_compose(field_of(exact, low), dim, axes, True)
+
+    @given(a=_oracle_expressions(), b=_oracle_expressions(),
+           lifting=st.sampled_from(_LIFTS))
+    def test_drawn_closed_forms(self, a, b, lifting):
+        low, dim, axes = lifting
+        exact = (a * sp.cos(b)).subs({X[2]: X[0] - X[low - 1]})
+        if low == 1:
+            exact = exact.subs(X[1], 0.5 * X[0])
+        _assert_lift_is_compose(field_of(exact, low), dim, axes, True)
+
+    def test_leaves_lift_through_compose(self):
+        from biharm.constructor import integrate_alpha
+
+        profile = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-2)
+        explicit = profile.field(dim=1, axis=0)
+        w = field_of_text("sin(x) + x*y", ("x", "y"))
+        x = ScalarField.coordinate(0, 2)
+        for field, dim, axes in [
+                (explicit, 3, (2,)),
+                (fsin(explicit) * ScalarField.coordinate(0, 1), 3, (2,)),
+                (numeric_only(w), 3, (2, 0)),
+                (flog(2.0 + fcos(numeric_only(w) * x)), 3, (0, 1))]:
+            lifted = lift(field, dim, axes)
+            assert len(_composes(lifted)) == 1
+            _assert_lift_is_compose(field, dim, axes, False)
+
+    @pytest.mark.parametrize("text", ["sin(x) / (2 + cos(x))",
+                                      "atan2(sin(x), 2 + cos(x))"])
+    def test_quotient_constant_along_an_axis_is_zero(self, text):
+        # its numerator folds to 0, so the quotient rule gives the number
+        f = field_of_text(text, ("x", "y"))
+        assert f.diff(1) is const(0.0, 2)
+        assert f.diff(0).diff(1) is const(0.0, 2)
+        assert f.diff(0).number is None
+
+    def test_shared_nodes_stay_shared(self):
+        x = ScalarField.coordinate(0, 1)
+        shared = fsin(x)
+        lifted = lift(shared * shared + shared, 3, (1,))
+        assert len([f for f in _nodes(lifted)
+                    if f._fn.evaluate is numkernel._unary_values]) == 1
 
 
 class TestSharedUnits:
