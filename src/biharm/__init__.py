@@ -30,20 +30,17 @@ from .numkernel import (
     ScalarField,
     compose,
     directional_field,
-    frame_derivative,
     lift,
     partial_derivative,
     sample_grid,
 )
 from .geometry import (
-    CurvatureComponents,
     FrameField,
     ProductMetric3,
     SurfaceMetric,
     christoffel_symbols,
-    curvature_components,
     gauss_curvature_2d,
-    laplace_beltrami,
+    laplacian_field,
     riemann_component,
 )
 from .frames import (
@@ -58,7 +55,6 @@ from .frames import (
 )
 from .submersion import (
     SubmersionSpec,
-    base_curvature,
     biharmonic_residuals,
     catalog_examples,
     catalog_suite,

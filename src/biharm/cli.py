@@ -39,6 +39,7 @@ from .numkernel import (
     numeric_only,
 )
 from .report import (
+    REPORT_FORMAT_VERSION,
     ResidualReport,
     _atomic_write,
     build_report,
@@ -252,9 +253,10 @@ def _cmd_scan(args):
             print(f"root {r.slope:.8f} ({r.kind})")
     else:
         print("no roots in range")
-    lines = [json.dumps({"record": "header", "version": 1, "command": "scan",
-                         "c": args.c, "range": list(args.range),
-                         "samples": args.samples}, sort_keys=True)]
+    lines = [json.dumps({"record": "header", "version": REPORT_FORMAT_VERSION,
+                         "command": "scan", "c": args.c,
+                         "range": list(args.range), "samples": args.samples},
+                        sort_keys=True)]
     for r in roots:
         lines.append(json.dumps(
             {"record": "root", "slope": r.slope, "kind": r.kind},

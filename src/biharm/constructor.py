@@ -381,7 +381,8 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
             break
         state = half
         nodes.extend((y0 + (k + 1) * h, a, b, c, alpha3))
-    table = np.array(nodes).reshape(-1, 5).T.copy()
+    # one copy: the rows are read in place, then laid out as columns
+    table = np.frombuffer(nodes).reshape(-1, 5).T.copy()
     kept, reason, worst = _whole_steps(table, h, reason, half is state)
     ys, alpha, alpha1, alpha2, alpha3 = table[:, :kept + 1]
     return AlphaProfile(

@@ -38,6 +38,7 @@ from .errors import ToleranceExceeded
 from .geometry import (
     FrameField,
     ProductMetric3,
+    _christoffel_fields,
     _require_orthonormal,
     base_sweep,
     cached_on_owner,
@@ -95,9 +96,6 @@ class IntegrabilityData:
     kappa1: ScalarField
     kappa2: ScalarField
     fbar: ScalarField
-
-    def replace(self, **kwargs):
-        return replace(self, **kwargs)
 
     def as_dict(self):
         return {
@@ -221,8 +219,6 @@ def _frame_identity_channels(frame: FrameField, data: IntegrabilityData):
     Returns (name, component fields) pairs; each identity is vector-valued
     with one residual field per chart component.
     """
-    from .geometry import _christoffel_fields  # shared cache
-
     metric = frame.metric
     rows = frame.components
     gamma = _christoffel_fields(metric)
@@ -425,7 +421,7 @@ def mutation_detected(metric, spec, points, tol=1e-6, factor=1.1):
         scale = float(np.max(np.abs(fld(batch))))
         if scale <= 100.0 * tol:
             continue
-        mutated = data.replace(**{name: fld * factor})
+        mutated = replace(data, **{name: fld * factor})
         try:
             validate_frame(frame, mutated, points, tol)
             results[name] = False

@@ -12,7 +12,10 @@ with frame components; the sign conventions are
     riemann_component(i,j,k,l) = <R(e_i,e_j) e_k, e_l>,
 
 so that on a sphere chart <R(E1,E2)E2, E1> equals the Gauss curvature.
-The Laplacian convention is Delta f = sum_i [e_i e_i f - (grad_{e_i} e_i) f].
+The Laplacian convention is Delta f = sum_i [e_i e_i f - (grad_{e_i} e_i) f];
+``laplacian_field`` builds it for any orthonormal legs, those of a 3-chart
+frame and those of a surface's induced metric alike.  A single point gives
+one value and a batch a leading batch axis (``numkernel.one_or_all``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .numkernel import (
     directional_field,
     fexp,
     lift,
+    one_or_all,
     sample_grid,
     sweep,
 )
@@ -113,7 +117,7 @@ def _diagonal_weights(metric, point):
     batch = as_batch(point)
     w = np.ones((len(batch), metric.dim))
     w[:, metric.weighted_axis] = np.exp(2.0 * metric.conformal_exponent(batch))
-    return _one_or_all(w, point)
+    return one_or_all(w, point)
 
 
 def base_sweep(box: ChartBox, grid):
@@ -122,11 +126,6 @@ def base_sweep(box: ChartBox, grid):
     base = ChartBox(box.lower[:2], box.upper[:2], box.guard)
     zmid = box.midpoint()[PRODUCT_AXIS]
     return [(t, s, zmid) for (t, s) in sample_grid(base, grid)]
-
-
-def _one_or_all(values, point):
-    """Per-point results stacked on axis 0: the first for a single point."""
-    return values[0] if np.ndim(point) == 1 else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,9 +169,6 @@ class FrameField:
     def dim(self):
         return len(self.components)
 
-    def vector(self, i, point):
-        return self.matrix(point)[..., i, :]
-
     def matrix(self, point):
         """Leg-by-component matrix at a point, or (n, d, d) for a batch."""
         return _field_matrix(self.components, point)
@@ -184,28 +180,25 @@ class FrameField:
 
     def orthonormality_defect(self, point):
         """Worst entry of |Gram - I| at a point, or per point of a batch."""
-        w = self.metric.weights(point)
-        m = self.matrix(point)
-        gram = (m * w[..., None, :]) @ np.swapaxes(m, -1, -2)
-        defect = np.max(np.abs(gram - np.eye(self.dim)), axis=(-2, -1))
-        return float(defect) if np.ndim(point) == 1 else defect
+        batch = as_batch(point)
+        w = self.metric.weights(batch)
+        m = self.matrix(batch)
+        gram = (m * w[:, None, :]) @ np.swapaxes(m, -1, -2)
+        return one_or_all(
+            np.max(np.abs(gram - np.eye(self.dim)), axis=(-2, -1)), point)
+
+    @functools.cached_property
+    def connection(self):
+        """Chart components of grad_{e_i} e_i for each leg, as fields: built
+        once per frame, so every Laplacian on it shares them."""
+        gamma = _christoffel_fields(self.metric)
+        return tuple(covariant_leg(row, row, gamma) for row in self.components)
 
 
 def _field_matrix(rows, point):
     batch = as_batch(point)
     stacked = np.array([[c(batch) for c in row] for row in rows])
-    return _one_or_all(np.moveaxis(stacked, -1, 0), point)
-
-
-@dataclass(frozen=True)
-class CurvatureComponents:
-    """All frame components <R(e_i,e_j)e_k, e_l> at one point, as one
-    (d, d, d, d) array."""
-
-    values: np.ndarray
-
-    def __getitem__(self, idx):
-        return float(self.values[idx])
+    return one_or_all(np.moveaxis(stacked, -1, 0), point)
 
 
 # -- Christoffel symbols ------------------------------------------------------
@@ -239,7 +232,7 @@ def christoffel_symbols(metric, point):
     out = np.zeros((len(batch), d, d, d))
     for (k, i, j), fld in _christoffel_fields(metric).items():
         out[:, k, i, j] = fld(batch)
-    return _one_or_all(out, point)
+    return one_or_all(out, point)
 
 
 @sweep()
@@ -260,7 +253,7 @@ def riemann_chart(metric, point):
     up += np.einsum("nlim,nmjk->nlijk", gamma, gamma)
     up -= np.einsum("nljm,nmik->nlijk", gamma, gamma)
     low = np.moveaxis(up, 1, -1) * weights[:, None, None, None, :]
-    return _one_or_all(low, point)
+    return one_or_all(low, point)
 
 
 # -- curvature ---------------------------------------------------------------
@@ -308,63 +301,40 @@ def riemann_component(metric, point, frame: FrameField, indices,
     """
     batch = as_batch(point)
     _require_orthonormal(frame, batch, check_tol)
-    values = frame_contraction(riemann_chart(metric, batch),
-                               frame.matrix(batch), indices)
-    return float(values[0]) if np.ndim(point) == 1 else values
-
-
-@sweep()
-def curvature_components(metric, frame, point, check_tol=1e-6):
-    """All frame components <R(e_i, e_j) e_k, e_l> at one point (a batch of
-    one is accepted; a larger batch is a ValueError)."""
-    batch = as_batch(point)
-    if len(batch) != 1:
-        raise ValueError(f"curvature_components takes one point, got a "
-                         f"batch of {len(batch)}")
-    _require_orthonormal(frame, batch, check_tol)
-    low = riemann_chart(metric, batch)[0]
-    m = frame.matrix(batch)[0]
-    return CurvatureComponents(
-        np.einsum("ia,jb,kc,ld,abcd->ijkl", m, m, m, m, low))
+    return one_or_all(frame_contraction(riemann_chart(metric, batch),
+                                        frame.matrix(batch), indices), point)
 
 
 # -- frame Laplacian ----------------------------------------------------------
+
+
+def add_christoffel_terms(term, l, gamma, u, v):
+    """``term`` + sum of G^l_{bm} u^b v^m over the Christoffel fields
+    {(l, b, m): field} of ``gamma``, added in their order; ``u`` and ``v``
+    are chart component fields."""
+    for (k, b, m), gam in gamma.items():
+        if k == l:
+            term = term + gam * (u[b] * v[m])
+    return term
 
 
 def covariant_leg(e_i, e_j, gamma):
     """Chart components of grad_{e_i} e_j, e_i(e_j^l) + G^l_{bm} e_i^b e_j^m,
     for legs given by their chart component fields and Christoffel fields
     {(l, b, m): field}."""
-    out = []
-    for l in range(len(e_j)):
-        term = directional_field(e_i, e_j[l])
-        for (k, b, m), gam in gamma.items():
-            if k == l:
-                term = term + gam * (e_i[b] * e_j[m])
-        out.append(term)
-    return tuple(out)
+    return tuple(add_christoffel_terms(directional_field(e_i, e_j[l]), l,
+                                       gamma, e_i, e_j)
+                 for l in range(len(e_j)))
 
 
-@cached_on_owner
-def _connection_vector_fields(frame):
-    """Chart components of grad_{e_i} e_i for each leg, as fields."""
-    fields = _christoffel_fields(frame.metric)
-    return tuple(covariant_leg(row, row, fields) for row in frame.components)
-
-
-@cached_on_owner
-def laplacian_field(frame, field) -> ScalarField:
-    """Delta f = sum_i [e_i(e_i f) - (grad_{e_i} e_i) f] as a field."""
-    conn = _connection_vector_fields(frame)
+def laplacian_field(legs, connection, field) -> ScalarField:
+    """Delta f = sum_i [e_i(e_i f) - (grad_{e_i} e_i) f] as a field, for
+    orthonormal legs e_i given by their chart component fields and
+    ``connection``, the chart components of each grad_{e_i} e_i (such as
+    ``FrameField.connection``)."""
     total = None
-    for i in range(frame.dim):
-        row = frame.components[i]
+    for row, conn in zip(legs, connection):
         term = directional_field(row, directional_field(row, field))
-        term = term - directional_field(conn[i], field)
+        term = term - directional_field(conn, field)
         total = term if total is None else total + term
     return total
-
-
-def laplace_beltrami(frame, field, point):
-    """Frame Laplacian of ``field`` at ``point``."""
-    return laplacian_field(frame, field)(point)

@@ -26,9 +26,11 @@ import numpy as np
 from .errors import DegenerateImmersion, NotCMC, NotUmbilic
 from .geometry import (
     ProductMetric3,
+    add_christoffel_terms,
     covariant_leg,
     frame_contraction,
     gauss_curvature_2d,
+    laplacian_field,
     riemann_chart,
 )
 from .geometry import _christoffel_fields, _field_matrix
@@ -45,6 +47,7 @@ from .numkernel import (
     fsin,
     fsinh,
     fsqrt,
+    one_or_all,
     sample_grid,
     sweep,
 )
@@ -148,11 +151,7 @@ class SurfaceImmersion:
         gamma_uv = {key: compose(g, self.components) for key, g in gamma.items()}
 
         def cov_xi(a, l):
-            term = xi[l].diff(a)
-            for (k, b, m), g in gamma_uv.items():
-                if k == l:
-                    term = term + g * (T[a][b] * xi[m])
-            return term
+            return add_christoffel_terms(xi[l].diff(a), l, gamma_uv, T[a], xi)
 
         def h(a, b):
             total = None
@@ -222,20 +221,12 @@ class SurfaceImmersion:
                     out[(c, b, a)] = out[(c, a, b)]
         return out
 
-    def induced_laplacian_field(self, field):
-        """Laplace-Beltrami of a (u, v) field in the induced metric."""
-        gamma = self._induced_christoffels
-        total = None
-        for eps in self.frame_fields:
-            term = directional_field(eps, directional_field(eps, field))
-            term = term - directional_field(covariant_leg(eps, eps, gamma),
-                                            field)
-            total = term if total is None else total + term
-        return total
-
     @cached_property
     def _laplacian_H(self):
-        return self.induced_laplacian_field(self.mean_curvature_field)
+        """Laplace-Beltrami of H in the induced metric."""
+        legs, gamma = self.frame_fields, self._induced_christoffels
+        connection = tuple(covariant_leg(eps, eps, gamma) for eps in legs)
+        return laplacian_field(legs, connection, self.mean_curvature_field)
 
     @cached_property
     def _gradient_H(self):
@@ -266,9 +257,8 @@ class SurfaceGeometry:
 
 def _at_point_or_batch(result, uv):
     """A batch result as is, or its values at the single point ``uv``."""
-    if np.ndim(uv) != 1:
-        return result
-    return type(result)(**{k: v[0] for k, v in vars(result).items()})
+    return type(result)(**{k: one_or_all(v, uv)
+                           for k, v in vars(result).items()})
 
 
 def _pairs(a11, a12, a22):
@@ -375,9 +365,7 @@ def biharmonic_residuals_surface(immersion: SurfaceImmersion, uv):
     scalars = lap - h * geo.shape_norm_sq + h * ric.normal
     tangents = ((2.0 * geo.shape_operator @ grad[:, :, None])[:, :, 0]
                 + 2.0 * h[:, None] * grad - 2.0 * h[:, None] * ric.tangent)
-    if np.ndim(uv) == 1:
-        return float(scalars[0]), tangents[0]
-    return scalars, tangents
+    return one_or_all(scalars, uv), one_or_all(tangents, uv)
 
 
 @dataclass(frozen=True)
@@ -444,15 +432,12 @@ class HopfCylinderSpec:
 
     geodesic_curvature: ScalarField
     base_curvature: ScalarField
-    torsion: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "geodesic_curvature",
                            as_field(self.geodesic_curvature, 1))
         object.__setattr__(self, "base_curvature",
                            as_field(self.base_curvature, 1))
-        if self.torsion != 0.0:
-            raise ValueError("vertical Hopf cylinders have zero torsion")
 
     @property
     def mean_curvature_field(self):

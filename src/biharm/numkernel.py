@@ -166,9 +166,14 @@ def _frozen(array):
     return array
 
 
-def _result(values, points):
-    """A float for a single point, the array of values for a batch."""
-    return float(values[0]) if np.ndim(points) == 1 else values
+def one_or_all(values, points):
+    """``values``, stacked per point on axis 0, as they are for a batch of
+    ``points``; for a single point (a sequence of coordinates), its entry,
+    a float where that entry is one number."""
+    if np.ndim(points) != 1:
+        return values
+    one = values[0]
+    return one if type(one) is np.ndarray else float(one)
 
 
 def _checked(values, batch):
@@ -188,8 +193,9 @@ def _checked(values, batch):
                     f"field callable gave shape {out.shape} for {n} points"
                 )
             out = np.full(n, float(out))
-    # the dot product is finite whenever every value is (barring overflow)
-    if not math.isfinite(out.dot(out)):
+    # the dot product is finite whenever every value is (barring overflow,
+    # which vdot, unlike ndarray.dot, does not report as a warning)
+    if not math.isfinite(np.vdot(out, out)):
         finite = np.isfinite(out)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -333,7 +339,7 @@ class ScalarField:
                 return self(point)
         batch = as_batch(point)
         values = current.values(self, batch)
-        return values if batch is point else _result(values, point)
+        return values if batch is point else one_or_all(values, point)
 
     def _evaluate(self, batch, known):
         fn = self._fn
@@ -619,19 +625,6 @@ def partial_derivative(field, point, axis, order=1, box=None):
     if box is not None:
         box.require_stencil(point, field.stencil_reach(axis, order))
     return field.partial(point, axis, order)
-
-
-def frame_derivative(vector_components, field, point):
-    """Directional derivative sum_i c_i(p) * d(field)/dx_i at ``point`` (or
-    at every point of a batch).
-
-    A partial is only evaluated where its coefficient is nonzero.
-    """
-    comps = tuple(vector_components)
-    if len(comps) != field.dim:
-        raise ValueError("component count must equal the chart dimension")
-    return _derived(field.dim, _directional_values, _directional_diff,
-                    comps, field)(point)
 
 
 def directional_field(vector_components, field) -> ScalarField:

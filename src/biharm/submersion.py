@@ -101,8 +101,9 @@ class SubmersionSpec:
     def residual_fields(self):
         d = self.data
         e1, e2 = self._edir(0), self._edir(1)
-        lap1 = laplacian_field(self.frame, d.kappa1)
-        lap2 = laplacian_field(self.frame, d.kappa2)
+        legs, conn = self.frame.components, self.frame.connection
+        lap1 = laplacian_field(legs, conn, d.kappa1)
+        lap2 = laplacian_field(legs, conn, d.kappa2)
         div = (e1(d.f1) - d.kappa1 * d.f1) + (e2(d.f2) - d.kappa2 * d.f2)
         fsq = d.f1 * d.f1 + d.f2 * d.f2
         coeff = -1.0 * self.target_curvature_field + fsq
@@ -136,11 +137,6 @@ def target_curvature(data, frame: FrameField) -> ScalarField:
     e2 = directional_field(frame.components[1], data.f1)
     return (e1 - e2 - data.f1 * data.f1 - data.f2 * data.f2
             + 2.0 * (data.f3 * data.sigma))
-
-
-def base_curvature(data, frame: FrameField, point):
-    """The target Gauss curvature at a point (per point of a batch)."""
-    return target_curvature(data, frame)(point)
 
 
 @sweep()

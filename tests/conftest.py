@@ -67,6 +67,19 @@ def field_of_text(text, variables):
     return field_of(expr, len(names))
 
 
+def graph_nodes(field, seen=None):
+    """Every field of the graph below ``field``, itself included."""
+    seen = {} if seen is None else seen
+    if id(field) not in seen:
+        seen[id(field)] = field
+        fn = field._fn
+        for arg in fn.args if type(fn) is numkernel._Rule else ():
+            for f in arg if type(arg) is tuple else (arg,):
+                if isinstance(f, ScalarField):
+                    graph_nodes(f, seen)
+    return seen.values()
+
+
 @pytest.fixture
 def flat_metric3():
     box = ChartBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), 0.05)

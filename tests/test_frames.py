@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from biharm.numkernel import (
     ScalarField,
     directional_field,
 )
-from biharm.submersion import base_curvature
+from biharm.submersion import target_curvature
 from conftest import S, T, Z, field_of
 
 
@@ -54,7 +55,7 @@ class TestSemiGeodesicFrame:
         p = (0.2, 0.9, 0.0)
         br = bracket_vector(frame, 0, 1, p)
         f = 1.0 / math.tan(0.9)
-        e1 = frame.vector(0, p)
+        e1 = frame.matrix(p)[0]
         assert np.allclose(br, f * e1, atol=1e-9)
 
     def test_flat_factor_parallel(self, sphere_metric3):
@@ -237,7 +238,7 @@ class TestValidateFrame:
         data = integrability_data(spec, metric)
         pts = base_sweep(metric.box, (4, 4))
         validate_frame(frame, data, pts, tol=1e-6)
-        bad = data.replace(kappa1=data.kappa1 * 1.1)
+        bad = replace(data, kappa1=data.kappa1 * 1.1)
         with pytest.raises(ToleranceExceeded) as err:
             validate_frame(frame, bad, pts, tol=1e-6)
         assert err.value.identity is not None
@@ -270,7 +271,7 @@ class TestValidateFrame:
             p = base_sweep(metric.box, (3, 3))[4]
             br = bracket_vector(frame, 0, 2, p)
             w = metric.weights(p)
-            e2 = frame.vector(1, p)
+            e2 = frame.matrix(p)[1]
             f3_bracket = float(np.sum(w * br * e2))
             assert f3_bracket == pytest.approx(data.f3(p), abs=1e-9)
             assert f3_bracket == pytest.approx(
@@ -288,7 +289,7 @@ class TestValidateFrame:
             frame = adapted_frame(spec, metric)
             data = integrability_data(spec, metric)
             for p in base_sweep(metric.box, (3, 3)):
-                kn = base_curvature(data, frame, p)
+                kn = target_curvature(data, frame)(p)
                 assert kn == pytest.approx(
                     gauss_curvature_2d(metric, p), abs=1e-8
                 )

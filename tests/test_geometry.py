@@ -18,13 +18,20 @@ from biharm.geometry import (
     SurfaceMetric,
     base_sweep,
     christoffel_symbols,
-    curvature_components,
     gauss_curvature_2d,
-    laplace_beltrami,
+    laplacian_field,
+    riemann_chart,
     riemann_component,
 )
 from biharm.numkernel import ChartBox, ScalarField
 from conftest import S, T, field_of, field_of_text
+
+
+def _frame_components(metric, frame, p):
+    """Every <R(e_i, e_j) e_k, e_l> at p, as one (3, 3, 3, 3) array."""
+    m = frame.matrix(p)
+    return np.einsum("ia,jb,kc,ld,abcd->ijkl", m, m, m, m,
+                     riemann_chart(metric, p))
 
 
 class TestChristoffel:
@@ -138,15 +145,14 @@ class TestRiemann:
         frame = semi_geodesic_frame(metric)
         for _ in range(3):
             p = tuple(rng.uniform(-0.8, 0.8, size=3))
-            comp = curvature_components(metric, frame, p)
+            comp = _frame_components(metric, frame, p)
             for i, j, k, l in itertools.product(range(3), repeat=4):
-                cyc = comp[(i, j, k, l)] + comp[(j, k, i, l)] + comp[(k, i, j, l)]
+                cyc = comp[i, j, k, l] + comp[j, k, i, l] + comp[k, i, j, l]
                 assert abs(cyc) < 1e-6
 
     def test_symmetries(self, sphere_metric3):
         frame = semi_geodesic_frame(sphere_metric3)
-        comp = curvature_components(sphere_metric3, frame, (0.1, 0.9, 0.2))
-        r = comp.values
+        r = _frame_components(sphere_metric3, frame, (0.1, 0.9, 0.2))
         for defect in (r + r.transpose(1, 0, 2, 3),
                        r + r.transpose(0, 1, 3, 2),
                        r - r.transpose(2, 3, 0, 1)):
@@ -188,25 +194,6 @@ class TestRiemann:
                           for p in pts]
                 assert batch.tobytes() == np.array(single).tobytes()
 
-    def test_components_array_matches_riemann_component(self):
-        rng = np.random.default_rng(9)
-        _, metric, spec = random_adapted_specs(rng, 3)[2]
-        frame = adapted_frame(spec, metric)
-        p = (0.3, 0.6, 0.1)
-        comp = curvature_components(metric, frame, p)
-        assert comp.values.shape == (3, 3, 3, 3)
-        for idx in itertools.product(range(3), repeat=4):
-            assert comp[idx] == riemann_component(metric, p, frame, idx)
-
-    def test_components_take_one_point(self, sphere_metric3):
-        frame = semi_geodesic_frame(sphere_metric3)
-        p, q = (0.1, 0.9, 0.2), (-0.3, 1.4, 0.0)
-        one = curvature_components(sphere_metric3, frame, [p])
-        assert one.values.tobytes() == curvature_components(
-            sphere_metric3, frame, p).values.tobytes()
-        with pytest.raises(ValueError, match="batch of 2"):
-            curvature_components(sphere_metric3, frame, [p, q])
-
     def test_rejects_non_orthonormal(self, flat_metric3):
         one = ScalarField.constant(1.0, 3)
         zero = ScalarField.constant(0.0, 3)
@@ -222,7 +209,8 @@ class TestLaplacian:
     def test_flat_square(self, flat_metric3):
         frame = semi_geodesic_frame(flat_metric3)
         f = field_of_text("s**2", ("t", "s", "z"))
-        assert laplace_beltrami(frame, f, (0.1, 0.3, -0.2)) == pytest.approx(2.0)
+        lap = laplacian_field(frame.components, frame.connection, f)
+        assert lap((0.1, 0.3, -0.2)) == pytest.approx(2.0)
 
     def test_constant_field_everywhere_zero(self, hyperbolic_metric3):
         # the operator annihilates constants on any chart; the cubic value
@@ -230,9 +218,8 @@ class TestLaplacian:
         # here (see submersion.hyperbolic_uniqueness_scan)
         frame = semi_geodesic_frame(hyperbolic_metric3)
         f = ScalarField.constant(0.7, 3)
-        assert laplace_beltrami(frame, f, (0.2, 0.1, 0.0)) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        lap = laplacian_field(frame.components, frame.connection, f)
+        assert lap((0.2, 0.1, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_projection_slope_is_base_harmonic(self):
         # p = 2 log(cosh y): the base Laplacian of p_y vanishes identically
@@ -242,9 +229,9 @@ class TestLaplacian:
         )
         frame = semi_geodesic_frame(metric2)
         slope = metric2.conformal_exponent.diff(1)
+        lap = laplacian_field(frame.components, frame.connection, slope)
         for s in np.linspace(-1.2, 1.2, 7):
-            val = laplace_beltrami(frame, slope, (0.2, float(s)))
-            assert val == pytest.approx(0.0, abs=1e-10)
+            assert lap((0.2, float(s))) == pytest.approx(0.0, abs=1e-10)
 
     def test_frame_independence(self, sphere_metric3):
         f = field_of_text("sin(s)*t + s**2", ("t", "s", "z"))
@@ -253,6 +240,40 @@ class TestLaplacian:
             AdaptedFrameSpec(0.7, 0.4), sphere_metric3
         )
         p = (0.3, 1.0, 0.1)
-        va = laplace_beltrami(frame_a, f, p)
-        vb = laplace_beltrami(frame_b, f, p)
+        va = laplacian_field(frame_a.components, frame_a.connection, f)(p)
+        vb = laplacian_field(frame_b.components, frame_b.connection, f)(p)
         assert va == pytest.approx(vb, abs=1e-6)
+
+
+_POINT_OR_BATCH = {
+    "weights": lambda metric, frame, p: metric.weights(p),
+    "matrix": lambda metric, frame, p: frame.matrix(p),
+    "coeff_matrix": lambda metric, frame, p: frame.coeff_matrix(p),
+    "orthonormality_defect":
+        lambda metric, frame, p: frame.orthonormality_defect(p),
+    "christoffel_symbols":
+        lambda metric, frame, p: christoffel_symbols(metric, p),
+    "riemann_chart": lambda metric, frame, p: riemann_chart(metric, p),
+    "riemann_component":
+        lambda metric, frame, p: riemann_component(metric, p, frame,
+                                                   (0, 2, 1, 2)),
+}
+_SCALAR_RESULTS = ("orthonormality_defect", "riemann_component")
+
+
+@pytest.mark.parametrize("name", list(_POINT_OR_BATCH))
+def test_point_or_batch(sphere_metric3, name):
+    # a single point gives the row of the batch result, a float where the
+    # row is one number
+    frame = adapted_frame(AdaptedFrameSpec(0.7, 0.4), sphere_metric3)
+    pts = [(0.1, 0.9, 0.2), (-0.3, 1.4, 0.0), (0.5, 2.1, -0.4)]
+    call = _POINT_OR_BATCH[name]
+    batch = call(sphere_metric3, frame, np.array(pts))
+    assert type(batch) is np.ndarray and len(batch) == len(pts)
+    for p, row in zip(pts, batch):
+        one = call(sphere_metric3, frame, p)
+        if name in _SCALAR_RESULTS:
+            assert type(one) is float
+        else:
+            assert type(one) is np.ndarray and one.shape == row.shape
+        assert np.asarray(one).tobytes() == row.tobytes()

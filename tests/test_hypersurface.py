@@ -6,6 +6,7 @@ import sympy as sp
 from hypothesis import given, strategies as st
 
 from biharm.errors import DegenerateImmersion, NotCMC, NotUmbilic
+from biharm.geometry import covariant_leg
 from biharm.hypersurface import (
     HopfCylinderSpec,
     SurfaceImmersion,
@@ -23,7 +24,12 @@ from biharm.hypersurface import (
     umbilic_biharmonic_test,
     vertical_cylinder,
 )
-from biharm.numkernel import ChartBox, ScalarField, numeric_only
+from biharm.numkernel import (
+    ChartBox,
+    ScalarField,
+    directional_field,
+    numeric_only,
+)
 from conftest import X, field_of, field_of_text
 
 U, V = X[0], X[1]
@@ -145,6 +151,61 @@ class TestBatchEqualsPoints:
         singles = [biharmonic_residuals_surface(imm, p) for p in pts]
         assert scalars.tobytes() == _stacked(s for s, _ in singles).tobytes()
         assert tangents.tobytes() == _stacked(t for _, t in singles).tobytes()
+
+
+def _induced_laplacian_field(immersion, field):
+    """Reference for ``_laplacian_H``: the induced-metric Laplacian written
+    out with its own loop over the tangent legs."""
+    gamma = immersion._induced_christoffels
+    total = None
+    for eps in immersion.frame_fields:
+        term = directional_field(eps, directional_field(eps, field))
+        term = term - directional_field(covariant_leg(eps, eps, gamma),
+                                        field)
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("make", [
+    _BATCH_SURFACES["sphere"], _BATCH_SURFACES["cylinder"],
+    _BATCH_SURFACES["graph"], _BATCH_SURFACES["fd-cylinder"],
+], ids=["sphere", "cylinder", "graph", "fd-cylinder"])
+def test_laplacian_H_matches_written_out_loop(make):
+    imm = make()
+    batch = np.array(surface_points(imm, (4, 5)))
+    oracle = _induced_laplacian_field(imm, imm.mean_curvature_field)
+    assert imm._laplacian_H(batch).tobytes() == oracle(batch).tobytes()
+
+
+class TestPointOrBatch:
+    """A single parameter point gives the batch result's row: a float where
+    the row is one number."""
+
+    SCALARS = ("mean_curvature", "shape_norm_sq", "normal", "normal_closed")
+
+    def _check(self, batch_result, single):
+        for name, row in vars(batch_result).items():
+            one = getattr(single, name)
+            if name in self.SCALARS:
+                assert type(one) is float, name
+            else:
+                assert type(one) is np.ndarray, name
+            assert np.asarray(one).tobytes() == row[0].tobytes(), name
+
+    def test_surface_geometry_and_ricci(self, unit_cylinder):
+        pts = surface_points(unit_cylinder, (2, 2))
+        for fn in (surface_geometry, ambient_ricci):
+            self._check(fn(unit_cylinder, np.array(pts)),
+                        fn(unit_cylinder, pts[0]))
+
+    def test_residuals(self, unit_cylinder):
+        pts = surface_points(unit_cylinder, (2, 2))
+        scalars, tangents = biharmonic_residuals_surface(
+            unit_cylinder, np.array(pts))
+        scalar, tangent = biharmonic_residuals_surface(unit_cylinder, pts[0])
+        assert type(scalar) is float and scalar == scalars[0]
+        assert type(tangent) is np.ndarray
+        assert tangent.tobytes() == tangents[0].tobytes()
 
 
 class TestAmbientRicci:

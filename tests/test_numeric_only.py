@@ -107,7 +107,7 @@ def test_walk_contract(kind):
             assert _is_fd_leaf(b), (kind, a)
             swapped += 1
         elif not _holds_field(a):
-            # labels, flags, families, boxes, orientation, torsion, profile
+            # labels, flags, families, boxes, orientation, profile
             assert b is a, (kind, a)
         elif is_dataclass(a):
             assert type(b) is type(a) and b is not a

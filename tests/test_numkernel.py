@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,14 +18,14 @@ from biharm.numkernel import (
     fatan2,
     fcos,
     flog,
-    frame_derivative,
     fsin,
     lift,
     numeric_only,
+    one_or_all,
     partial_derivative,
     sample_grid,
 )
-from conftest import S, T, X, field_of, field_of_text
+from conftest import S, T, X, field_of, field_of_text, graph_nodes
 
 
 def const(v, dim=3):
@@ -91,19 +92,19 @@ class TestFrameDerivative:
     def test_unit_axis(self):
         f = field_of_text("s**3", ("t", "s", "z"))
         comps = (const(0.0), const(1.0), const(0.0))
-        assert frame_derivative(comps, f, (0.0, 1.0, 0.0)) == pytest.approx(3.0)
+        assert directional_field(comps, f)((0.0, 1.0, 0.0)) == pytest.approx(3.0)
 
     def test_weighted_leg_flat(self):
         f = field_of_text("t", ("t", "s", "z"))
         comps = (const(1.0), const(0.0), const(0.0))  # e^{-q} with q = 0
-        assert frame_derivative(comps, f, (0.3, 0.7, 0.1)) == pytest.approx(1.0)
+        assert directional_field(comps, f)((0.3, 0.7, 0.1)) == pytest.approx(1.0)
 
     def test_cotangent_slope(self):
         # f = q_s for q = log(sin s); its s-derivative at pi/2 is -1
         q = field_of_text("log(sin(s))", ("t", "s", "z"))
         f = q.diff(1)
         comps = (const(0.0), const(1.0), const(0.0))
-        val = frame_derivative(comps, f, (0.0, math.pi / 2, 0.0))
+        val = directional_field(comps, f)((0.0, math.pi / 2, 0.0))
         assert val == pytest.approx(-1.0, abs=1e-12)
 
     def test_linearity(self):
@@ -118,8 +119,9 @@ class TestFrameDerivative:
         for _ in range(5):
             p = tuple(rng.uniform(-1, 1, size=3))
             a, b = rng.uniform(-2, 2, size=2)
-            lhs = frame_derivative(comps, a * f + b * g, p)
-            rhs = a * frame_derivative(comps, f, p) + b * frame_derivative(comps, g, p)
+            lhs = directional_field(comps, a * f + b * g)(p)
+            rhs = (a * directional_field(comps, f)(p)
+                   + b * directional_field(comps, g)(p))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_mixed_partials_commute(self):
@@ -542,9 +544,9 @@ class TestNumbersInRules:
             for exact, fd in pairs:
                 assert (_outcome(exact, self.BATCH)
                         == _outcome(fd, self.BATCH)), value
-            assert (frame_derivative((f, c, c), f, self.BATCH).tobytes()
-                    == frame_derivative((f, filled, filled), f,
-                                        self.BATCH).tobytes())
+            assert (directional_field((f, c, c), f)(self.BATCH).tobytes()
+                    == directional_field((f, filled, filled),
+                                         f)(self.BATCH).tobytes())
 
     @pytest.mark.parametrize("make", [
         lambda: const(math.nan), lambda: const(math.inf),
@@ -564,24 +566,11 @@ class TestNumbersInRules:
         with pytest.raises(NonFiniteValue, match=first):
             compose(g, (f, number))(self.BATCH)
         with pytest.raises(NonFiniteValue, match=first):
-            frame_derivative((f, number, f), f, self.BATCH)
-
-
-def _nodes(field, seen=None):
-    """Every field of the graph below ``field``, itself included."""
-    seen = {} if seen is None else seen
-    if id(field) not in seen:
-        seen[id(field)] = field
-        fn = field._fn
-        for arg in fn.args if type(fn) is numkernel._Rule else ():
-            for f in arg if type(arg) is tuple else (arg,):
-                if isinstance(f, ScalarField):
-                    _nodes(f, seen)
-    return seen.values()
+            directional_field((f, number, f), f)(self.BATCH)
 
 
 def _composes(field):
-    return [f for f in _nodes(field) if type(f._fn) is numkernel._Rule
+    return [f for f in graph_nodes(field) if type(f._fn) is numkernel._Rule
             and f._fn.evaluate is numkernel._compose_values]
 
 
@@ -656,7 +645,7 @@ class TestLift:
         x = ScalarField.coordinate(0, 1)
         shared = fsin(x)
         lifted = lift(shared * shared + shared, 3, (1,))
-        assert len([f for f in _nodes(lifted)
+        assert len([f for f in graph_nodes(lifted)
                     if f._fn.evaluate is numkernel._unary_values]) == 1
 
 
@@ -704,3 +693,55 @@ def test_deep_left_sum_evaluates():
             ref = ref + k * py
         want.append(ref)
     assert total(batch).tolist() == want
+
+
+class TestFiniteCheck:
+    """Every evaluation checks its values for NaN and infinities; finite
+    values whose squares overflow pass without a warning."""
+
+    BATCH = np.array([(1.0, 0.5), (2.0, -1.0), (3.0, 0.25)])
+
+    def test_large_finite_values_raise_no_warning(self):
+        f = 1e200 * ScalarField.coordinate(0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f(self.BATCH)
+            one = f((2.0, 0.0))
+        assert values.tolist() == [1e200, 2e200, 3e200]
+        assert one == 2e200
+
+    def test_non_finite_value_among_large_ones_is_named(self):
+        f = 1e200 * ScalarField.coordinate(0, 2) / ScalarField.coordinate(1, 2)
+        batch = np.array([(1.0, 0.5), (2.0, 0.0), (3.0, 0.25)])
+        with np.errstate(divide="ignore"):
+            with pytest.raises(NonFiniteValue, match=r"at \(2\.0, 0\.0\)"):
+                f(batch)
+
+
+class TestOneOrAll:
+    """The point-or-batch rule: a batch gives the stacked values, a single
+    point its entry, as a float where that entry is one number."""
+
+    def test_batch_values_as_they_are(self):
+        values = np.array([1.5, 2.5])
+        assert one_or_all(values, [(0.0, 1.0), (2.0, 3.0)]) is values
+        assert one_or_all(values, np.zeros((2, 2))) is values
+
+    def test_single_point_gives_a_float(self):
+        out = one_or_all(np.array([1.5, 2.5]), (0.0, 1.0))
+        assert type(out) is float and out == 1.5
+
+    def test_single_point_gives_a_row(self):
+        values = np.arange(12.0).reshape(2, 2, 3)
+        out = one_or_all(values, (0.0, 1.0))
+        assert type(out) is np.ndarray
+        assert out.tobytes() == values[0].tobytes()
+
+    def test_field_call(self):
+        f = field_of_text("exp(t)*sin(s)", ("t", "s"))
+        pts = [(0.1, 0.2), (0.3, -0.4)]
+        batch = f(np.array(pts))
+        assert type(batch) is np.ndarray and batch.shape == (2,)
+        for p, value in zip(pts, batch.tolist()):
+            one = f(p)
+            assert type(one) is float and one == value

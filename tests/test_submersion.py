@@ -10,12 +10,16 @@ import sympy as sp
 from hypothesis import given, strategies as st
 
 from biharm.errors import EmptyRange
-from biharm.frames import AdaptedFrameSpec, adapted_frame, integrability_data
+from biharm.frames import (
+    AdaptedFrameSpec,
+    adapted_frame,
+    integrability_data,
+    random_adapted_specs,
+)
 from biharm.geometry import ProductMetric3, gauss_curvature_2d
 from biharm.numkernel import ChartBox, ScalarField, as_batch, numeric_only
 from biharm.submersion import (
     SubmersionSpec,
-    base_curvature,
     biharmonic_residuals,
     catalog_examples,
     catalog_suite,
@@ -24,9 +28,10 @@ from biharm.submersion import (
     hyperbolic_uniqueness_scan,
     projection_spec,
     residual_report,
+    target_curvature,
     _slope_residual,
 )
-from conftest import S, T, field_of
+from conftest import S, T, field_of, graph_nodes
 
 
 def warped_spec(alpha_expr, s_span, label="warped-test"):
@@ -41,7 +46,7 @@ class TestBaseCurvature:
     def test_flat_target_projection(self):
         spec = catalog_examples()[0]  # cosh4, alpha = pi/2
         p = (0.2, 0.4, 0.0)
-        assert base_curvature(spec.data, spec.frame, p) == pytest.approx(
+        assert target_curvature(spec.data, spec.frame)(p) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -49,7 +54,7 @@ class TestBaseCurvature:
         # alpha(y) = y gives the target dy^2 + sin^2(y) dpsi^2 with K = 1
         spec = warped_spec(S, (0.4, 1.1))
         for p in spec.verification_points((4, 4)):
-            assert base_curvature(spec.data, spec.frame, p) == pytest.approx(
+            assert target_curvature(spec.data, spec.frame)(p) == pytest.approx(
                 1.0, abs=1e-9
             )
 
@@ -58,8 +63,22 @@ class TestBaseCurvature:
         spec = AdaptedFrameSpec(math.pi / 2, math.pi / 3)
         data = integrability_data(spec, hyperbolic_metric3)
         frame = adapted_frame(spec, hyperbolic_metric3)
-        val = base_curvature(data, frame, (0.1, 0.3, 0.0))
+        val = target_curvature(data, frame)((0.1, 0.3, 0.0))
         assert val == pytest.approx(-1.0 / 16.0, abs=1e-10)
+
+
+class TestOneConnectionPerFrame:
+    def test_kappa_laplacians_share_the_connection(self):
+        # a polar spec: both angles vary, so k1 and k2 are not numbers
+        _, metric, fspec = random_adapted_specs(np.random.default_rng(3), 3)[2]
+        spec = SubmersionSpec(metric, fspec, "polar")
+        conn = spec.frame.connection
+        assert spec.frame.connection is conn
+        shared = [c for row in conn for c in row if c.number is None]
+        assert shared
+        for r in spec.residual_fields:
+            reached = {id(f) for f in graph_nodes(r)}
+            assert all(id(c) in reached for c in shared)
 
 
 class TestHarmonicity:
