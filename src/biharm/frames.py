@@ -30,6 +30,7 @@ from families that genuinely come from submersions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,6 +327,68 @@ def validate_frame(frame: FrameField, data: IntegrabilityData, points,
 # -- families of genuine submersion specs -------------------------------------
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class SeededUniform:
+    """The ``uniform(low, high)`` draws of ``numpy.random.default_rng(seed)``,
+    bit for bit, without importing numpy.random.
+
+    The seed's 32-bit words are mixed into a pool of four as SeedSequence
+    mixes them, the pool is expanded to PCG64's 128-bit state and
+    increment, and a draw is low + (high - low) times the top 53 bits of the
+    next XSL-RR output over 2**53.  A negative seed raises numpy's
+    ValueError.
+    """
+
+    def __init__(self, seed):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed & _M32]
+        while seed > _M32:
+            seed >>= 32
+            words.append(seed & _M32)
+        const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            out = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return out ^ out >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        const, state = 0x8B51F9DD, 0
+        for i in range(8):  # SeedSequence.generate_state(4, uint64)
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _M32
+            value = value * const & _M32
+            state |= (value ^ value >> 16) << 32 * (i ^ 6)
+        initstate, initseq = state >> 128, state & _M128
+        self._inc = (initseq << 1 | 1) & _M128
+        self._state = (self._inc + initstate) * _PCG64_MULT + self._inc & _M128
+
+    def uniform(self, low, high):
+        low, high = float(low), float(high)
+        state = self._state = self._state * _PCG64_MULT + self._inc & _M128
+        value, rot = (state >> 64 ^ state) & _M64, state >> 122
+        value = (value >> rot | value << (64 - rot)) & _M64
+        return low + (high - low) * ((value >> 11) * 2.0 ** -53)
+
+
 def _trig(rng, amp_lo, amp_hi, freq_lo=0.5, freq_hi=1.5):
     amp = rng.uniform(amp_lo, amp_hi)
     freq = rng.uniform(freq_lo, freq_hi)
@@ -342,7 +405,8 @@ def random_adapted_specs(rng, count, mode="analytic"):
     a polar rewrite of the warped family on a flat chart (both angles vary
     across the chart), and the vertical projection onto the base surface
     (alpha = 0).  Arbitrary angle pairs do not satisfy the adapted-frame
-    equations; these do.
+    equations; these do.  ``rng`` is any object with a ``uniform(low,
+    high)`` method, such as a ``SeededUniform`` or a numpy Generator.
     """
     out = []
     half_pi = 0.5 * math.pi
@@ -390,7 +454,9 @@ def random_adapted_specs(rng, count, mode="analytic"):
 
 def frame_identity_suite(rng, count=20, mode="analytic", tol=1e-6,
                          grid=(5, 5)):
-    """Reports for the identity suite over randomized compatible specs."""
+    """Reports for the identity suite over randomized compatible specs,
+    drawn by ``random_adapted_specs`` from ``rng`` (any object with a
+    ``uniform(low, high)`` method)."""
     reports = []
     for label, metric, spec in random_adapted_specs(rng, count, mode):
         frame = adapted_frame(spec, metric)

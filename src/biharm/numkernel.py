@@ -31,9 +31,10 @@ field that is not an opaque leaf carries one derivative rule: the
 derivative 1 or 0 of a coordinate, the 0 of a number, explicit partials,
 or the chain rule of the operation that derived it (forward mode over the
 field graph), so long differentiation chains stay at round-off accuracy in
-analytic mode.  An opaque leaf is differenced by a stencil node, one
-shifted evaluation of the whole batch per stencil leg.  Pure partials, and
-the stencil reach they need, follow from ``diff``.
+analytic mode.  An opaque leaf is differenced by a stencil node: one
+evaluation of the differenced field on the batch moved by +h and by -h,
+both legs stacked in one batch.  Pure partials, and the stencil reach they
+need, follow from ``diff``.
 
 Values are IEEE double arithmetic on arrays, and the unary functions apply
 the ``math`` module one value after another: numpy's vectorised exp, tan,
@@ -213,12 +214,15 @@ class _Sweep:
     kept once per set of points, so every route to the same points yields
     the same batch object, and a field is evaluated at most once per batch.
     Each batch has a value table, {field: values}, that the rules of the
-    fields evaluated on it read their inputs from (``_input``).
+    fields evaluated on it read their inputs from (``_input``).  Batches
+    are looked up by the hash of their bytes and a hit is confirmed by
+    comparing the bytes, so 0.0 and -0.0 are different points; a batch
+    whose hash collides with another's is a batch of its own.
     """
 
     def __init__(self):
         self.computed = {}  # id(batch) -> (batch, {field: values})
-        self.batches = {}   # (shape, bytes) -> batch
+        self.batches = {}   # (shape, hash of the bytes) -> batch
 
     def values(self, field, batch):
         entry = self.computed.get(id(batch))
@@ -231,10 +235,13 @@ class _Sweep:
         return values
 
     def batch(self, array):
-        key = (array.shape, array.tobytes())
+        data = array.tobytes()
+        key = (array.shape, hash(data))
         out = self.batches.get(key)
         if out is None:
             out = self.batches[key] = _frozen(array)
+        elif out.tobytes() != data:
+            out = _frozen(array)
         return out
 
 
@@ -601,15 +608,31 @@ def _shifted(batch, axis, h):
     return _new_batch(out)
 
 
+def _legs(f, batch, axis, h):
+    """Values of ``f`` on the two stencil legs, ``batch`` moved by +h and by
+    -h along ``axis``, from one evaluation on the stacked batch [+h; -h]
+    (every rule is elementwise, so these are the values of the legs one at
+    a time, bit for bit).  Should that evaluation raise, the legs are
+    evaluated one at a time, +h first, so the error raised is the one that
+    order meets first."""
+    n = len(batch)
+    both = np.concatenate((batch, batch))
+    both[:n, axis] += h
+    both[n:, axis] += -h
+    try:
+        values = f(_new_batch(both))
+    except Exception:
+        return f(_shifted(batch, axis, h)), f(_shifted(batch, axis, -h))
+    return values[:n], values[n:]
+
+
 def _central1(f, batch, axis, h):
-    up = f(_shifted(batch, axis, h))
-    dn = f(_shifted(batch, axis, -h))
+    up, dn = _legs(f, batch, axis, h)
     return (up - dn) / (2.0 * h)
 
 
 def _central2(f, batch, axis, h):
-    up = f(_shifted(batch, axis, h))
-    dn = f(_shifted(batch, axis, -h))
+    up, dn = _legs(f, batch, axis, h)
     return (up - 2.0 * f(batch) + dn) / (h * h)
 
 

@@ -147,6 +147,14 @@ class TestVerifyCommand:
         labels = [r["case_label"] for r in recs if r["record"] == "case"]
         assert "cosh4" in labels and any("frame" in l for l in labels)
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "verify.jsonl"
+        assert run(["verify", "--grid", "5", "--specs", "2", "--seed", "-3",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: expected non-negative integer\n")
+        assert not out.exists()
+
     def test_case_filter_and_grid_dump(self, tmp_path):
         out = tmp_path / "verify.jsonl"
         dump = tmp_path / "grids"
@@ -327,3 +335,27 @@ def test_runtime_never_imports_sympy(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0] * len(argvs), "sympy": []}
+
+
+_NUMPY_RANDOM_FREE_RUN = """
+import json, sys
+from biharm.cli import run
+code = run(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_verify_never_imports_numpy_random(tmp_path, mode):
+    # the frame specs are seeded from a pure-Python stream
+    argv = ["verify", "--mode", mode, "--grid", "5", "--specs", "4",
+            "--out", str(tmp_path / "verify.jsonl")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_RANDOM_FREE_RUN, json.dumps(argv)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "code": 0, "numpy.random": False}

@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
 from biharm.errors import NonOrthonormalFrame, ToleranceExceeded
 from biharm.frames import (
     AdaptedFrameSpec,
+    SeededUniform,
     adapted_frame,
     frame_identity_suite,
     integrability_data,
@@ -351,3 +353,35 @@ class TestRandomSuite:
         found = mutation_detected(metric, spec, pts, tol=1e-6)
         assert set(found) >= {"f2", "sigma", "kappa1"}
         assert all(found.values())
+
+
+class TestSeededUniform:
+    """The seeded draws of ``biharm verify`` are numpy's default_rng draws,
+    bit for bit, made without numpy.random."""
+
+    @settings(derandomize=True, max_examples=12)
+    @given(seed=st.integers(0, 2 ** 140 - 1),
+           low=st.floats(-1e3, 1e3),
+           width=st.floats(1e-6, 1e3))
+    # one to six 32-bit seed words, on and across the pool size of four
+    @example(seed=0, low=0.0, width=1.0)
+    @example(seed=2 ** 32 - 1, low=0.0, width=1.0)
+    @example(seed=2 ** 32, low=0.0, width=1.0)
+    @example(seed=2 ** 128 - 1, low=-1.0, width=2.0)
+    @example(seed=2 ** 128, low=-1.0, width=2.0)
+    @example(seed=2 ** 140 - 1, low=0.0, width=2.0 * math.pi)
+    def test_draws_equal_numpy_default_rng(self, seed, low, width):
+        high = low + width
+        assert low < high
+        ours, numpys = SeededUniform(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            got, want = ours.uniform(low, high), numpys.uniform(low, high)
+            assert type(got) is float
+            assert got.hex() == want.hex()
+
+    def test_negative_seed_gives_numpys_error(self):
+        with pytest.raises(ValueError) as numpys:
+            np.random.default_rng(-3)
+        with pytest.raises(ValueError) as ours:
+            SeededUniform(-3)
+        assert str(ours.value) == str(numpys.value)

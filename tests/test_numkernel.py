@@ -745,3 +745,181 @@ class TestOneOrAll:
         for p, value in zip(pts, batch.tolist()):
             one = f(p)
             assert type(one) is float and one == value
+
+
+def _per_leg_central1(f, batch, axis, h):
+    """A central difference evaluating its legs one at a time, +h first."""
+    up = f(_moved(batch, axis, h))
+    dn = f(_moved(batch, axis, -h))
+    return (up - dn) / (2.0 * h)
+
+
+def _per_leg_central2(f, batch, axis, h):
+    up = f(_moved(batch, axis, h))
+    dn = f(_moved(batch, axis, -h))
+    return (up - 2.0 * f(batch) + dn) / (h * h)
+
+
+def _moved(batch, axis, h):
+    out = np.array(batch)
+    out[:, axis] += h
+    return out
+
+
+@pytest.fixture
+def per_leg(monkeypatch):
+    """Run a callable with every central difference taken one leg at a
+    time; the stencil nodes look ``_central1``/``_central2`` up on every
+    call."""
+    def run(fn):
+        with monkeypatch.context() as m:
+            m.setattr(numkernel, "_central1", _per_leg_central1)
+            m.setattr(numkernel, "_central2", _per_leg_central2)
+            return fn()
+    return run
+
+
+def _error_of(fn):
+    try:
+        fn()
+    except Exception as err:  # noqa: BLE001 - the error is the result
+        return type(err), str(err)
+    raise AssertionError("no error raised")
+
+
+class TestStackedLegs:
+    """Both legs of a central difference are evaluated as one stacked batch:
+    the values are bit for bit those of the legs one at a time, and an
+    error is the one the legs one at a time meet first."""
+
+    def test_catalog_fd_residuals(self, per_leg):
+        from biharm.submersion import catalog_examples
+
+        for spec in catalog_examples():
+            spec = numeric_only(spec)
+            batch = numkernel.as_batch(spec.verification_points((21, 21)))
+
+            def residuals():
+                with numkernel.sweep():
+                    return [f(batch).tobytes() for f in spec.residual_fields]
+
+            assert residuals() == per_leg(residuals), spec.label
+
+    def test_fd_frame_channels(self, per_leg):
+        from biharm.frames import (
+            _frame_identity_channels,
+            adapted_frame,
+            integrability_data,
+            random_adapted_specs,
+            validate_frame,
+        )
+        from biharm.geometry import base_sweep
+
+        rng = np.random.default_rng(2024)
+        for label, metric, spec in random_adapted_specs(rng, 4, "fd"):
+            frame = adapted_frame(spec, metric)
+            data = integrability_data(spec, metric)
+            points = base_sweep(metric.box, (5, 5))
+            batch = numkernel.as_batch(points)
+
+            def channels():
+                with numkernel.sweep():
+                    values = [c(batch).tobytes() for _, comps
+                              in _frame_identity_channels(frame, data)
+                              for c in comps]
+                report = validate_frame(frame, data, points, 1e-3)
+                return values, [(c.name, c.max_abs, c.at)
+                                for c in report.channels]
+
+            assert channels() == per_leg(channels), label
+
+    def test_alpha_profile_past_third_derivative(self, per_leg):
+        from biharm.constructor import integrate_alpha
+
+        profile = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-2)
+        alpha = profile.field(dim=2, axis=1)
+        fourth = alpha.diff(1).diff(1).diff(1).diff(1)  # a stencil on alpha'''
+        fields = [fourth, fourth.diff(1), fourth.diff(0), fourth.diff(1).diff(0)]
+        assert [type(f._fn) for f in fields[:2]] == [numkernel._Stencil] * 2
+        batch = numkernel.as_batch([(0.1 * k, 0.2 + 0.07 * k)
+                                    for k in range(9)])
+
+        def values():
+            return [f(batch).tobytes() for f in fields]
+
+        assert values() == per_leg(values)
+
+    def test_quadrant_error_names_the_plus_leg_first(self, per_leg):
+        # NaN only in the (x-h, y+h) and (x+h, y-h) quadrants: evaluated one
+        # leg at a time, the +h leg of the outer difference meets (x+h, y-h)
+        def fn(b):
+            dx, dy = b[:, 0] - 0.3, b[:, 1] - 0.3
+            bad = ((dx < 0) & (dy > 0)) | ((dx > 0) & (dy < 0))
+            return np.where(bad, np.nan, b[:, 0] * b[:, 1])
+
+        mixed = ScalarField(fn=fn, dim=2).diff(1).diff(0)
+        err = _error_of(lambda: mixed((0.3, 0.3)))
+        assert err == (NonFiniteValue,
+                       "field evaluated to nan at (0.3001, 0.2999)")
+        assert per_leg(lambda: _error_of(lambda: mixed((0.3, 0.3)))) == err
+
+    def test_out_of_profile_through_nested_stencil(self, per_leg):
+        from biharm.constructor import integrate_alpha
+        from biharm.errors import OutOfProfile
+
+        profile = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-2)
+
+        def fn(b):  # past the span end by 100 (x - y) or by 10 (y - x)
+            d = b[:, 0] - b[:, 1]
+            return profile.angle(1.0 + 100.0 * np.maximum(d, 0.0)
+                                 + 10.0 * np.maximum(-d, 0.0))
+
+        mixed = ScalarField(fn=fn, dim=2).diff(1).diff(0)
+        err = _error_of(lambda: mixed((0.3, 0.3)))
+        assert err[0] is OutOfProfile and err[1].startswith("1.02 outside")
+        assert per_leg(lambda: _error_of(lambda: mixed((0.3, 0.3)))) == err
+        # a third difference reaching below the span start
+        leaf = numeric_only(profile.field(dim=1, axis=0))
+        point = (-H_FD3 + 0.5 * H_FD,)
+        err = _error_of(lambda: leaf.partial(point, 0, 3))
+        assert err[0] is OutOfProfile
+        assert per_leg(lambda: _error_of(
+            lambda: leaf.partial(point, 0, 3))) == err
+
+
+class TestBatchTable:
+    """Within a sweep a set of points is one batch, found by the hash of
+    its bytes and confirmed by the bytes themselves."""
+
+    POINTS = [(0.25, 1.5), (-0.75, 2.0), (1.0, 0.0)]
+
+    def test_equal_bytes_give_one_batch(self):
+        with numkernel.sweep():
+            first = numkernel.as_batch(np.array(self.POINTS))
+            again = numkernel.as_batch([list(p) for p in self.POINTS])
+        assert again is first
+
+    def test_signed_zeros_are_different_points(self):
+        sign = ScalarField(fn=lambda b: np.copysign(1.0, b[:, 0]), dim=2)
+        with numkernel.sweep():
+            plus = numkernel.as_batch([(0.0, 1.0)])
+            minus = numkernel.as_batch([(-0.0, 1.0)])
+            assert minus is not plus
+            assert (sign(plus).tolist(), sign(minus).tolist()) == (
+                [1.0], [-1.0])
+
+    def test_hash_collision_gives_a_batch_of_its_own(self):
+        f = ScalarField.coordinate(0, 2) * 3.0 + ScalarField.coordinate(1, 2)
+        other = np.array([(9.0, 9.0), (8.0, 8.0), (7.0, 7.0)])
+        with numkernel.sweep():
+            occupant = numkernel.as_batch(other)
+            f(occupant)
+            # file the occupant under the key the points' bytes hash to
+            points = np.array(self.POINTS)
+            key = (points.shape, hash(points.tobytes()))
+            numkernel._SWEEP.get().batches[key] = occupant
+            batch = numkernel.as_batch(points)
+            assert batch is not occupant
+            assert batch.tolist() == [list(p) for p in self.POINTS]
+            assert f(batch).tolist() == [3.0 * t + s for t, s in self.POINTS]
+            assert numkernel._SWEEP.get().batches[key] is occupant
