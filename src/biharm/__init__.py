@@ -19,19 +19,16 @@ from .errors import (
     NotCMC,
     NotUmbilic,
     OutOfProfile,
-    PointOutsideGuard,
     SingularCoefficient,
     SingularProfile,
     ToleranceExceeded,
 )
 from .numkernel import (
     ChartBox,
-    ChartPoint,
     ScalarField,
     compose,
     directional_field,
     lift,
-    partial_derivative,
     sample_grid,
 )
 from .geometry import (

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,32 +43,9 @@ from .report import (
     _atomic_write,
     build_report,
     max_over_batch,
-    max_over_points,
     write_grid_csv,
     write_report,
 )
-
-
-@dataclass
-class RunConfig:
-    """Resolved options of a verification run."""
-
-    tolerance: float
-    grid: tuple
-    derivative_mode: str
-    output_path: str
-    cases: tuple = ()
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be positive and finite")
-        if any(n < 2 for n in self.grid):
-            raise ValueError("grid counts must be at least 2")
-        if self.derivative_mode not in ("analytic", "fd"):
-            raise ValueError("mode must be 'analytic' or 'fd'")
-
-    def selected(self, label):
-        return not self.cases or any(c in label for c in self.cases)
 
 
 def _default_tol(args, analytic=1e-6, fd=1e-3):
@@ -106,33 +82,35 @@ def _print_report(rep: ResidualReport):
 def _cmd_verify(args):
     if args.specs < 0:
         raise ValueError(f"--specs must be at least 0, got {args.specs}")
-    cfg = RunConfig(
-        tolerance=_default_tol(args), grid=(args.grid, args.grid),
-        derivative_mode=args.mode, output_path=args.out,
-        cases=tuple(args.cases.split(",")) if args.cases else (),
-    )
+    if args.grid < 2:
+        raise ValueError("grid counts must be at least 2")
+    tol = _default_tol(args)
+    grid = (args.grid, args.grid)
+    cases = args.cases.split(",") if args.cases else ()
+
+    def selected(label):
+        return not cases or any(c in label for c in cases)
+
     reports = []
-    for rep in submersion.catalog_suite(mode=cfg.derivative_mode,
-                                        tol=cfg.tolerance, grid=cfg.grid):
-        if cfg.selected(rep.case_label):
+    for rep in submersion.catalog_suite(mode=args.mode, tol=tol, grid=grid):
+        if selected(rep.case_label):
             reports.append(rep)
     rng = SeededUniform(args.seed)
-    for rep in frame_identity_suite(rng, count=args.specs,
-                                    mode=cfg.derivative_mode,
-                                    tol=cfg.tolerance):
-        if cfg.selected(rep.case_label):
+    for rep in frame_identity_suite(rng, count=args.specs, mode=args.mode,
+                                    tol=tol):
+        if selected(rep.case_label):
             reports.append(rep)
     for rep in reports:
         _print_report(rep)
     if args.dump_grids:
         os.makedirs(args.dump_grids, exist_ok=True)
         for spec in submersion.catalog_examples():
-            if not cfg.selected(spec.label):
+            if not selected(spec.label):
                 continue
-            if cfg.derivative_mode == "fd":
+            if args.mode == "fd":
                 spec = numeric_only(spec)
             r1f, r2f = spec.residual_fields
-            points = spec.verification_points(cfg.grid)
+            points = spec.verification_points(grid)
             batch = as_batch(points)
             rows = [(p[0], p[1], r1, r2) for p, r1, r2 in zip(
                 points, r1f(batch).tolist(), r2f(batch).tolist())]
@@ -140,12 +118,11 @@ def _cmd_verify(args):
                 os.path.join(args.dump_grids, f"{spec.label}.csv"),
                 ("axis1", "axis2", "r1", "r2"), rows,
             )
-    write_report(cfg.output_path, reports, header={
-        "command": "verify", "mode": cfg.derivative_mode,
-        "tolerance": cfg.tolerance, "grid": list(cfg.grid),
-        "specs": args.specs, "seed": args.seed,
+    write_report(args.out, reports, header={
+        "command": "verify", "mode": args.mode, "tolerance": tol,
+        "grid": list(grid), "specs": args.specs, "seed": args.seed,
     })
-    print(f"report: {cfg.output_path} ({len(reports)} cases)")
+    print(f"report: {args.out} ({len(reports)} cases)")
     return 0 if reports and all(r.passed for r in reports) else 1
 
 
@@ -197,8 +174,13 @@ def _cmd_curvature(args):
 
 def _cmd_construct(args):
     tol = _default_tol(args, 1e-4, 1e-4)
+    try:
+        alpha2 = args.u0 * args.alpha1 ** 2
+    except OverflowError:
+        raise ValueError(f"--alpha1 {args.alpha1!r}: the initial alpha'' = "
+                         f"u0 alpha1^2 overflows") from None
     profile = constructor.integrate_alpha(
-        args.alpha0, args.alpha1, args.u0 * args.alpha1 ** 2,
+        args.alpha0, args.alpha1, alpha2,
         args.yspan, args.step,
     )
     status = "truncated" if profile.truncated else "complete"
@@ -281,8 +263,8 @@ def _cmd_surface(args):
     print(f"Hopf system residuals: ({r1:.6g}, {r2:.6g})")
     label = f"cylinder(kg={args.kg:g},K={args.K:g})"
     channels = [
-        max_over_points("hopf_r1", [((0.0,), r1)]),
-        max_over_points("hopf_r2", [((0.0,), r2)]),
+        max_over_batch("hopf_r1", [(0.0,)], np.array([r1])),
+        max_over_batch("hopf_r2", [(0.0,)], np.array([r2])),
     ]
     if args.kg == 0:
         reason = "zero geodesic curvature"

@@ -198,18 +198,18 @@ class AlphaProfile:
             return self.alpha3
         return np.gradient(self.alpha2, self.y_grid)
 
-    def validate(self, eps_sing=EPS_SING, min_slope=MIN_SLOPE):
+    def validate(self):
         if len(self.y_grid) < 5:
             raise SingularProfile("profile has fewer than 5 nodes")
         sc = np.sin(self.alpha) * np.cos(self.alpha)
-        if np.min(np.abs(sc)) < eps_sing:
+        if np.min(np.abs(sc)) < EPS_SING:
             raise SingularProfile(
-                f"min |sin*cos| = {np.min(np.abs(sc)):.3e} below {eps_sing:g}"
+                f"min |sin*cos| = {np.min(np.abs(sc)):.3e} below {EPS_SING:g}"
             )
-        if np.min(np.abs(self.alpha1)) < min_slope:
+        if np.min(np.abs(self.alpha1)) < MIN_SLOPE:
             raise SingularProfile(
                 f"min |alpha'| = {np.min(np.abs(self.alpha1)):.3e} "
-                f"below {min_slope:g}"
+                f"below {MIN_SLOPE:g}"
             )
 
     @cached_property
@@ -223,31 +223,23 @@ class AlphaProfile:
         table[inside] = _ode_residuals(self, ys[inside])
         return _floats(ys), _floats(table)
 
+    # alpha, alpha' and alpha'' between nodes, at a float or an array
     @cached_property
-    def _interp_alpha(self):
+    def angle(self):
         return _CubicHermite(self.y_grid, self.alpha, self.alpha1)
 
     @cached_property
-    def _interp_alpha1(self):
+    def slope(self):
         return _CubicHermite(self.y_grid, self.alpha1, self.alpha2)
 
     @cached_property
-    def _interp_alpha2(self):
+    def curvature2(self):
         return _CubicHermite(self.y_grid, self.alpha2, self._alpha3_nodes)
-
-    def angle(self, y):
-        return self._interp_alpha(y)
-
-    def slope(self, y):
-        return self._interp_alpha1(y)
-
-    def curvature2(self, y):
-        return self._interp_alpha2(y)
 
     def field(self, dim=3, axis=1) -> ScalarField:
         """The angle as a chart field varying along one axis only."""
-        a, a1 = self._interp_alpha, self._interp_alpha1
-        a2 = self._interp_alpha2
+        a, a1 = self.angle, self.slope
+        a2 = self.curvature2
         ys, a3s = self.y_grid, self._alpha3_nodes
 
         zero = lambda b: 0.0
@@ -263,16 +255,16 @@ class AlphaProfile:
                            partials=partials, name="alpha-profile")
 
 
-def _node(state, eps_sing, min_slope):
+def _node(state):
     """(third derivative at a node state, "") when the node can be kept,
     otherwise (None, the reason it cannot)."""
     alpha, a1, a2 = state
     if not all(math.isfinite(v) for v in state):
         return None, "non-finite state"
-    if abs(math.sin(alpha) * math.cos(alpha)) < eps_sing:
-        return None, f"|sin*cos| margin {eps_sing:g} hit at alpha={alpha:.6g}"
-    if abs(a1) < min_slope:
-        return None, f"|alpha'| fell below {min_slope:g}"
+    if abs(math.sin(alpha) * math.cos(alpha)) < EPS_SING:
+        return None, f"|sin*cos| margin {EPS_SING:g} hit at alpha={alpha:.6g}"
+    if abs(a1) < MIN_SLOPE:
+        return None, f"|alpha'| fell below {MIN_SLOPE:g}"
     try:
         alpha3 = _third_derivative(alpha, a1, a2)
     except OverflowError:  # alpha'^3 beyond the float range
@@ -303,8 +295,7 @@ def _rk4_step(state, f1, h):
             c + h6 * (((f1 + 2 * f2) + 2 * f3) + f4))
 
 
-def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
-                    eps_sing=EPS_SING, min_slope=MIN_SLOPE) -> AlphaProfile:
+def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step) -> AlphaProfile:
     """Integrate the third-order angle ODE with classical 4th-order steps.
 
     Every step is taken as two h/2 steps, whose result is kept as the next
@@ -338,7 +329,7 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
                          f"than {MAX_STEPS}")
     n = max(1, round(steps))
     state = (float(alpha0), float(alpha1_0), float(alpha2_0))
-    alpha3, reason = _node(state, eps_sing, min_slope)
+    alpha3, reason = _node(state)
     if reason:
         raise ImmediateSingularity(f"initial data rejected: {reason}")
 
@@ -351,9 +342,15 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step,
     # module names still count
     rk4, third, isfinite = _rk4_step, _third_derivative, math.isfinite
     sin, cos, floor, pi = math.sin, math.cos, math.floor, math.pi
+    eps_sing, min_slope = EPS_SING, MIN_SLOPE
     # margins are checked at nodes only: a step jumping over zeros of
     # sin(2 alpha) ends outside the start's quarter period floor(2 alpha/pi)
-    quarter = floor(2.0 * state[0] / pi)
+    try:
+        quarter = floor(2.0 * state[0] / pi)
+    except OverflowError:  # 2 alpha beyond the float range
+        raise ImmediateSingularity(
+            f"initial data rejected: 2 alpha overflows at alpha = "
+            f"{state[0]!r}") from None
     half = state  # after a break, still ``state`` if a half step raised
     for k in range(n):
         try:
@@ -584,8 +581,7 @@ def build_flat_target(p, box=None, label="flat-target") -> SubmersionSpec:
     return spec
 
 
-def build_nonflat_target(cspec: ConstructionSpec,
-                         label="warped") -> NonflatConstruction:
+def build_nonflat_target(cspec: ConstructionSpec) -> NonflatConstruction:
     """Warped construction from a solved angle profile.
 
     Emits the canonical warped pair (free functions integrated away by the
@@ -617,7 +613,7 @@ def build_nonflat_target(cspec: ConstructionSpec,
     target = SurfaceMetric(lam, target_box, weighted_axis=1)
 
     canonical = SubmersionSpec(
-        canonical_metric, frame_spec, label + "-canonical",
+        canonical_metric, frame_spec, "warped-canonical",
         target_metric=target, family="nonflat_target", profile=prof,
     )
 
@@ -626,7 +622,7 @@ def build_nonflat_target(cspec: ConstructionSpec,
     w2 = lift(cspec.w, 2, (1,))
     general_target = SurfaceMetric(lam + w2, target_box, weighted_axis=1)
     general = SubmersionSpec(
-        general_metric, frame_spec, label + "-general",
+        general_metric, frame_spec, "warped-general",
         target_metric=general_target, family="nonflat_target", profile=prof,
     )
 

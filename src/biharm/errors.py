@@ -5,10 +5,6 @@ class GeometryError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PointOutsideGuard(GeometryError):
-    """A point is too close to the chart boundary for the requested stencil."""
-
-
 class NonFiniteValue(GeometryError):
     """A scalar field returned a non-finite value."""
 

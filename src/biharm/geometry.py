@@ -30,7 +30,6 @@ from .numkernel import (
     ChartBox,
     ScalarField,
     as_batch,
-    compose,
     directional_field,
     fexp,
     lift,
@@ -100,17 +99,6 @@ class ProductMetric3:
     def weights(self, point):
         """Diagonal metric coefficients at a point, or (n, 3) for a batch."""
         return _diagonal_weights(self, point)
-
-    def base_surface(self) -> "SurfaceMetric":
-        """The 2-dimensional base factor e^{2q} dt^2 + ds^2."""
-        q = self.conformal_exponent
-        zmid = self.box.midpoint()[2]
-        # q at the middle of the flat factor, with its derivative rules
-        q2 = compose(q, (ScalarField.coordinate(0, 2),
-                         ScalarField.coordinate(1, 2),
-                         ScalarField.constant(zmid, 2)))
-        box2 = ChartBox(self.box.lower[:2], self.box.upper[:2], self.box.guard)
-        return SurfaceMetric(q2, box2, self.weighted_axis)
 
 
 def _diagonal_weights(metric, point):
@@ -291,16 +279,15 @@ def frame_contraction(low, m, indices):
 
 
 @sweep()
-def riemann_component(metric, point, frame: FrameField, indices,
-                      check_tol=1e-6):
+def riemann_component(metric, point, frame: FrameField, indices):
     """<R(e_i, e_j) e_k, e_l> for the given frame legs, at a point or per
     point of a batch.
 
     The frame must be orthonormal for the metric at every point (checked to
-    ``check_tol``).
+    1e-6).
     """
     batch = as_batch(point)
-    _require_orthonormal(frame, batch, check_tol)
+    _require_orthonormal(frame, batch, 1e-6)
     return one_or_all(frame_contraction(riemann_chart(metric, batch),
                                         frame.matrix(batch), indices), point)
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateImmersion, NotCMC, NotUmbilic
+from .errors import DegenerateImmersion, NonFiniteValue, NotCMC, NotUmbilic
 from .geometry import (
     ProductMetric3,
     add_christoffel_terms,
@@ -41,7 +41,6 @@ from .numkernel import (
     as_field,
     compose,
     directional_field,
-    fcos,
     fexp,
     flog,
     fsin,
@@ -79,12 +78,11 @@ class SurfaceImmersion:
         object.__setattr__(self, "orientation", int(self.orientation))
 
     def point(self, uv):
-        """Chart point of a parameter point, or the (n, 3) chart batch of a
-        parameter batch."""
-        if np.ndim(uv) == 1:
-            return tuple(c(uv) for c in self.components)
+        """Chart point (an array row) of a parameter point, or the (n, 3)
+        chart batch of a parameter batch."""
         batch = as_batch(uv)
-        return as_batch(np.column_stack([c(batch) for c in self.components]))
+        return one_or_all(as_batch(
+            np.column_stack([c(batch) for c in self.components])), uv)
 
     def flipped(self):
         return replace(self, orientation=-self.orientation,
@@ -450,7 +448,11 @@ def hopf_cylinder_residuals(spec: HopfCylinderSpec, s):
     kg = spec.geodesic_curvature
     p = (float(s),)
     k = kg(p)
-    r1 = kg.partial(p, 0, 2) - k ** 3 + k * spec.base_curvature(p)
+    try:
+        cube = k ** 3
+    except OverflowError:
+        raise NonFiniteValue(f"k_g^3 overflows at k_g = {k!r}") from None
+    r1 = kg.partial(p, 0, 2) - cube + k * spec.base_curvature(p)
     r2 = 3.0 * kg.partial(p, 0, 1) * k
     return r1, r2
 
@@ -498,50 +500,7 @@ def umbilic_biharmonic_test(immersion: SurfaceImmersion, points, tol=1e-6):
 _U, _V = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
 
 
-def flat_ambient(extent=3.0, guard=0.05) -> ProductMetric3:
-    box = ChartBox((-extent,) * 3, (extent,) * 3, guard)
-    return ProductMetric3(ScalarField.constant(0.0, 3), box)
-
-
-def slice_immersion(ambient: ProductMetric3, z0=0.0) -> SurfaceImmersion:
-    """The horizontal slice {z = z0}, a totally geodesic copy of the base."""
-    box = ambient.box
-    uv_box = ChartBox(box.lower[:2], box.upper[:2], box.guard)
-    comps = (
-        ScalarField.coordinate(0, 2),
-        ScalarField.coordinate(1, 2),
-        ScalarField.constant(z0, 2),
-    )
-    return SurfaceImmersion(comps, ambient, uv_box, label=f"slice(z={z0:g})")
-
-
-def graph_immersion(height, extent=1.0) -> SurfaceImmersion:
-    """Graph z = h(u, v) over the flat base plane; ``height`` is a field on
-    the (u, v) chart."""
-    ambient = flat_ambient(extent=max(3.0, 2 * extent))
-    comps = (_U, _V, height)
-    uv_box = ChartBox((-extent, -extent), (extent, extent), 0.05)
-    return SurfaceImmersion(comps, ambient, uv_box, label="graph")
-
-
-def tilted_plane(a=0.3, b=0.5, extent=1.0) -> SurfaceImmersion:
-    return graph_immersion(a * _U + b * _V, extent=extent)
-
-
-def round_sphere(radius=1.0) -> SurfaceImmersion:
-    """Round sphere in the flat chart (polar angle u, azimuth v)."""
-    ambient = flat_ambient(extent=2.0 * radius + 1.0)
-    comps = (
-        radius * fsin(_U) * fcos(_V),
-        radius * fsin(_U) * fsin(_V),
-        radius * fcos(_U),
-    )
-    uv_box = ChartBox((0.5, 0.3), (math.pi - 0.5, 2.5), 0.02)
-    return SurfaceImmersion(comps, ambient, uv_box,
-                            label=f"sphere(R={radius:g})")
-
-
-def vertical_cylinder(kg, base_curvature, u_extent=1.0, v_extent=0.5):
+def vertical_cylinder(kg, base_curvature):
     """Vertical cylinder over a constant-curvature circle of the base.
 
     The base surface of Gauss curvature K is presented in geodesic polar
@@ -549,7 +508,7 @@ def vertical_cylinder(kg, base_curvature, u_extent=1.0, v_extent=0.5):
     q = log(s) for K = 0 and q = log(R sinh(s/R)) for K = -1/R^2; circles
     {s = s0} have geodesic curvature cot(s0/R)/R, 1/s0 and coth(s0/R)/R
     respectively, and the cylinder is their preimage under the vertical
-    projection, parametrized by arc length.
+    projection, parametrized by arc length over (-1, 1) x (-0.5, 0.5).
     """
     if kg <= 0:
         raise ValueError("the circle curvature must be positive")
@@ -576,16 +535,16 @@ def vertical_cylinder(kg, base_curvature, u_extent=1.0, v_extent=0.5):
         q = flog(radius * fsinh(s / radius))
         speed = radius * math.sinh(s0 / radius)
         s_lo, s_hi = 0.3 * s0, 2.0 * s0
-    t_hi = u_extent / speed
-    box = ChartBox((-0.1 - t_hi, s_lo, -v_extent - 0.1),
-                   (t_hi + 0.1, s_hi, v_extent + 0.1), 0.0)
+    t_hi = 1.0 / speed
+    box = ChartBox((-0.1 - t_hi, s_lo, -0.6),
+                   (t_hi + 0.1, s_hi, 0.6), 0.0)
     ambient = ProductMetric3(q, box)
     comps = (
         _U / speed,
         ScalarField.constant(s0, 2),
         _V,
     )
-    uv_box = ChartBox((-u_extent, -v_extent), (u_extent, v_extent), 0.02)
+    uv_box = ChartBox((-1.0, -0.5), (1.0, 0.5), 0.02)
     return SurfaceImmersion(
         comps, ambient, uv_box,
         label=f"cylinder(kg={kg:g}, K={base_curvature:g})",

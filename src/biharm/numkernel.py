@@ -55,16 +55,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBox, NonFiniteValue, PointOutsideGuard
+from .errors import DegenerateBox, NonFiniteValue
 
 # Central-difference steps: H_FD for first/second differences, H_FD3 for the
 # outer step of a nested third difference.  Chosen to balance truncation
 # against round-off at double precision.
 H_FD = 1e-4
 H_FD3 = 1e-3
-
-ChartPoint = tuple
-"""A chart point is a plain tuple of 1-3 floats in axis order."""
 
 
 @dataclass(frozen=True)
@@ -92,24 +89,6 @@ class ChartBox:
     @property
     def dim(self):
         return len(self.lower)
-
-    def contains(self, point, margin=0.0):
-        return all(
-            lo + margin <= x <= hi - margin
-            for x, lo, hi in zip(point, self.lower, self.upper)
-        )
-
-    def require_stencil(self, point, reach):
-        """Raise PointOutsideGuard unless a stencil of half-width ``reach``
-        around ``point`` (or around every point of a batch) stays inside the
-        box; the error names the first offending point."""
-        slack = 1e-12
-        for p in as_batch(point).tolist():
-            if not self.contains(p, margin=max(self.guard, reach) - slack):
-                raise PointOutsideGuard(
-                    f"point {tuple(p)} closer than {max(self.guard, reach):g} "
-                    f"to the boundary of {self.lower}..{self.upper}"
-                )
 
     def midpoint(self):
         return tuple(0.5 * (lo + hi) for lo, hi in zip(self.lower, self.upper))
@@ -637,17 +616,6 @@ def _central2(f, batch, axis, h):
 
 
 # -- module-level operations -------------------------------------------------
-
-
-def partial_derivative(field, point, axis, order=1, box=None):
-    """Partial derivative of ``field`` at ``point`` (or a batch) along ``axis``.
-
-    When ``box`` is given every point must keep guard+stencil clearance from
-    the boundary.
-    """
-    if box is not None:
-        box.require_stencil(point, field.stencil_reach(axis, order))
-    return field.partial(point, axis, order)
 
 
 def directional_field(vector_components, field) -> ScalarField:

@@ -88,25 +88,21 @@ def build_report(case_label, tolerance, channels, points_checked,
     )
 
 
-def max_over_points(name, values):
-    """Channel with the largest |value| from (point, value) pairs.
+def max_over_batch(name, points, values):
+    """Channel with the largest |value| from an array of values, one per
+    point.
 
-    The maximum is taken in point order, so the result is independent of
-    how the sweep was scheduled.
+    The maximum is taken in point order (the first of equal maxima), so the
+    result is independent of how the sweep was scheduled.
     """
     worst_p, worst_v = None, -1.0
-    for point, value in values:
+    for point, value in zip(points, values.tolist()):
         a = abs(value)
         if a > worst_v:
             worst_p, worst_v = tuple(point), a
     if worst_p is None:
         raise ValueError("no points supplied")
     return Channel(name=name, max_abs=worst_v, at=worst_p)
-
-
-def max_over_batch(name, points, values):
-    """``max_over_points`` of an array of values, one per point."""
-    return max_over_points(name, zip(points, values.tolist()))
 
 
 def _atomic_write(path, text):

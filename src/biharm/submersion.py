@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyRange
+from .errors import EmptyRange, NonFiniteValue
 from .frames import (
     AdaptedFrameSpec,
     adapted_frame,
@@ -274,12 +274,11 @@ def projection_spec(exponent, box, label, flags=()) -> SubmersionSpec:
                           family="flat_target", aux_residual=aux, flags=flags)
 
 
-def hyperbolic_spec(c, box=None) -> SubmersionSpec:
+def hyperbolic_spec(c) -> SubmersionSpec:
     """Projection from the hyperbolic product chart e^{2 sqrt(-c) s}."""
     if c >= 0:
         raise ValueError("the hyperbolic family needs c < 0")
-    if box is None:
-        box = ChartBox((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), 0.05)
+    box = ChartBox((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), 0.05)
     return projection_spec(math.sqrt(-c) * _S, box,
                            f"hyperbolic({c:g})")
 
@@ -333,7 +332,10 @@ def _slope_residual(a, c):
     slopes a = +-sqrt(-c), the root a = 0 is the harmonic projection.
     """
     k1 = -a
-    return -(k1 ** 3 + c * k1)
+    try:
+        return -(k1 ** 3 + c * k1)
+    except OverflowError:
+        raise NonFiniteValue(f"slope^3 overflows at slope {a!r}") from None
 
 
 def hyperbolic_uniqueness_scan(c, slope_range, samples=201):

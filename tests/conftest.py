@@ -1,10 +1,13 @@
+import math
+
 import pytest
 import sympy as sp
 from hypothesis import settings
 
 from biharm import numkernel
-from biharm.numkernel import ChartBox, ScalarField
+from biharm.numkernel import ChartBox, ScalarField, fcos, fsin
 from biharm.geometry import ProductMetric3
+from biharm.hypersurface import SurfaceImmersion
 
 # property tests draw the same few examples on every run, so Tier-1 stays
 # deterministic and quick
@@ -98,3 +101,51 @@ def hyperbolic_metric3():
     """q = s, Gauss curvature -1."""
     box = ChartBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), 0.05)
     return ProductMetric3(field_of(S, 2), box)
+
+
+# -- surfaces --------------------------------------------------------------------
+
+_U, _V = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
+
+
+def flat_ambient(extent=3.0) -> ProductMetric3:
+    box = ChartBox((-extent,) * 3, (extent,) * 3, 0.05)
+    return ProductMetric3(ScalarField.constant(0.0, 3), box)
+
+
+def graph_immersion(height, extent=1.0) -> SurfaceImmersion:
+    """Graph z = h(u, v) over the flat base plane; ``height`` is a field on
+    the (u, v) chart."""
+    ambient = flat_ambient(extent=max(3.0, 2 * extent))
+    comps = (_U, _V, height)
+    uv_box = ChartBox((-extent, -extent), (extent, extent), 0.05)
+    return SurfaceImmersion(comps, ambient, uv_box, label="graph")
+
+
+def slice_immersion(ambient: ProductMetric3, z0=0.0) -> SurfaceImmersion:
+    """The horizontal slice {z = z0}, a totally geodesic copy of the base."""
+    box = ambient.box
+    uv_box = ChartBox(box.lower[:2], box.upper[:2], box.guard)
+    comps = (
+        ScalarField.coordinate(0, 2),
+        ScalarField.coordinate(1, 2),
+        ScalarField.constant(z0, 2),
+    )
+    return SurfaceImmersion(comps, ambient, uv_box, label=f"slice(z={z0:g})")
+
+
+def tilted_plane(a=0.3, b=0.5, extent=1.0) -> SurfaceImmersion:
+    return graph_immersion(a * _U + b * _V, extent=extent)
+
+
+def round_sphere(radius=1.0) -> SurfaceImmersion:
+    """Round sphere in the flat chart (polar angle u, azimuth v)."""
+    ambient = flat_ambient(extent=2.0 * radius + 1.0)
+    comps = (
+        radius * fsin(_U) * fcos(_V),
+        radius * fsin(_U) * fsin(_V),
+        radius * fcos(_U),
+    )
+    uv_box = ChartBox((0.5, 0.3), (math.pi - 0.5, 2.5), 0.02)
+    return SurfaceImmersion(comps, ambient, uv_box,
+                            label=f"sphere(R={radius:g})")

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from biharm.cli import RunConfig, main, run
+from biharm.cli import main, run
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -17,27 +21,37 @@ def read_records(path):
         return [json.loads(line) for line in fh]
 
 
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(tolerance=-1.0, grid=(5, 5), derivative_mode="analytic",
-                      output_path="x")
-        with pytest.raises(ValueError):
-            RunConfig(tolerance=math.nan, grid=(5, 5),
-                      derivative_mode="analytic", output_path="x")
-        with pytest.raises(ValueError):
-            RunConfig(tolerance=1e-6, grid=(1, 5), derivative_mode="analytic",
-                      output_path="x")
-        with pytest.raises(ValueError):
-            RunConfig(tolerance=1e-6, grid=(5, 5), derivative_mode="exact",
-                      output_path="x")
+class TestVerifyOptions:
+    @pytest.mark.parametrize("args, err", [
+        (["--tol", "-1"], "error: --tol must be positive and finite, "
+                          "got -1.0\n"),
+        (["--tol", "nan"], "error: --tol must be positive and finite, "
+                           "got nan\n"),
+        (["--grid", "1"], "error: grid counts must be at least 2\n"),
+        (["--grid", "-3"], "error: grid counts must be at least 2\n"),
+    ], ids=["negative-tol", "nan-tol", "grid-1", "negative-grid"])
+    def test_validation(self, tmp_path, capsys, args, err):
+        out = tmp_path / "verify.jsonl"
+        assert run(["verify", "--specs", "1", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
 
-    def test_case_selection(self):
-        cfg = RunConfig(tolerance=1e-6, grid=(5, 5),
-                        derivative_mode="analytic", output_path="x",
-                        cases=("cosh",))
-        assert cfg.selected("cosh4")
-        assert not cfg.selected("y4")
+    def test_unknown_mode_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "--mode", "exact",
+                 "--out", str(tmp_path / "verify.jsonl")])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("cases, labels", [
+        ("cosh", ["cosh4"]),
+        ("y4,hyperbolic(-2", ["y4", "hyperbolic(-2)"]),
+        ("frame[01", ["frame[01]-warped"]),
+    ], ids=["one", "two", "frame"])
+    def test_case_selection(self, tmp_path, cases, labels):
+        out = tmp_path / "verify.jsonl"
+        assert run(["verify", "--grid", "3", "--specs", "2", "--cases", cases,
+                    "--out", str(out)]) == 0
+        assert [r["case_label"] for r in read_records(out)[1:]] == labels
 
 
 class TestScanCommand:
@@ -359,3 +373,126 @@ def test_verify_never_imports_numpy_random(tmp_path, mode):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "code": 0, "numpy.random": False}
+
+
+# -- fuzz ------------------------------------------------------------------------
+
+# finite, huge and non-finite floats
+_FLOATS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e200, -1e200, 1e308, math.inf, -math.inf, math.nan]),
+)
+
+
+def _fuzz(max_examples):
+    return settings(derandomize=True, max_examples=max_examples,
+                    deadline=None, database=None)
+
+
+def _or_any(low, high):
+    """Mostly a float in [low, high], where a command runs through; else any
+    float."""
+    return st.integers(0, 3).flatmap(
+        lambda k: _FLOATS if k == 0 else st.floats(low, high))
+
+
+def _flag(flag, values):
+    """``flag=value`` for a drawn value ("=", so that argparse reads a value
+    such as -1e+200 or -inf as the option's, not as a flag)."""
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+def _opt(flag, values):
+    """No option, or ``_flag``."""
+    return st.one_of(st.just([]), _flag(flag, values))
+
+
+def _given(command, *options):
+    """``given`` a command line of ``command`` and one drawn part per
+    option."""
+    return given(st.tuples(*options).map(
+        lambda opts: [command] + [a for opt in opts for a in opt]))
+
+
+_TOL_MODE = (_opt("--tol", _or_any(1e-8, 1e-2)),
+             _opt("--mode", st.sampled_from(["analytic", "fd"])))
+
+
+@st.composite
+def _yspan_step(draw):
+    """--yspan as drawn; a step giving at most 1,000 steps where the span
+    allows one, else a drawn step."""
+    lo, hi = draw(_or_any(-0.5, 0.0)), draw(_or_any(0.5, 1.0))
+    width = hi - lo
+    if math.isfinite(width) and width > 0:
+        step = width / draw(st.integers(100, 1000))
+    else:
+        step = draw(_FLOATS)
+    return [f"--yspan={lo!r}:{hi!r}", f"--step={step!r}"]
+
+
+def _exit_code(argv):
+    """Exit code of ``run(argv)`` in-process, writing its report to a
+    scratch directory; argparse's SystemExit(2) counts as 2, and every other
+    exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return run(argv + ["--out", os.path.join(tmp, "out")])
+        except SystemExit as err:
+            assert err.code == 2
+            return 2
+
+
+class TestCommandFuzz:
+    """Every command line of drawn numbers ends in exit code 0, 1 or 2:
+    bad input is a typed error, never a traceback.  Sizes stay small: grids
+    of at most 5 points per axis, at most 2 frame specs, 50 scan samples and
+    1,000 RK4 steps."""
+
+    @_fuzz(15)
+    @_given("verify", *_TOL_MODE, _flag("--grid", st.integers(-1, 5)),
+            _flag("--specs", st.integers(-1, 2)),
+            _opt("--seed", st.integers(-2, 2 ** 70)))
+    @example(["verify", "--grid=1", "--specs=1"])
+    def test_verify(self, argv):
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @_fuzz(25)
+    @_given("curvature", *_TOL_MODE,
+            _opt("--chart", st.sampled_from(
+                ["sphere", "hyperbolic", "flat", "cosh4", "y4"])),
+            _opt("--radius", _or_any(0.1, 10.0)),
+            _opt("--c", _or_any(-10.0, -0.1)),
+            _flag("--grid", st.integers(-1, 5)))
+    def test_curvature(self, argv):
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @_fuzz(25)
+    @_given("construct", *_TOL_MODE, _flag("--alpha0", _or_any(0.6, 0.95)),
+            _flag("--alpha1", _or_any(0.05, 0.15)),
+            _flag("--u0", _or_any(-1.5, -0.5)), _yspan_step())
+    @example(["construct", "--alpha0=0.7", "--alpha1=1e200", "--u0=-1",
+              "--yspan=0:1", "--step=0.001"])
+    @example(["construct", "--alpha0=1e308", "--alpha1=0.1", "--u0=-1",
+              "--yspan=0:1", "--step=0.001"])
+    def test_construct(self, argv):
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @_fuzz(40)
+    @_given("scan", *_TOL_MODE, _flag("--c", _or_any(-4.0, 4.0)),
+            _flag("--range", st.tuples(_or_any(-3.0, 0.0), _or_any(0.0, 3.0))
+                  .map(lambda r: f"{r[0]!r}:{r[1]!r}")),
+            _flag("--samples", st.integers(0, 50)))
+    @example(["scan", "--c=-2", "--range=0:1e200", "--samples=50"])
+    def test_scan(self, argv):
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @_fuzz(30)
+    @_given("surface", *_TOL_MODE, _flag("--kg", _or_any(0.0, 3.0)),
+            _flag("--K", _or_any(-3.0, 3.0)))
+    @example(["surface", "--kg=1e200", "--K=1"])
+    def test_surface(self, argv):
+        assert _exit_code(argv) in (0, 1, 2)

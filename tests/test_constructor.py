@@ -67,6 +67,11 @@ class TestIntegration:
         with pytest.raises(ImmediateSingularity, match="non-finite state"):
             integrate_alpha(0.7, alpha1, 1e250, (0.0, 1.0), 1e-3)
 
+    def test_initial_angle_beyond_half_the_float_range_rejected(self):
+        # sin and cos of 1e308 clear the margins, but 2 alpha overflows
+        with pytest.raises(ImmediateSingularity, match="2 alpha overflows"):
+            integrate_alpha(1e308, 0.1, 0.0, (0.0, 1.0), 1e-3)
+
     def test_profile_stays_regular(self, solved_profile):
         prof = solved_profile
         assert not prof.truncated
@@ -249,8 +254,8 @@ def _reference_residual(prof, y):
     d = float(ys[1] - ys[0])
     a3 = (np.interp(y + d, ys, a2s) - np.interp(y - d, ys, a2s)) / (2.0 * d)
     at = np.array([y])
-    return ode_residual_terms(float(prof._interp_alpha(at)[0]),
-                              float(prof._interp_alpha1(at)[0]),
+    return ode_residual_terms(float(prof.angle(at)[0]),
+                              float(prof.slope(at)[0]),
                               float(np.interp(y, ys, a2s)), float(a3))
 
 
@@ -262,7 +267,7 @@ class TestScalarPaths:
     """The float hot paths against their numpy forms, bit for bit."""
 
     def test_hermite_scalar_matches_array(self, solved_profile):
-        herm = solved_profile._interp_alpha
+        herm = solved_profile.angle
         xs = herm.xs
         rng = random.Random(7)
         points = (list(xs[::37]) + list(0.5 * (xs[:-1:41] + xs[1::41]))
@@ -275,7 +280,7 @@ class TestScalarPaths:
             assert _bits(herm(np.float64(x))) == float(ref).hex()
 
     def test_hermite_scalar_outside_and_nan(self, solved_profile):
-        herm = solved_profile._interp_alpha1
+        herm = solved_profile.slope
         for x in (-0.5, 1.0 + 1e-9):
             with pytest.raises(OutOfProfile) as scalar:
                 herm(x)
@@ -440,15 +445,14 @@ class TestScalarPaths:
         assert type(riccati_consistency(solved_profile)) is float
 
 
-def _reference_integrate(alpha0, alpha1_0, alpha2_0, y_span, step,
-                         eps_sing=constructor.EPS_SING,
-                         min_slope=constructor.MIN_SLOPE):
+def _reference_integrate(alpha0, alpha1_0, alpha2_0, y_span, step):
     """integrate_alpha with the whole step of every step taken inside the
     loop, before its two halves (valid inputs only)."""
     y0, y1 = y_span
     n = max(1, round((y1 - y0) / step))
     state = (float(alpha0), float(alpha1_0), float(alpha2_0))
-    alpha3, reason = constructor._node(state, eps_sing, min_slope)
+    alpha3, reason = constructor._node(state)
+    eps_sing, min_slope = constructor.EPS_SING, constructor.MIN_SLOPE
     assert not reason
     h = (y1 - y0) / n
     rows = [(y0, *state, alpha3)]

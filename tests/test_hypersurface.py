@@ -5,7 +5,12 @@ import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
-from biharm.errors import DegenerateImmersion, NotCMC, NotUmbilic
+from biharm.errors import (
+    DegenerateImmersion,
+    NonFiniteValue,
+    NotCMC,
+    NotUmbilic,
+)
 from biharm.geometry import covariant_leg
 from biharm.hypersurface import (
     HopfCylinderSpec,
@@ -13,14 +18,9 @@ from biharm.hypersurface import (
     ambient_ricci,
     biharmonic_residuals_surface,
     cmc_classify,
-    flat_ambient,
-    graph_immersion,
     hopf_cylinder_residuals,
-    round_sphere,
-    slice_immersion,
     surface_geometry,
     surface_points,
-    tilted_plane,
     umbilic_biharmonic_test,
     vertical_cylinder,
 )
@@ -30,7 +30,16 @@ from biharm.numkernel import (
     directional_field,
     numeric_only,
 )
-from conftest import X, field_of, field_of_text
+from conftest import (
+    X,
+    field_of,
+    field_of_text,
+    flat_ambient,
+    graph_immersion,
+    round_sphere,
+    slice_immersion,
+    tilted_plane,
+)
 
 U, V = X[0], X[1]
 
@@ -207,6 +216,20 @@ class TestPointOrBatch:
         assert type(tangent) is np.ndarray
         assert tangent.tobytes() == tangents[0].tobytes()
 
+    @pytest.mark.parametrize("make", [
+        lambda: vertical_cylinder(2.0, -1.0), lambda: round_sphere(1.3),
+        lambda: numeric_only(vertical_cylinder(0.7, 0.2))],
+        ids=["cylinder", "sphere", "fd-cylinder"])
+    def test_chart_point(self, make):
+        imm = make()
+        pts = surface_points(imm, (2, 3))
+        batch = imm.point(np.array(pts))
+        assert batch.shape == (len(pts), 3)
+        for k, p in enumerate(pts):
+            one = imm.point(p)
+            assert type(one) is np.ndarray and one.shape == (3,)
+            assert one.tobytes() == batch[k].tobytes()
+
 
 class TestAmbientRicci:
     def test_unit_cylinder_normal_part(self, unit_cylinder):
@@ -345,6 +368,11 @@ class TestHopfCylinders:
         k = 1.25
         assert r1 == pytest.approx(2.0 - k**3, abs=1e-10)
         assert r2 == pytest.approx(3.0 * 1.0 * k, abs=1e-10)
+
+    def test_overflowing_cube_is_a_typed_error(self):
+        spec = HopfCylinderSpec(1e200, 1.0)
+        with pytest.raises(NonFiniteValue, match="at k_g = 1e\\+200"):
+            hopf_cylinder_residuals(spec, 0.0)
 
 
 class TestUmbilicTest:

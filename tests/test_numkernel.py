@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, strategies as st
 
 from biharm import numkernel
-from biharm.errors import DegenerateBox, NonFiniteValue, PointOutsideGuard
+from biharm.errors import DegenerateBox, NonFiniteValue
 from biharm.numkernel import (
     H_FD,
     H_FD3,
@@ -22,7 +22,6 @@ from biharm.numkernel import (
     lift,
     numeric_only,
     one_or_all,
-    partial_derivative,
     sample_grid,
 )
 from conftest import S, T, X, field_of, field_of_text, graph_nodes
@@ -35,19 +34,19 @@ def const(v, dim=3):
 class TestPartialDerivative:
     def test_square_first(self):
         f = field_of_text("s**2", ("t", "s", "z"))
-        assert partial_derivative(f, (0.0, 2.0, 0.0), 1, 1) == pytest.approx(4.0)
+        assert f.partial((0.0, 2.0, 0.0), 1, 1) == pytest.approx(4.0)
 
     def test_square_second(self):
         f = field_of_text("s**2", ("t", "s", "z"))
-        assert partial_derivative(f, (0.0, 2.0, 0.0), 1, 2) == pytest.approx(2.0)
+        assert f.partial((0.0, 2.0, 0.0), 1, 2) == pytest.approx(2.0)
 
     def test_sin_third_analytic(self):
         f = field_of_text("sin(s)", ("s",))
-        assert partial_derivative(f, (0.0,), 0, 3) == pytest.approx(-1.0, abs=1e-12)
+        assert f.partial((0.0,), 0, 3) == pytest.approx(-1.0, abs=1e-12)
 
     def test_sin_third_fd(self):
         f = ScalarField(fn=lambda b: np.sin(b[:, 0]), dim=1)
-        assert partial_derivative(f, (0.0,), 0, 3) == pytest.approx(-1.0, abs=1e-4)
+        assert f.partial((0.0,), 0, 3) == pytest.approx(-1.0, abs=1e-4)
 
     def test_explicit_partials_win_over_stencils(self):
         f = ScalarField(
@@ -58,12 +57,6 @@ class TestPartialDerivative:
         assert f.partial((0.3,), 0, 2) == pytest.approx(math.exp(0.3), abs=1e-15)
         # third order nests a difference of the explicit second derivative
         assert f.partial((0.3,), 0, 3) == pytest.approx(math.exp(0.3), abs=1e-6)
-
-    def test_guard_violation(self):
-        f = ScalarField(fn=lambda b: b[:, 0] ** 2, dim=1)
-        box = ChartBox((0.0,), (1.0,), 0.1)
-        with pytest.raises(PointOutsideGuard):
-            partial_derivative(f, (0.05,), 0, 1, box=box)
 
     def test_nonfinite(self):
         f = ScalarField(fn=lambda b: math.inf, dim=1)
@@ -409,14 +402,10 @@ class TestDerivativeRoute:
     @pytest.mark.parametrize("order,reach", [
         (1, H_FD), (2, H_FD), (3, H_FD3 + H_FD)])
     def test_box_clearance_is_the_reach(self, order, reach):
+        # the clearance from a box edge that a pure partial of an opaque
+        # leaf needs
         f = ScalarField(fn=lambda b: np.sin(b[:, 0]), dim=1)
-        box = ChartBox((0.0,), (1.0,))
         assert f.stencil_reach(0, order) == reach
-        partial_derivative(f, (reach,), 0, order, box=box)
-        partial_derivative(f, (1.0 - reach,), 0, order, box=box)
-        for x in (reach - 1e-9, 1.0 - reach + 1e-9):
-            with pytest.raises(PointOutsideGuard):
-                partial_derivative(f, (x,), 0, order, box=box)
 
 
 # -- chain rule against sympy ------------------------------------------------

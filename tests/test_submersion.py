@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 
-from biharm.errors import EmptyRange
+from biharm.errors import EmptyRange, NonFiniteValue
 from biharm.frames import (
     AdaptedFrameSpec,
     adapted_frame,
@@ -223,6 +223,11 @@ class TestScan:
             hyperbolic_uniqueness_scan(-1.0, (2.0, 1.0))
         with pytest.raises(EmptyRange):
             hyperbolic_uniqueness_scan(-1.0, (0.0, 1.0), samples=2)
+
+    def test_overflowing_residual_is_a_typed_error(self):
+        # the second sample, 5e197, has a cube beyond the float range
+        with pytest.raises(NonFiniteValue, match="at slope 5e\\+197"):
+            hyperbolic_uniqueness_scan(-2.0, (0.0, 1e200))
 
     def test_residual_odd_in_slope(self):
         rng = np.random.default_rng(6)
