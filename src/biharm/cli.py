@@ -403,7 +403,10 @@ def main(argv=None):
     try:
         # scan and curvature take no tolerance, but reject a bad one too
         _default_tol(args)
-        return args.fn(args)
+        # numpy does not warn of overflow: the value it makes still raises
+        # a typed error (NonFiniteValue) where it is checked
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (GeometryError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -252,7 +252,7 @@ class AlphaProfile:
             lambda b: np.interp(b[:, axis], ys, a3s),
         )
         return ScalarField(fn=lambda b: a(b[:, axis]), dim=dim,
-                           partials=partials, name="alpha-profile")
+                           partials=partials)
 
 
 def _node(state):

@@ -457,8 +457,11 @@ def frame_identity_suite(rng, count=20, mode="analytic", tol=1e-6,
     """Reports for the identity suite over randomized compatible specs,
     drawn by ``random_adapted_specs`` from ``rng`` (any object with a
     ``uniform(low, high)`` method)."""
+    specs = random_adapted_specs(rng, count, mode)
+    specs.reverse()
     reports = []
-    for label, metric, spec in random_adapted_specs(rng, count, mode):
+    while specs:  # popped, so each spec and its caches go once reported
+        label, metric, spec = specs.pop()
         frame = adapted_frame(spec, metric)
         data = integrability_data(spec, metric)
         pts = base_sweep(metric.box, grid)

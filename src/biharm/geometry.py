@@ -233,7 +233,7 @@ def riemann_chart(metric, point):
     dgamma = np.zeros((len(batch), d, d, d, d))  # [n, a, k, i, j] = d_a G^k_ij
     for (k, i, j), fld in _christoffel_fields(metric).items():
         for a in range(d):
-            dgamma[:, a, k, i, j] = fld.partial(batch, a, 1)
+            dgamma[:, a, k, i, j] = fld.diff(a)(batch)
     weights = metric.weights(batch)
     # up[n, l, i, j, k]: R(d_i, d_j) d_k = sum_l up[n, l, i, j, k] d_l
     up = (np.einsum("niljk->nlijk", dgamma)

@@ -6,7 +6,8 @@ gives n values, and a single point (a sequence of dim floats) is a batch of
 one that gives a float.  Leaf fields are of four kinds: a coordinate (it
 reads its column of the batch), an exact number (a float on the field), an
 explicit leaf (an evaluator with per-axis derivative callables) and an
-opaque leaf (a bare evaluator, such as every field ``numeric_only`` makes).
+opaque leaf (an evaluator without partials, such as every field
+``numeric_only`` makes).
 Evaluators and derivative callables receive the (n, dim) batch only, a
 single point included, so they are written for arrays.  Every other field
 is derived from fields by a rule: algebra, ``compose``,
@@ -17,24 +18,31 @@ values; ``lift`` moves a closed form to a higher-dimensional chart without
 it, by rebuilding the graph over that chart's coordinates.  Exact
 numbers fold (0·f is 0, 1·f and f ± 0 are f, a quotient rule with the
 numerator 0 gives 0, and an operation on exact numbers is an exact
-number), so constant frame entries prune the terms they zero.  The unnamed numbers +0.0 and 1.0 are one shared field per
-chart dimension, so the derivative rules of numbers and coordinates make
-no new fields.
+number), so constant frame entries prune the terms they zero.  The numbers
++0.0 and 1.0 are one shared field per chart dimension, so the derivative
+rules of numbers and coordinates make no new fields.
 
-A rule reads its inputs from the value table of the batch being
-evaluated (see ``sweep``), and a finite exact number enters a rule as
-its float, not as an array of copies: numpy applies the same IEEE
-operation to every element either way.
+Every field, leaf, derived field or stencil node, has one shape: a values
+function ``_values(batch, known, *_args)`` and a derivative rule
+``_derive(axis, *_args)`` over the same fixed arguments ``_args``, the rule
+None for a field without partials.  A rule reads its inputs from the value
+table ``known`` of the batch being evaluated (see ``sweep``), and a finite
+exact number enters a rule as its float, not as an array of copies: numpy
+applies the same IEEE operation to every element either way.
 
-``ScalarField.diff`` is the only place a derivative field is made.  Every
-field that is not an opaque leaf carries one derivative rule: the
-derivative 1 or 0 of a coordinate, the 0 of a number, explicit partials,
-or the chain rule of the operation that derived it (forward mode over the
-field graph), so long differentiation chains stay at round-off accuracy in
-analytic mode.  An opaque leaf is differenced by a stencil node: one
-evaluation of the differenced field on the batch moved by +h and by -h,
-both legs stacked in one batch.  Pure partials, and the stencil reach they
-need, follow from ``diff``.
+``ScalarField.diff`` is the only place a derivative field is made.  The
+derivative rules are the derivative 1 or 0 of a coordinate, the 0 of a
+number, explicit partials, and the chain rule of the operation that derived
+a field (forward mode over the field graph), so long differentiation chains
+stay at round-off accuracy in analytic mode.  A field without a rule along
+an axis is differenced there by a stencil node: one evaluation of the
+differenced field on the batch moved by +h and by -h, both legs stacked in
+one batch.  A stencil node has no derivative rule, so its own partials are
+stencils in turn.  Directional derivatives and the curvature read first
+partials through the cache of ``diff``, so each is one node per field and
+axis.  Pure partials, and the stencil reach they need, follow from
+``diff``, but for a field without a derivative rule, which takes direct
+stencils (see ``ScalarField._partial``).
 
 Values are IEEE double arithmetic on arrays, and the unary functions apply
 the ``math`` module one value after another: numpy's vectorised exp, tan,
@@ -251,11 +259,12 @@ def sweep():
 class ScalarField:
     """Real-valued function of chart coordinates, evaluated batch-wise.
 
-    A coordinate, exact-number, explicit or opaque leaf, or a field derived
-    by a rule from other fields (see the module docstring); build leaves
-    with ``coordinate`` and ``constant`` and combine them with the algebra
-    and the unary functions of this module.  ``diff`` makes every
-    derivative field.
+    A coordinate, exact-number, explicit or opaque leaf, a field derived by
+    a rule from other fields, or a stencil node (see the module docstring);
+    build leaves with ``coordinate`` and ``constant`` and combine them with
+    the algebra and the unary functions of this module.  Each holds its
+    values function, its derivative rule (None without partials) and their
+    arguments; ``diff`` makes every derivative field.
 
     Parameters
     ----------
@@ -274,33 +283,30 @@ class ScalarField:
     ``number`` is the value of an exact number, None for any other field.
     """
 
-    __slots__ = ("dim", "number", "name", "_fn", "_diff_cache")
+    __slots__ = ("dim", "number", "_values", "_derive", "_args",
+                 "_diff_cache")
 
-    def __init__(self, fn, dim, partials=None, name=""):
+    def __init__(self, fn, dim, partials=None):
         self.dim = int(dim)
         self.number = None
-        self.name = name
-        if partials:
-            fn = _Rule(_explicit_values, _explicit_diff,
-                       (fn, dict(partials), self.dim))
-        self._fn = fn
+        self._values = _leaf_values
+        self._derive = _explicit_diff if partials else None
+        self._args = (fn, dict(partials), self.dim) if partials else (fn,)
         self._diff_cache = {}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, dim, name=""):
+    def constant(cls, value, dim):
         """The exact number ``value``; a NaN or an infinity raises
-        NonFiniteValue when evaluated.  Unnamed, +0.0 and 1.0 are one shared
-        field per dimension."""
+        NonFiniteValue when evaluated.  +0.0 and 1.0 are one shared field
+        per dimension."""
         value, dim = float(value), int(dim)
         # -0.0 == 0.0, so its sign bit keeps it out of the shared table
-        shared = (not name and value in (0.0, 1.0)
-                  and math.copysign(1.0, value) > 0.0)
+        shared = value in (0.0, 1.0) and math.copysign(1.0, value) > 0.0
         out = _UNITS.get((value, dim)) if shared else None
         if out is None:
-            out = _derived(dim, _number_values, _number_diff, value, dim,
-                           name=name)
+            out = _derived(dim, _number_values, _number_diff, value, dim)
             out.number = value
             if shared:
                 _UNITS[value, dim] = out
@@ -309,7 +315,7 @@ class ScalarField:
     @classmethod
     def coordinate(cls, axis, dim):
         return _derived(dim, _coordinate_values, _coordinate_diff, axis,
-                        int(dim), name=f"x{axis}")
+                        int(dim))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -328,10 +334,7 @@ class ScalarField:
         return values if batch is point else one_or_all(values, point)
 
     def _evaluate(self, batch, known):
-        fn = self._fn
-        if type(fn) is _Rule:
-            return _checked(fn.evaluate(batch, known, *fn.args), batch)
-        return _checked(fn(batch), batch)
+        return _checked(self._values(batch, known, *self._args), batch)
 
     # -- differentiation ----------------------------------------------------
 
@@ -341,8 +344,9 @@ class ScalarField:
             return self._diff_cache[axis]
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        out = self._fn.diff(axis) if type(self._fn) is _Rule else None
-        if out is None:  # opaque, or a rule that does not cover this axis
+        derive = self._derive
+        out = derive(axis, *self._args) if derive else None
+        if out is None:  # no derivative rule, or one that skips this axis
             out = _stencil(self, axis, 1)
         self._diff_cache[axis] = out
         return out
@@ -350,11 +354,12 @@ class ScalarField:
     def _partial(self, axis, order):
         """The field whose values are the pure partial of the given order.
 
-        An opaque leaf takes one direct stencil (a second difference, where
-        two nested first differences would amplify round-off more); every
-        other field follows its ``diff`` chain.
+        A field without a derivative rule (an opaque leaf or a stencil node)
+        takes one direct stencil (a second difference, where two nested
+        first differences would amplify round-off more); every other field
+        follows its ``diff`` chain.
         """
-        if type(self._fn) is not _Rule:
+        if self._derive is None:
             out = _stencil(self, axis, min(order, 2), H_FD)
             return _stencil(out, axis, 1, H_FD3) if order == 3 else out
         out = self
@@ -419,12 +424,11 @@ class ScalarField:
         return self * -1.0
 
     def __repr__(self):
-        tag = self.name or (repr(self.number) if self.number is not None
-                            else "fn")
+        tag = self._values.__name__ if self.number is None else self.number
         return f"ScalarField({tag}, dim={self.dim})"
 
 
-# (value, dim) -> the shared unnamed +0.0 or 1.0 field
+# (value, dim) -> the shared +0.0 or 1.0 field
 _UNITS = {}
 
 # one table serves exact numbers and arrays of values alike
@@ -458,28 +462,16 @@ def _fold(fn, *numbers):
         return math.nan
 
 
-class _Rule:
-    """Evaluator and derivative rule of a field as functions of fixed
-    arguments (lighter to keep than a pair of closures); ``derive`` gives
-    None along an axis it does not cover, which is then differenced."""
-
-    __slots__ = ("evaluate", "derive", "args")
-
-    def __init__(self, evaluate, derive, args):
-        self.evaluate, self.derive, self.args = evaluate, derive, args
-
-    def diff(self, axis):
-        return self.derive(axis, *self.args)
-
-
-def _derived(dim, evaluate, derive, *args, name=""):
-    """Field evaluated as ``evaluate(batch, known, *args)``, ``known`` being
+def _derived(dim, values, derive, *args):
+    """Field evaluated as ``values(batch, known, *args)``, ``known`` being
     the batch's value table, whose partial along an axis is
-    ``derive(axis, *args)``."""
-    return ScalarField(fn=_Rule(evaluate, derive, args), dim=dim, name=name)
+    ``derive(axis, *args)`` (differenced where ``derive`` is None)."""
+    out = ScalarField(None, dim)
+    out._values, out._derive, out._args = values, derive, args
+    return out
 
 
-def _explicit_values(batch, known, fn, partials, dim):
+def _leaf_values(batch, known, fn, *_):
     return fn(batch)
 
 
@@ -532,48 +524,38 @@ def _quotient(numerator, denominator):
     return numerator / denominator
 
 
-class _Stencil:
-    """Evaluator of a stencil node: one central difference (first or second,
-    ``order``) of ``field`` along ``axis`` with step ``h``."""
-
-    __slots__ = ("field", "axis", "order", "h")
-
-    def __init__(self, field, axis, order, h):
-        self.field, self.axis, self.order, self.h = field, axis, order, h
-
-    def __call__(self, batch):
-        # looked up on every call, so a rebound _central1/_central2 is used
-        central = _central1 if self.order == 1 else _central2
-        return central(self.field, batch, self.axis, self.h)
-
-
 def _stencil(field, axis, order, h=None):
-    """Stencil node differencing ``field``.  Without a step, a first
-    difference in a ``diff`` chain: H_FD, widened to H_FD3 from the third
-    stacked difference on to keep round-off amplification in check."""
+    """Stencil node: one central difference (first or second, ``order``) of
+    ``field`` along ``axis`` with step ``h``, without a derivative rule.
+    Without a step, a first difference in a ``diff`` chain: H_FD, widened
+    to H_FD3 from the third stacked difference on to keep round-off
+    amplification in check."""
     if h is None:
-        depth, inner = 1, field._fn
-        while type(inner) is _Stencil:
-            depth, inner = depth + 1, inner.field._fn
+        depth, inner = 1, field
+        while inner._values is _stencil_values:
+            depth, inner = depth + 1, inner._args[0]
         h = H_FD3 if depth >= 3 else H_FD
-    return ScalarField(fn=_Stencil(field, axis, order, h), dim=field.dim,
-                       name=f"d{axis}[fd]")
+    return _derived(field.dim, _stencil_values, None, field, axis, order, h)
+
+
+def _stencil_values(batch, known, field, axis, order, h):
+    # looked up on every call, so a rebound _central1/_central2 is used
+    central = _central1 if order == 1 else _central2
+    return central(field, batch, axis, h)
 
 
 def _reach(field, memo):
     """Half-width of the set of points an evaluation of ``field`` touches:
-    the steps of its stencils, the largest reach of a rule's inputs."""
-    fn = field._fn
-    if type(fn) is _Stencil:
-        return fn.h + _reach(fn.field, memo)
-    if type(fn) is not _Rule:
-        return 0.0
+    the steps of its stencils, the largest reach of a node's inputs."""
+    values, args = field._values, field._args
+    if values is _stencil_values:
+        return args[3] + _reach(args[0], memo)
     if id(field) not in memo:
-        if fn.evaluate is _directional_values:  # it takes first partials
-            comps, f = fn.args
-            inputs = comps + tuple(f._partial(a, 1) for a in range(f.dim))
+        if values is _directional_values:  # it takes first partials
+            comps, f = args
+            inputs = comps + tuple(map(f.diff, range(f.dim)))
         else:
-            inputs = [f for arg in fn.args
+            inputs = [f for arg in args
                       for f in (arg if type(arg) is tuple else (arg,))
                       if isinstance(f, ScalarField)]
         memo[id(field)] = max((_reach(f, memo) for f in inputs), default=0.0)
@@ -640,10 +622,10 @@ def _directional_values(batch, known, comps, field):
         c = _input(comp, batch, known)
         live = np.asarray(c != 0.0)  # 0-d when c is a number
         if live.all():
-            total = total + c * _input(field._partial(axis, 1), batch, known)
+            total = total + c * _input(field.diff(axis), batch, known)
         elif live.any():
             sub = _new_batch(batch[live])
-            total[live] += c[live] * field.partial(sub, axis, 1)
+            total[live] += c[live] * field.diff(axis)(sub)
     return total
 
 
@@ -678,25 +660,21 @@ def lift(field, dim, axes: Sequence[int]) -> ScalarField:
     def lifted(f):
         out = memo.get(id(f))
         if out is None:
-            fn = f._fn
-            rule = fn.evaluate if type(fn) is _Rule else None
+            values = f._values
             if f.number is not None:
                 out = ScalarField.constant(f.number, dim)
-            elif rule is _coordinate_values:
-                out = coords[fn.args[0]]
-            elif rule in (_algebra_values, _unary_values, _atan2_values):
-                out = _derived(dim, rule, fn.derive, *(
+            elif values is _coordinate_values:
+                out = coords[f._args[0]]
+            elif values in (_algebra_values, _unary_values, _atan2_values):
+                out = _derived(dim, values, f._derive, *(
                     lifted(a) if isinstance(a, ScalarField) else a
-                    for a in fn.args), name=f.name)
+                    for a in f._args))
             else:
                 out = compose(f, coords)
             memo[id(f)] = out
         return out
 
-    out = lifted(field)
-    if out.number is None:  # a number may be a shared field
-        out.name = field.name
-    return out
+    return lifted(field)
 
 
 def compose(field, components) -> ScalarField:
@@ -755,8 +733,7 @@ def _unary(field, label):
     if field.number is not None:
         return ScalarField.constant(_fold(_UNARY[label], field.number),
                                     field.dim)
-    return _derived(field.dim, _unary_values, _unary_diff, label, field,
-                    name=f"{label}({field.name})")
+    return _derived(field.dim, _unary_values, _unary_diff, label, field)
 
 
 def _unary_values(batch, known, label, field):
@@ -868,11 +845,10 @@ def numeric_only(obj):
     that holds no field comes back as itself, as does any other value.
     """
     if isinstance(obj, ScalarField):
-        name = obj.name and obj.name + "[fd]"
         if obj.number is not None:
             return _derived(obj.dim, _number_values, _number_diff,
-                            obj.number, obj.dim, name=name)
-        return ScalarField(fn=obj.__call__, dim=obj.dim, name=name)
+                            obj.number, obj.dim)
+        return ScalarField(obj.__call__, obj.dim)
     if type(obj) is tuple:
         items = tuple(map(numeric_only, obj))
         return obj if all(map(operator.is_, items, obj)) else items

@@ -350,6 +350,8 @@ def hyperbolic_uniqueness_scan(c, slope_range, samples=201):
         raise EmptyRange(f"scan of c = {c} over [{lo}, {hi}] is not finite")
     if not (hi > lo):
         raise EmptyRange(f"slope range [{lo}, {hi}] is empty")
+    if not math.isfinite(hi - lo):
+        raise EmptyRange(f"width of slope range [{lo}, {hi}] is not finite")
     if samples < 3:
         raise EmptyRange("need at least 3 samples")
     xs = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]

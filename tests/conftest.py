@@ -75,8 +75,7 @@ def graph_nodes(field, seen=None):
     seen = {} if seen is None else seen
     if id(field) not in seen:
         seen[id(field)] = field
-        fn = field._fn
-        for arg in fn.args if type(fn) is numkernel._Rule else ():
+        for arg in field._args:
             for f in arg if type(arg) is tuple else (arg,):
                 if isinstance(f, ScalarField):
                     graph_nodes(f, seen)

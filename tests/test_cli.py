@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -82,6 +83,7 @@ class TestScanCommand:
         ["--c", "nan", "--range", "0.1:3"],
         ["--c", "inf", "--range", "0.1:3"],
         ["--c", "-1", "--range", "0:inf"],
+        ["--c", "-2", "--range=-1e308:1e308"],  # its width overflows
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, args):
         out = tmp_path / "s.jsonl"
@@ -129,6 +131,18 @@ class TestSurfaceCommand:
         assert [c["name"] for c in case["channels"]] == ["hopf_r1", "hopf_r2"]
         r1 = float(K) * float(kg) - float(kg) ** 3
         assert case["channels"][0]["max_abs"] == pytest.approx(abs(r1))
+
+    def test_overflow_is_an_error_not_a_warning(self, tmp_path, capsys):
+        # a product of the cylinder's components overflows on the way to
+        # the non-finite value check
+        out = tmp_path / "surface.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["surface", "--kg", "0.96", "--K", "1e308",
+                        "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: field evaluated to -inf at (-0.98, -0.48)\n")
 
 
 class TestCurvatureCommand:

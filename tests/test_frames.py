@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -344,6 +345,19 @@ class TestRandomSuite:
             grid=(3, 3),
         )
         assert all(r.passed for r in reports_fd)
+
+    def test_memory_flat_in_the_spec_count(self):
+        # each spec, with its derivative caches, is dropped once reported,
+        # so the peak heap does not grow with the number of specs
+        def peak_heap(count):
+            tracemalloc.start()
+            try:
+                frame_identity_suite(SeededUniform(7), count)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_heap(200) <= 4 * peak_heap(20)
 
     def test_mutation_detected_on_nonzero_channels(self):
         label, metric, spec = random_adapted_specs(

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -23,7 +24,14 @@ from biharm.geometry import (
     riemann_chart,
     riemann_component,
 )
-from biharm.numkernel import ChartBox, ScalarField
+from biharm import numkernel
+from biharm.numkernel import (
+    ChartBox,
+    ScalarField,
+    directional_field,
+    fsin,
+    numeric_only,
+)
 from conftest import S, T, field_of, field_of_text
 
 
@@ -190,6 +198,37 @@ class TestRiemann:
         )
         with pytest.raises(NonOrthonormalFrame):
             riemann_component(flat_metric3, (0.0, 0.0, 0.0), bad, (0, 1, 1, 0))
+
+
+class TestSharedFirstPartials:
+    def test_one_difference_per_axis_and_batch(self, monkeypatch):
+        # directional derivatives, diff and the curvature all read first
+        # partials of an opaque leaf through its cached diff, so within one
+        # sweep each (differenced field, batch, axis) is differenced once
+        box = ChartBox((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5), 0.05)
+        q = field_of(0.7 * S + 0.3 * sp.sin(T + 0.5 * S), 2)
+        metric = numeric_only(ProductMetric3(q, box))
+        leaf = metric.conformal_exponent
+        calls = collections.Counter()
+        central1 = numkernel._central1
+
+        def counted(f, batch, axis, h):
+            calls[id(f), id(batch), axis] += 1
+            return central1(f, batch, axis, h)
+
+        monkeypatch.setattr(numkernel, "_central1", counted)
+        # the third component vanishes on the grid's middle column
+        e = (ScalarField.constant(0.5, 3), fsin(leaf) + 2.0,
+             ScalarField.coordinate(0, 3))
+        with numkernel.sweep():
+            batch = numkernel.as_batch(base_sweep(box, (3, 3)))
+            directional_field(e, leaf)(batch)
+            for axis in range(3):
+                leaf.diff(axis)(batch)
+            riemann_chart(metric, batch)
+        assert max(calls.values()) == 1
+        assert sorted(axis for f, b, axis in calls
+                      if f == id(leaf) and b == id(batch)) == [0, 1, 2]
 
 
 class TestLaplacian:

@@ -559,8 +559,8 @@ class TestNumbersInRules:
 
 
 def _composes(field):
-    return [f for f in graph_nodes(field) if type(f._fn) is numkernel._Rule
-            and f._fn.evaluate is numkernel._compose_values]
+    return [f for f in graph_nodes(field)
+            if f._values is numkernel._compose_values]
 
 
 # (chart dimension of the field, target dimension, target axes)
@@ -635,11 +635,11 @@ class TestLift:
         shared = fsin(x)
         lifted = lift(shared * shared + shared, 3, (1,))
         assert len([f for f in graph_nodes(lifted)
-                    if f._fn.evaluate is numkernel._unary_values]) == 1
+                    if f._values is numkernel._unary_values]) == 1
 
 
 class TestSharedUnits:
-    """The unnamed numbers +0.0 and 1.0 are one field per dimension."""
+    """The numbers +0.0 and 1.0 are one field per dimension."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_zero_and_one_are_shared(self, dim):
@@ -654,17 +654,9 @@ class TestSharedUnits:
         assert neg is not const(0.0, 2) and neg is not const(-0.0, 2)
         assert math.copysign(1.0, neg((0.3, 0.4))) == -1.0
 
-    def test_named_number_is_not_shared(self):
-        named = ScalarField.constant(0.0, 2, name="q")
-        assert named is not const(0.0, 2) and named.name == "q"
-        assert ScalarField.constant(1.0, 2, name="one") is not const(1.0, 2)
-
-    def test_lift_never_renames_a_shared_number(self):
-        lifted = lift(ScalarField.constant(0.0, 1, name="q"), 3, (1,))
-        assert lifted is const(0.0) and lifted.name == ""
-        x = ScalarField.coordinate(0, 1)
-        x.name = "s"
-        assert lift(x, 3, (1,)).name == "s"
+    def test_lift_of_the_shared_zero_stays_shared(self):
+        assert lift(const(0.0, 1), 3, (1,)) is const(0.0)
+        assert lift(const(1.0, 2), 3, (2, 0)) is const(1.0)
 
 
 def test_deep_left_sum_evaluates():
@@ -829,7 +821,8 @@ class TestStackedLegs:
         alpha = profile.field(dim=2, axis=1)
         fourth = alpha.diff(1).diff(1).diff(1).diff(1)  # a stencil on alpha'''
         fields = [fourth, fourth.diff(1), fourth.diff(0), fourth.diff(1).diff(0)]
-        assert [type(f._fn) for f in fields[:2]] == [numkernel._Stencil] * 2
+        stencil = numkernel._stencil_values
+        assert [f._values for f in fields[:2]] == [stencil] * 2
         batch = numkernel.as_batch([(0.1 * k, 0.2 + 0.07 * k)
                                     for k in range(9)])
 

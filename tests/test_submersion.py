@@ -223,6 +223,9 @@ class TestScan:
             hyperbolic_uniqueness_scan(-1.0, (2.0, 1.0))
         with pytest.raises(EmptyRange):
             hyperbolic_uniqueness_scan(-1.0, (0.0, 1.0), samples=2)
+        # hi - lo overflows, so no sample of the range would be finite
+        with pytest.raises(EmptyRange, match="width of slope range"):
+            hyperbolic_uniqueness_scan(-2.0, (-1e308, 1e308))
 
     def test_overflowing_residual_is_a_typed_error(self):
         # the second sample, 5e197, has a cube beyond the float range
