@@ -21,7 +21,6 @@ from .errors import (
     OutOfProfile,
     SingularCoefficient,
     SingularProfile,
-    ToleranceExceeded,
 )
 from .numkernel import (
     ChartBox,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import constructor, hypersurface, submersion
 from .errors import GeometryError, SingularProfile
-from .frames import SeededUniform, frame_identity_suite
+from .frames import SeededUniform, frame_identity_suite, random_adapted_specs
 from .geometry import ProductMetric3, base_sweep, gauss_curvature_2d
 from .numkernel import (
     ChartBox,
@@ -58,6 +58,12 @@ def _default_tol(args, analytic=1e-6, fd=1e-3):
     return args.tol
 
 
+def _in_mode(args):
+    """What the command's --mode evaluates a spec, metric or surface as:
+    the object itself, or in fd mode its finite-difference copy."""
+    return numeric_only if args.mode == "fd" else (lambda obj: obj)
+
+
 def _span(text):
     try:
         lo, hi = (float(v) for v in text.split(":"))
@@ -80,35 +86,31 @@ def _print_report(rep: ResidualReport):
 
 
 def _cmd_verify(args):
+    tol = _default_tol(args)
     if args.specs < 0:
         raise ValueError(f"--specs must be at least 0, got {args.specs}")
     if args.grid < 2:
         raise ValueError("grid counts must be at least 2")
-    tol = _default_tol(args)
     grid = (args.grid, args.grid)
     cases = args.cases.split(",") if args.cases else ()
 
     def selected(label):
         return not cases or any(c in label for c in cases)
 
-    reports = []
-    for rep in submersion.catalog_suite(mode=args.mode, tol=tol, grid=grid):
-        if selected(rep.case_label):
-            reports.append(rep)
-    rng = SeededUniform(args.seed)
-    for rep in frame_identity_suite(rng, count=args.specs, mode=args.mode,
-                                    tol=tol):
-        if selected(rep.case_label):
-            reports.append(rep)
+    in_mode = _in_mode(args)
+    catalog = list(map(in_mode, submersion.catalog_examples()))
+    specs = map(in_mode, random_adapted_specs(SeededUniform(args.seed),
+                                              args.specs))
+    reports = [rep for rep in (submersion.catalog_suite(catalog, tol, grid)
+                               + frame_identity_suite(specs, tol))
+               if selected(rep.case_label)]
     for rep in reports:
         _print_report(rep)
     if args.dump_grids:
         os.makedirs(args.dump_grids, exist_ok=True)
-        for spec in submersion.catalog_examples():
+        for spec in catalog:
             if not selected(spec.label):
                 continue
-            if args.mode == "fd":
-                spec = numeric_only(spec)
             r1f, r2f = spec.residual_fields
             points = spec.verification_points(grid)
             batch = as_batch(points)
@@ -158,9 +160,7 @@ def _chart_metric(name, radius, c):
 
 
 def _cmd_curvature(args):
-    metric = _chart_metric(args.chart, args.radius, args.c)
-    if args.mode == "fd":
-        metric = numeric_only(metric)
+    metric = _in_mode(args)(_chart_metric(args.chart, args.radius, args.c))
     points = base_sweep(metric.box, (args.grid,) * 2)
     curvature = gauss_curvature_2d(metric, as_batch(points)).tolist()
     rows = [(t, s, k) for (t, s, _), k in zip(points, curvature)]
@@ -204,10 +204,8 @@ def _cmd_construct(args):
     built = constructor.build_nonflat_target(
         constructor.ConstructionSpec(profile)
     )
-    spec = built.canonical
-    if args.mode == "fd":
-        spec = numeric_only(spec)
-    rep = constructor.verify_construction(spec, tol=tol)
+    rep = constructor.verify_construction(_in_mode(args)(built.canonical),
+                                          tol=tol)
     _print_report(rep)
     print(f"map: {built.map_note}")
     oracle_ok = ode_worst <= 1e-5 and ricc <= 1e-5
@@ -283,8 +281,8 @@ def _cmd_surface(args):
                 classification="unavailable", notes=(str(err),),
             )
         else:
-            rep = _cylinder_report(cyl, args.mode, tol, label, channels,
-                                   r1, r2)
+            rep = _cylinder_report(_in_mode(args)(cyl), tol, label,
+                                   channels, r1, r2)
     _print_report(rep)
     write_report(args.out, [rep], header={
         "command": "surface", "kg": args.kg, "K": args.K, "tolerance": tol,
@@ -293,10 +291,8 @@ def _cmd_surface(args):
     return 0 if rep.passed else 1
 
 
-def _cylinder_report(cyl, mode, tol, label, channels, r1, r2):
+def _cylinder_report(cyl, tol, label, channels, r1, r2):
     """Classify the vertical cylinder and check it against the Hopf system."""
-    if mode == "fd":
-        cyl = numeric_only(cyl)
     pts = hypersurface.surface_points(cyl, (4, 4))
     cls = hypersurface.cmc_classify(cyl, pts, tol=max(tol, 1e-8))
     print(f"classification: {cls.kind} (H = {cls.mean_curvature:.6g})")
@@ -335,15 +331,20 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_out):
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (default 1e-6 analytic, 1e-3 fd)")
-        p.add_argument("--mode", choices=("analytic", "fd"),
-                       default="analytic", help="derivative mode")
+    def command(name, summary, default_out, *reads):
+        """A subcommand with --out and those of --tol and --mode it reads."""
+        p = sub.add_parser(name, help=summary)
+        if "tol" in reads:
+            p.add_argument("--tol", type=float, default=None,
+                           help="tolerance (default 1e-6 analytic, 1e-3 fd)")
+        if "mode" in reads:
+            p.add_argument("--mode", choices=("analytic", "fd"),
+                           default="analytic", help="derivative mode")
         p.add_argument("--out", default=default_out, help="report path")
+        return p
 
-    p = sub.add_parser("verify", help="catalog + frame identity suites")
-    common(p, "biharm-verify.jsonl")
+    p = command("verify", "catalog + frame identity suites",
+                "biharm-verify.jsonl", "tol", "mode")
     p.add_argument("--grid", type=int, default=21, help="points per axis")
     p.add_argument("--specs", type=int, default=20,
                    help="randomized frame specs")
@@ -353,8 +354,8 @@ def _build_parser():
                    help="directory for residual grid CSV dumps")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("curvature", help="dump a base curvature grid")
-    common(p, "biharm-curvature.csv")
+    p = command("curvature", "dump a base curvature grid",
+                "biharm-curvature.csv", "mode")
     p.add_argument("--chart", default="sphere",
                    choices=("sphere", "hyperbolic", "flat", "cosh4", "y4"))
     p.add_argument("--radius", type=float, default=1.0,
@@ -364,9 +365,9 @@ def _build_parser():
     p.add_argument("--grid", type=int, default=21)
     p.set_defaults(fn=_cmd_curvature)
 
-    p = sub.add_parser("construct", help="integrate the angle ODE and "
-                                         "verify the warped construction")
-    common(p, "biharm-construct.jsonl")
+    p = command("construct", "integrate the angle ODE and verify the "
+                             "warped construction",
+                "biharm-construct.jsonl", "tol", "mode")
     p.add_argument("--alpha0", type=float, required=True,
                    help="initial angle")
     p.add_argument("--alpha1", type=float, required=True,
@@ -379,16 +380,15 @@ def _build_parser():
                    help="write the profile table here")
     p.set_defaults(fn=_cmd_construct)
 
-    p = sub.add_parser("scan", help="constant-slope residual roots")
-    common(p, "biharm-scan.jsonl")
+    p = command("scan", "constant-slope residual roots", "biharm-scan.jsonl")
     p.add_argument("--c", type=float, required=True,
                    help="base curvature constant")
     p.add_argument("--range", type=_span, required=True, metavar="LO:HI")
     p.add_argument("--samples", type=int, default=201)
     p.set_defaults(fn=_cmd_scan)
 
-    p = sub.add_parser("surface", help="Hopf residuals + CMC classification")
-    common(p, "biharm-surface.jsonl")
+    p = command("surface", "Hopf residuals + CMC classification",
+                "biharm-surface.jsonl", "tol", "mode")
     p.add_argument("--kg", type=float, required=True,
                    help="geodesic curvature of the base circle")
     p.add_argument("--K", type=float, required=True,
@@ -401,8 +401,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # scan and curvature take no tolerance, but reject a bad one too
-        _default_tol(args)
         # numpy does not warn of overflow: the value it makes still raises
         # a typed error (NonFiniteValue) where it is checked
         with np.errstate(all="ignore"):

@@ -17,20 +17,6 @@ class NonOrthonormalFrame(GeometryError):
     """A frame failed the orthonormality check for its metric."""
 
 
-class ToleranceExceeded(GeometryError):
-    """A verification identity exceeded its tolerance.
-
-    Carries the name of the worst identity, the offending point and the full
-    report in ``identity``, ``point`` and ``report``.
-    """
-
-    def __init__(self, message, identity=None, point=None, report=None):
-        super().__init__(message)
-        self.identity = identity
-        self.point = point
-        self.report = report
-
-
 class DegenerateImmersion(GeometryError):
     """The differential of a parametrized surface has rank < 2."""
 

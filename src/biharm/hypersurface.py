@@ -98,12 +98,16 @@ class SurfaceImmersion:
         )
 
     @cached_property
+    def _exponent(self):
+        """The ambient conformal exponent pulled back to (u, v)."""
+        return compose(self.ambient.conformal_exponent, self.components)
+
+    @cached_property
     def _weight_fields(self):
         """Ambient diagonal metric coefficients pulled back to (u, v)."""
-        q = compose(self.ambient.conformal_exponent, self.components)
         one = ScalarField.constant(1.0, 2)
         w = [one, one, one]
-        w[self.ambient.weighted_axis] = fexp(2.0 * q)
+        w[self.ambient.weighted_axis] = fexp(2.0 * self._exponent)
         return tuple(w)
 
     @cached_property
@@ -126,8 +130,8 @@ class SurfaceImmersion:
     def normal_fields(self):
         """Chart components of the unit normal (metric cross product)."""
         T, w = self.tangent_fields, self._weight_fields
-        q = compose(self.ambient.conformal_exponent, self.components)
-        sqrt_amb = fexp(q)  # sqrt of the ambient metric determinant
+        # sqrt of the ambient metric determinant
+        sqrt_amb = fexp(self._exponent)
         tu, tv = T
         raw = (
             tu[1] * tv[2] - tu[2] * tv[1],

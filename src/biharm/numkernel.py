@@ -41,8 +41,8 @@ one batch.  A stencil node has no derivative rule, so its own partials are
 stencils in turn.  Directional derivatives and the curvature read first
 partials through the cache of ``diff``, so each is one node per field and
 axis.  Pure partials, and the stencil reach they need, follow from
-``diff``, but for a field without a derivative rule, which takes direct
-stencils (see ``ScalarField._partial``).
+``diff``, but for the second and third partials of a field without a
+derivative rule, which take direct stencils (see ``ScalarField._partial``).
 
 Values are IEEE double arithmetic on arrays, and the unary functions apply
 the ``math`` module one value after another: numpy's vectorised exp, tan,
@@ -354,13 +354,13 @@ class ScalarField:
     def _partial(self, axis, order):
         """The field whose values are the pure partial of the given order.
 
-        A field without a derivative rule (an opaque leaf or a stencil node)
-        takes one direct stencil (a second difference, where two nested
-        first differences would amplify round-off more); every other field
-        follows its ``diff`` chain.
+        A first partial is ``diff``.  A higher partial of a field without a
+        derivative rule (an opaque leaf or a stencil node) takes one direct
+        second difference, where two nested first differences would amplify
+        round-off more; every other field follows its ``diff`` chain.
         """
-        if self._derive is None:
-            out = _stencil(self, axis, min(order, 2), H_FD)
+        if self._derive is None and order > 1:
+            out = _stencil(self, axis, 2, H_FD)
             return _stencil(out, axis, 1, H_FD3) if order == 3 else out
         out = self
         for _ in range(order):

@@ -49,7 +49,6 @@ from .numkernel import (
     fexp,
     flog,
     fsin,
-    numeric_only,
     sweep,
 )
 from .report import ResidualReport, build_report, max_over_batch
@@ -298,12 +297,11 @@ def catalog_examples():
     return [cosh4, y4, hyperbolic_spec(-1.0), hyperbolic_spec(-2.0)]
 
 
-def catalog_suite(mode="analytic", tol=1e-6, grid=(21, 21)):
-    """Residual reports for the catalog; every case must come out proper."""
+def catalog_suite(specs, tol=1e-6, grid=(21, 21)):
+    """Residual reports for catalog specs (``catalog_examples``, or their
+    finite-difference copies); every case must come out proper."""
     reports = []
-    for spec in catalog_examples():
-        if mode == "fd":
-            spec = numeric_only(spec)
+    for spec in specs:
         rep = residual_report(spec, tol=tol, grid=grid)
         if rep.passed and rep.classification != "proper biharmonic":
             rep = build_report(rep.case_label, tol, rep.channels,

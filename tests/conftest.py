@@ -70,6 +70,13 @@ def field_of_text(text, variables):
     return field_of(expr, len(names))
 
 
+def in_mode(mode, objs):
+    """``objs`` as ``mode`` evaluates them: themselves, or in "fd" mode
+    their finite-difference copies, made one at a time as the CLI makes
+    them."""
+    return map(numkernel.numeric_only, objs) if mode == "fd" else objs
+
+
 def graph_nodes(field, seen=None):
     """Every field of the graph below ``field``, itself included."""
     seen = {} if seen is None else seen

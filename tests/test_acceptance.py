@@ -37,8 +37,9 @@ from biharm.hypersurface import (
     vertical_cylinder,
 )
 from biharm.numkernel import ChartBox, ScalarField, numeric_only
-from conftest import S, field_of
+from conftest import S, field_of, in_mode
 from biharm.submersion import (
+    catalog_examples,
     catalog_suite,
     flat_random_specs,
     hyperbolic_uniqueness_scan,
@@ -94,7 +95,8 @@ def test_criterion_1():
 
 def run_criterion_2(mode):
     tol = 1e-6 if mode == "analytic" else 1e-3
-    reports = catalog_suite(mode=mode, tol=tol, grid=(21, 21))
+    reports = catalog_suite(in_mode(mode, catalog_examples()), tol=tol,
+                            grid=(21, 21))
     labels = {r.case_label for r in reports}
     assert {"cosh4", "y4", "hyperbolic(-1)", "hyperbolic(-2)"} <= labels
     for rep in reports:
@@ -184,7 +186,8 @@ def test_criterion_4():
 def run_criterion_5(mode):
     tol = 1e-6 if mode == "analytic" else 1e-3
     reports = frame_identity_suite(
-        np.random.default_rng(42), count=20, mode=mode, tol=tol, grid=(5, 5)
+        in_mode(mode, random_adapted_specs(np.random.default_rng(42), 20)),
+        tol=tol, grid=(5, 5),
     )
     assert len(reports) == 20
     for rep in reports:
@@ -194,8 +197,8 @@ def run_criterion_5(mode):
     # 10% mutation of every data channel that is not identically zero must
     # be detected (a multiplicative bump of a zero function is invisible)
     detected = {}
-    for label, metric, spec in random_adapted_specs(
-        np.random.default_rng(42), 2, mode=mode
+    for label, metric, spec in in_mode(
+        mode, random_adapted_specs(np.random.default_rng(42), 2)
     ):
         pts = base_sweep(metric.box, (4, 4))
         for name, hit in mutation_detected(metric, spec, pts, tol=tol).items():

@@ -1,6 +1,8 @@
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from biharm.errors import NonOrthonormalFrame, ToleranceExceeded
+from biharm.errors import NonOrthonormalFrame
 from biharm.frames import (
     AdaptedFrameSpec,
     SeededUniform,
@@ -32,7 +34,7 @@ from biharm.numkernel import (
     directional_field,
 )
 from biharm.submersion import target_curvature
-from conftest import S, T, Z, field_of
+from conftest import S, T, Z, field_of, in_mode
 
 
 def bracket_vector(frame, i, j, point):
@@ -229,22 +231,22 @@ class TestValidateFrame:
         frame = adapted_frame(spec, hyperbolic_metric3)
         data = integrability_data(spec, hyperbolic_metric3)
         pts = base_sweep(hyperbolic_metric3.box, (3, 3))
-        with pytest.raises(ToleranceExceeded) as err:
-            validate_frame(frame, data, pts, tol=1e-6)
-        assert err.value.report.max_abs_residual > 0.1
+        report = validate_frame(frame, data, pts, tol=1e-6)
+        assert not report.passed
+        assert report.max_abs_residual > 0.1
 
     def test_corrupted_kappa1_detected(self):
-        label, metric, spec = random_adapted_specs(
+        label, metric, spec = next(random_adapted_specs(
             np.random.default_rng(5), 1
-        )[0]
+        ))
         frame = adapted_frame(spec, metric)
         data = integrability_data(spec, metric)
         pts = base_sweep(metric.box, (4, 4))
-        validate_frame(frame, data, pts, tol=1e-6)
+        assert validate_frame(frame, data, pts, tol=1e-6).passed
         bad = replace(data, kappa1=data.kappa1 * 1.1)
-        with pytest.raises(ToleranceExceeded) as err:
-            validate_frame(frame, bad, pts, tol=1e-6)
-        assert err.value.identity is not None
+        report = validate_frame(frame, bad, pts, tol=1e-6)
+        assert not report.passed
+        assert report.worst_channel.max_abs > report.tolerance
 
     def test_geodesic_first_leg(self):
         # grad_{e1} e1 = 0 on every compatible spec
@@ -308,7 +310,7 @@ class TestCurvatureRowsPerPoint:
         from biharm.report import max_over_batch
 
         rng = np.random.default_rng(31)
-        for _, metric, spec in random_adapted_specs(rng, 8, mode):
+        for _, metric, spec in in_mode(mode, random_adapted_specs(rng, 8)):
             frame = adapted_frame(spec, metric)
             data = integrability_data(spec, metric)
             pts = base_sweep(metric.box, (5, 5))
@@ -335,14 +337,14 @@ class TestCurvatureRowsPerPoint:
 class TestRandomSuite:
     def test_all_families_pass_both_modes(self):
         reports = frame_identity_suite(
-            np.random.default_rng(21), count=8, mode="analytic", tol=1e-6,
+            random_adapted_specs(np.random.default_rng(21), 8), tol=1e-6,
             grid=(4, 4),
         )
         assert len(reports) == 8
         assert all(r.passed for r in reports)
         reports_fd = frame_identity_suite(
-            np.random.default_rng(21), count=4, mode="fd", tol=1e-3,
-            grid=(3, 3),
+            in_mode("fd", random_adapted_specs(np.random.default_rng(21), 4)),
+            tol=1e-3, grid=(3, 3),
         )
         assert all(r.passed for r in reports_fd)
 
@@ -352,17 +354,34 @@ class TestRandomSuite:
         def peak_heap(count):
             tracemalloc.start()
             try:
-                frame_identity_suite(SeededUniform(7), count)
+                frame_identity_suite(
+                    random_adapted_specs(SeededUniform(7), count))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak_heap(200) <= 4 * peak_heap(20)
 
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_reported_specs_are_let_go(self, mode):
+        # when the suite draws the next spec, it holds none it has reported
+        refs = []
+
+        def watched(specs):
+            for label, metric, spec in specs:
+                gc.collect()
+                assert [ref for ref in refs if ref() is not None] == []
+                refs.extend((weakref.ref(metric), weakref.ref(spec)))
+                yield label, metric, spec
+
+        specs = in_mode(mode, random_adapted_specs(SeededUniform(7), 6))
+        reports = frame_identity_suite(watched(specs), 1e-3, (3, 3))
+        assert len(reports) == 6 and len(refs) == 12
+
     def test_mutation_detected_on_nonzero_channels(self):
-        label, metric, spec = random_adapted_specs(
+        label, metric, spec = list(random_adapted_specs(
             np.random.default_rng(23), 2
-        )[1]  # warped family: f2, sigma, kappa1 all nonzero
+        ))[1]  # warped family: f2, sigma, kappa1 all nonzero
         pts = base_sweep(metric.box, (4, 4))
         found = mutation_detected(metric, spec, pts, tol=1e-6)
         assert set(found) >= {"f2", "sigma", "kappa1"}

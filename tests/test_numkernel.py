@@ -24,7 +24,15 @@ from biharm.numkernel import (
     one_or_all,
     sample_grid,
 )
-from conftest import S, T, X, field_of, field_of_text, graph_nodes
+from conftest import (
+    S,
+    T,
+    X,
+    field_of,
+    field_of_text,
+    graph_nodes,
+    in_mode,
+)
 
 
 def const(v, dim=3):
@@ -378,15 +386,16 @@ class TestDerivativeRoute:
                               "lifted-explicit"):
                     assert kinds[label].stencil_reach(axis, order) == 0.0
         fd = kinds["numeric-only"]
-        # an opaque leaf: one direct stencil per order
+        # an opaque leaf: its diff, then one direct stencil per order
         assert fd.stencil_reach(1, 1) == H_FD
         assert fd.stencil_reach(1, 2) == H_FD
         assert fd.stencil_reach(1, 3) == H_FD3 + H_FD
-        # stencils over stencil nodes: the sum of their steps
+        # stencils over stencil nodes: the sum of their steps; a first
+        # partial is diff's, with H_FD3 from the third stacked difference on
         node = fd.diff(0)
         assert node.stencil_reach(0, 1) == H_FD + H_FD
         assert fd.diff(0).diff(0).diff(0).stencil_reach(1, 1) == \
-            H_FD + H_FD + H_FD3 + H_FD
+            H_FD + H_FD + H_FD3 + H_FD3
         # explicit partials beyond the given ones are differenced
         assert kinds["explicit-two-partials"].stencil_reach(1, 3) == H_FD
         # a derived field: the largest reach among its inputs
@@ -797,7 +806,7 @@ class TestStackedLegs:
         from biharm.geometry import base_sweep
 
         rng = np.random.default_rng(2024)
-        for label, metric, spec in random_adapted_specs(rng, 4, "fd"):
+        for label, metric, spec in in_mode("fd", random_adapted_specs(rng, 4)):
             frame = adapted_frame(spec, metric)
             data = integrability_data(spec, metric)
             points = base_sweep(metric.box, (5, 5))

@@ -70,7 +70,8 @@ class TestBaseCurvature:
 class TestOneConnectionPerFrame:
     def test_kappa_laplacians_share_the_connection(self):
         # a polar spec: both angles vary, so k1 and k2 are not numbers
-        _, metric, fspec = random_adapted_specs(np.random.default_rng(3), 3)[2]
+        _, metric, fspec = list(
+            random_adapted_specs(np.random.default_rng(3), 3))[2]
         spec = SubmersionSpec(metric, fspec, "polar")
         conn = spec.frame.connection
         assert spec.frame.connection is conn
@@ -137,7 +138,8 @@ class TestResiduals:
         assert any("flat-factor spread" in n for n in rep.notes)
 
     def test_catalog_suite_labels(self):
-        labels = [r.case_label for r in catalog_suite(grid=(5, 5))]
+        labels = [r.case_label
+                  for r in catalog_suite(catalog_examples(), grid=(5, 5))]
         assert labels == ["cosh4", "y4", "hyperbolic(-1)", "hyperbolic(-2)"]
 
     def test_y4_box_positive(self):
