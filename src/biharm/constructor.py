@@ -198,9 +198,22 @@ class AlphaProfile:
             return self.alpha3
         return np.gradient(self.alpha2, self.y_grid)
 
+    def _check_finite(self):
+        """Raise SingularProfile naming the first non-finite node value, in
+        the columns y, alpha, alpha', alpha'' in turn (every comparison
+        with a NaN is False, so the margin checks alone pass one)."""
+        for name in ("y_grid", "alpha", "alpha1", "alpha2"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            bad = ~np.isfinite(column)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise SingularProfile(f"{name}[{j}] = {column[j]} is not "
+                                      "finite")
+
     def validate(self):
         if len(self.y_grid) < 5:
             raise SingularProfile("profile has fewer than 5 nodes")
+        self._check_finite()
         sc = np.sin(self.alpha) * np.cos(self.alpha)
         if np.min(np.abs(sc)) < EPS_SING:
             raise SingularProfile(
@@ -295,11 +308,80 @@ def _rk4_step(state, f1, h):
             c + h6 * (((f1 + 2 * f2) + 2 * f3) + f4))
 
 
+def _next_node(a, b, c, f1, h, quarter):
+    """The node integrate_alpha keeps after the node (a, b, c), whose third
+    derivative is ``f1``: two _rk4_step calls at h/2, with each stage's
+    _third_derivative written out in the same operations, then the node's
+    checks, whose sin and cos the node's third derivative shares.
+
+    Returns (alpha, alpha', alpha'', alpha''', "") when the node can be
+    kept, otherwise (a, b, c, f1, the reason it cannot).  A stage inside
+    the margin raises SingularCoefficient as _third_derivative does, and a
+    value that leaves the float range raises OverflowError or ValueError.
+    """
+    sin, cos, lead_min = math.sin, math.cos, EPS_SING ** 2
+    hs = 0.5 * h
+    hh, h6 = 0.5 * hs, hs / 6.0
+    x, y, z, f = a, b, c, f1
+    for second in (False, True):
+        if second:  # the third derivative where the second half step starts
+            s, co = sin(x), cos(x)
+            lead = s * co * co
+            if abs(lead) < lead_min:
+                _third_derivative(x, y, z)  # raises SingularCoefficient
+            f = -(co * (s * s + 3.0) * y * z + s * (2.0 * co * co + 3.0)
+                  * y ** 3) / lead
+        a2, b2, c2 = x + hh * y, y + hh * z, z + hh * f
+        s, co = sin(a2), cos(a2)
+        lead = s * co * co
+        if abs(lead) < lead_min:
+            _third_derivative(a2, b2, c2)  # raises SingularCoefficient
+        f2 = -(co * (s * s + 3.0) * b2 * c2 + s * (2.0 * co * co + 3.0)
+               * b2 ** 3) / lead
+        a3, b3, c3 = x + hh * b2, y + hh * c2, z + hh * f2
+        s, co = sin(a3), cos(a3)
+        lead = s * co * co
+        if abs(lead) < lead_min:
+            _third_derivative(a3, b3, c3)  # raises SingularCoefficient
+        f3 = -(co * (s * s + 3.0) * b3 * c3 + s * (2.0 * co * co + 3.0)
+               * b3 ** 3) / lead
+        a4, b4, c4 = x + hs * b3, y + hs * c3, z + hs * f3
+        s, co = sin(a4), cos(a4)
+        lead = s * co * co
+        if abs(lead) < lead_min:
+            _third_derivative(a4, b4, c4)  # raises SingularCoefficient
+        f4 = -(co * (s * s + 3.0) * b4 * c4 + s * (2.0 * co * co + 3.0)
+               * b4 ** 3) / lead
+        x, y, z = (x + h6 * (((y + 2.0 * b2) + 2.0 * b3) + b4),
+                   y + h6 * (((z + 2.0 * c2) + 2.0 * c3) + c4),
+                   z + h6 * (((f + 2.0 * f2) + 2.0 * f3) + f4))
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        return a, b, c, f1, "non-finite state"
+    # margins are checked at nodes only: a step jumping over zeros of
+    # sin(2 alpha) ends outside the start's quarter period floor(2 alpha/pi)
+    if math.floor(2.0 * x / math.pi) != quarter:
+        return a, b, c, f1, (f"step crossed sin(2 alpha) = 0 between "
+                             f"alpha={a:.6g} and alpha={x:.6g}")
+    s, co = sin(x), cos(x)
+    if abs(s * co) < EPS_SING:
+        return a, b, c, f1, (f"|sin*cos| margin {EPS_SING:g} hit at "
+                             f"alpha={x:.6g}")
+    if abs(y) < MIN_SLOPE:
+        return a, b, c, f1, f"|alpha'| fell below {MIN_SLOPE:g}"
+    # no margin check on sin*cos^2 here: past |sin*cos| >= EPS_SING,
+    # |cos| >= EPS_SING and |sin| <= 1 - 4e-7, so |sin*cos^2| exceeds
+    # EPS_SING**2 by far more than rounding
+    return x, y, z, -(co * (s * s + 3.0) * y * z + s * (2.0 * co * co + 3.0)
+                      * y ** 3) / (s * co * co), ""
+
+
 def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step) -> AlphaProfile:
     """Integrate the third-order angle ODE with classical 4th-order steps.
 
     Every step is taken as two h/2 steps, whose result is kept as the next
-    node.  After the last step, the whole step at h from every node a step
+    node: one call of the float kernel _next_node per step, which writes
+    the third derivative out at every stage and checks the node it makes.
+    After the last step, the whole step at h from every node a step
     started from is taken in one array pass (see _whole_steps); its
     difference from the kept node over 15 is the per-step error estimate,
     and ``step_error`` is the worst of it over the kept steps.
@@ -338,49 +420,29 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step) -> AlphaProfile:
     # a long profile keeps no Python object per node; the third-derivative
     # column is exact on solution trajectories
     nodes = array("d", (y0, *state, alpha3))
-    # bound per call, not at import, so that call counters rebinding the
-    # module names still count
-    rk4, third, isfinite = _rk4_step, _third_derivative, math.isfinite
-    sin, cos, floor, pi = math.sin, math.cos, math.floor, math.pi
-    eps_sing, min_slope = EPS_SING, MIN_SLOPE
-    # margins are checked at nodes only: a step jumping over zeros of
-    # sin(2 alpha) ends outside the start's quarter period floor(2 alpha/pi)
     try:
-        quarter = floor(2.0 * state[0] / pi)
+        quarter = math.floor(2.0 * state[0] / math.pi)
     except OverflowError:  # 2 alpha beyond the float range
         raise ImmediateSingularity(
             f"initial data rejected: 2 alpha overflows at alpha = "
             f"{state[0]!r}") from None
-    half = state  # after a break, still ``state`` if a half step raised
+    a, b, c = state
+    raised = False
     for k in range(n):
         try:
-            # alpha3 is the third derivative at ``state`` (first same as
-            # last), where the first half step starts
-            mid = rk4(state, alpha3, 0.5 * h)
-            half = rk4(mid, third(*mid), 0.5 * h)
-            a, b, c = half
-            if not (isfinite(a) and isfinite(b) and isfinite(c)):
-                reason = "non-finite state"
-            elif floor(2.0 * a / pi) != quarter:
-                reason = (f"step crossed sin(2 alpha) = 0 between alpha="
-                          f"{state[0]:.6g} and alpha={a:.6g}")
-            elif abs(sin(a) * cos(a)) < eps_sing:
-                reason = f"|sin*cos| margin {eps_sing:g} hit at alpha={a:.6g}"
-            elif abs(b) < min_slope:
-                reason = f"|alpha'| fell below {min_slope:g}"
-            else:
-                alpha3 = third(a, b, c)
+            # alpha3 is the third derivative at (a, b, c) (first same as
+            # last), where the step starts
+            a, b, c, alpha3, reason = _next_node(a, b, c, alpha3, h, quarter)
         except SingularCoefficient as err:
-            reason = str(err)
-        except (OverflowError, ValueError):  # a stage left the float range
-            reason = "non-finite state"
+            reason, raised = str(err), True
+        except (OverflowError, ValueError):  # a value left the float range
+            reason, raised = "non-finite state", True
         if reason:
             break
-        state = half
         nodes.extend((y0 + (k + 1) * h, a, b, c, alpha3))
     # one copy: the rows are read in place, then laid out as columns
     table = np.frombuffer(nodes).reshape(-1, 5).T.copy()
-    kept, reason, worst = _whole_steps(table, h, reason, half is state)
+    kept, reason, worst = _whole_steps(table, h, reason, raised)
     ys, alpha, alpha1, alpha2, alpha3 = table[:, :kept + 1]
     return AlphaProfile(
         y_grid=ys, alpha=alpha, alpha1=alpha1, alpha2=alpha2,
@@ -389,11 +451,12 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step) -> AlphaProfile:
     )
 
 
-def _whole_steps(table, h, reason, halves_raised):
+def _whole_steps(table, h, reason, raised):
     """(steps kept, truncate reason, step_error) from the whole steps at h.
 
     ``table`` holds the node columns (y, alpha, alpha', alpha'', alpha''')
-    that the half steps kept, and ``reason`` says why they stopped.  A
+    that the half steps kept, ``reason`` says why they stopped, and
+    ``raised`` whether an exception stopped them.  A
     whole step is taken from every node a step started from, the stopped
     step's included, in one array pass.  A whole step that fails (raises,
     leaves the float range or has a stage inside the margin) ends the
@@ -422,9 +485,9 @@ def _whole_steps(table, h, reason, halves_raised):
         except (OverflowError, ValueError):  # a stage left the float range
             return k, "non-finite state", worst
         if not all(map(math.isfinite, full)):
-            # at the step where the loop stopped, an exception from a half
-            # step came before the finiteness check of this whole step
-            return k, (reason if k == m and halves_raised
+            # at the step where the loop stopped, the exception that stopped
+            # it came before the finiteness check of this whole step
+            return k, (reason if k == m and raised
                        else "non-finite state"), worst
         if k < m:
             worst = max(worst, max(abs(full[0] - alpha[k + 1]),
@@ -476,8 +539,10 @@ def riccati_consistency(profile: AlphaProfile):
 
     The Riccati equation is integrated independently (classical 4th order,
     node-to-node in the alpha variable) from the initial u and compared
-    with the profile's own u at every node.
+    with the profile's own u at every node.  A non-finite node value
+    raises SingularProfile.
     """
+    profile._check_finite()
     alphas, slopes, curvs = map(_floats, (profile.alpha, profile.alpha1,
                                           profile.alpha2))
     if min(map(abs, slopes)) ** 2 == 0.0:
@@ -485,24 +550,37 @@ def riccati_consistency(profile: AlphaProfile):
                               "is undefined")
     u = curvs[0] / slopes[0] ** 2
     worst = 0.0
+    sin, cos = math.sin, math.cos
     end, end_pq = math.nan, None  # the last step's end and its (p, q)
     for a, nxt, slope, curv in zip(alphas, alphas[1:], slopes, curvs):
-        worst = max(worst, abs(u - curv / slope ** 2))
+        dev = abs(u - curv / slope ** 2)
+        if dev > worst:  # max(worst, dev), without the call
+            worst = dev
         # riccati_rhs written out, so that k2 and k3 share the coefficients
         # of the midpoint, and a step starts with the coefficients its
         # predecessor ended with when a + da rounded to the next node
         # (always, by Sterbenz's lemma, between neighbours of one sign
-        # within a factor 2)
+        # within a factor 2); the coefficients at the midpoint and the end
+        # are _riccati_coefficients written out
         da = nxt - a
         p, q = end_pq if end == a else _riccati_coefficients(a)
         k1 = -2.0 * u * u - p * u - q
-        p, q = _riccati_coefficients(a + 0.5 * da)
+        mid = a + 0.5 * da
+        s, c = sin(mid), cos(mid)
+        sc = s * c
+        if abs(sc) < EPS_SING:
+            _riccati_coefficients(mid)  # raises SingularCoefficient
+        p, q = (s * s + 3.0) / sc, (2.0 * c * c + 3.0) / (c * c)
         v = u + 0.5 * da * k1
         k2 = -2.0 * v * v - p * v - q
         v = u + 0.5 * da * k2
         k3 = -2.0 * v * v - p * v - q
         end = a + da
-        p, q = end_pq = _riccati_coefficients(end)
+        s, c = sin(end), cos(end)
+        sc = s * c
+        if abs(sc) < EPS_SING:
+            _riccati_coefficients(end)  # raises SingularCoefficient
+        p, q = end_pq = (s * s + 3.0) / sc, (2.0 * c * c + 3.0) / (c * c)
         v = u + da * k3
         k4 = -2.0 * v * v - p * v - q
         u = u + (da / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)

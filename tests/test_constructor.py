@@ -361,34 +361,75 @@ class TestScalarPaths:
             ref = _numpy_rk4_step(np.array(state), h)
             assert [_bits(v) for v in got] == [float(v).hex() for v in ref]
 
-    def test_two_rk4_calls_per_step_and_one_pass(self, monkeypatch):
-        # the two half steps of every step, then the whole steps at once
+    def _counted(self, monkeypatch, name):
         calls = []
-        rk4 = constructor._rk4_step
+        fn = getattr(constructor, name)
 
         def counted(*args):
             calls.append(1)
-            return rk4(*args)
+            return fn(*args)
 
-        monkeypatch.setattr(constructor, "_rk4_step", counted)
+        monkeypatch.setattr(constructor, name, counted)
+        return calls
+
+    def test_one_rk4_call_per_integration(self, monkeypatch):
+        # the half steps run in _next_node; _rk4_step takes the whole steps
+        # as one array pass
+        calls = self._counted(monkeypatch, "_rk4_step")
         prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
-        assert not prof.truncated
-        assert len(calls) == 2 * (len(prof.y_grid) - 1) + 1 == 101
+        assert not prof.truncated and len(prof.y_grid) == 51
+        assert len(calls) == 1
 
-    def test_eight_evaluations_per_step(self, monkeypatch):
-        # the third derivative at a step's start is the previous node's,
-        # and the array pass of the whole steps evaluates none one at a time
-        calls = []
-        third = constructor._third_derivative
-
-        def counted(*args):
-            calls.append(1)
-            return third(*args)
-
-        monkeypatch.setattr(constructor, "_third_derivative", counted)
+    def test_third_derivative_once_at_the_initial_node(self, monkeypatch):
+        # every later node's third derivative is written out in _next_node,
+        # and the array pass evaluates none one at a time
+        calls = self._counted(monkeypatch, "_third_derivative")
         prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
-        assert not prof.truncated
-        assert len(calls) == 1 + 8 * (len(prof.y_grid) - 1) == 401
+        assert not prof.truncated and len(prof.y_grid) == 51
+        assert len(calls) == 1
+
+    def test_next_node_matches_two_numpy_half_steps(self):
+        rng = random.Random(19)
+        for _ in range(50):
+            state = (rng.uniform(0.3, 1.2), rng.uniform(-1.0, 1.0),
+                     rng.uniform(-1.0, 1.0))
+            h = rng.choice([1e-4, 1e-3, 0.05])
+            f1 = constructor._third_derivative(*state)
+            quarter = math.floor(2.0 * state[0] / math.pi)
+            *got, reason = constructor._next_node(*state, f1, h, quarter)
+            ref = _numpy_rk4_step(_numpy_rk4_step(np.array(state), 0.5 * h),
+                                  0.5 * h)
+            ref = [float(v) for v in ref]
+            assert reason == ""
+            assert [_bits(v) for v in got] == [
+                v.hex() for v in (*ref, constructor._third_derivative(*ref))]
+
+    @pytest.mark.parametrize("state, error", [
+        # a stage of the first or of the second half step lies inside the
+        # sin*cos^2 margin
+        ((1.566, 2.2, 0.0), "SingularCoefficient"),
+        ((1.55, 3.1, 0.0), "SingularCoefficient"),
+        # alpha'^3 of a first-half-step stage leaves the float range
+        ((0.3, 1e30, 0.0), "OverflowError"),
+    ])
+    def test_next_node_raises_as_the_float_steps(self, state, error):
+        f1 = constructor._third_derivative(*state)
+        h = 1e-2
+
+        def outcome(step):
+            try:
+                step()
+            except (SingularCoefficient, OverflowError) as err:
+                return type(err).__name__, str(err)
+
+        def float_halves():
+            rk4 = constructor._rk4_step
+            mid = rk4(state, f1, 0.5 * h)
+            rk4(mid, constructor._third_derivative(*mid), 0.5 * h)
+
+        got = outcome(lambda: constructor._next_node(*state, f1, h, 0))
+        assert got is not None and got[0] == error
+        assert got == outcome(float_halves)
 
     def test_ode_residual_matches_numpy(self, solved_profile):
         prof = solved_profile
@@ -667,6 +708,39 @@ class TestRiccatiWalk:
         alpha1_0 = sign * speed
         _assert_same_riccati(integrate_alpha(
             alpha0, alpha1_0, u0 * alpha1_0 ** 2, (0.0, 1.0), 1e-2))
+
+
+class TestNonFiniteProfile:
+    """A NaN or an infinity in a node column is a SingularProfile naming
+    the column and the node; a NaN alone would pass every margin check."""
+
+    @staticmethod
+    def _profile(*bad):
+        ys = np.linspace(0.0, 1.0, 11)
+        cols = {"y_grid": ys, "alpha": 0.3 + 0.5 * ys,
+                "alpha1": np.full(11, 0.5), "alpha2": np.sin(3 * ys)}
+        for name, node, value in bad:
+            cols[name] = cols[name].copy()
+            cols[name][node] = value
+        return AlphaProfile(**cols)
+
+    @pytest.mark.parametrize("bad, named", [
+        ((("alpha", 5, math.nan),), "alpha[5] = nan"),
+        ((("alpha1", 9, math.inf),), "alpha1[9] = inf"),
+        ((("alpha2", 0, -math.inf),), "alpha2[0] = -inf"),
+        ((("y_grid", 4, math.nan),), "y_grid[4] = nan"),
+        # the first column in the order y, alpha, alpha', alpha'', then its
+        # first node
+        ((("alpha1", 2, math.inf), ("alpha", 7, math.nan),
+          ("alpha", 8, math.inf)), "alpha[7] = nan"),
+    ])
+    def test_checks_name_the_first_non_finite_value(self, bad, named):
+        prof = self._profile(*bad)
+        message = re.escape(f"{named} is not finite")
+        with pytest.raises(SingularProfile, match=message):
+            prof.validate()
+        with pytest.raises(SingularProfile, match=message):
+            riccati_consistency(prof)
 
 
 class TestOneBatchPerCheck:

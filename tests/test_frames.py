@@ -387,6 +387,19 @@ class TestRandomSuite:
         assert set(found) >= {"f2", "sigma", "kappa1"}
         assert all(found.values())
 
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           factor=st.floats(0.5, 0.98) | st.floats(1.02, 1.5))
+    def test_bumped_channels_detected(self, seed, factor):
+        # the four families of a seed, each bumped by one factor: every
+        # channel that is not identically zero is bumped and caught
+        for label, metric, spec in random_adapted_specs(SeededUniform(seed),
+                                                        4):
+            pts = base_sweep(metric.box, (4, 4))
+            found = mutation_detected(metric, spec, pts, tol=1e-6,
+                                      factor=factor)
+            assert found and all(found.values()), (label, found)
+
 
 class TestSeededUniform:
     """The seeded draws of ``biharm verify`` are numpy's default_rng draws,
