@@ -499,7 +499,9 @@ def _whole_steps(table, h, reason, raised):
 def _ode_residuals(profile, ys):
     """alpha_ode_residual at every abscissa of the array ``ys`` in one pass:
     the operation order of ode_residual_terms, with sin, cos and the cube
-    from libm as there (numpy's may differ in the last bit)."""
+    from libm as there (numpy's may differ in the last bit).  A non-finite
+    node value raises SingularProfile."""
+    profile._check_finite()
     d = profile.node_step
     y0, y1 = profile.span
     ys = np.asarray(ys, dtype=float)
@@ -545,7 +547,10 @@ def riccati_consistency(profile: AlphaProfile):
     profile._check_finite()
     alphas, slopes, curvs = map(_floats, (profile.alpha, profile.alpha1,
                                           profile.alpha2))
-    if min(map(abs, slopes)) ** 2 == 0.0:
+    # one numpy pass; min() of the at most one value left keeps Python's
+    # ValueError for an empty column
+    least = np.abs(profile.alpha1).min(initial=math.inf, keepdims=True)
+    if float(min(least[:len(slopes)])) ** 2 == 0.0:
         raise SingularProfile("alpha'^2 = 0 at a node: u = alpha''/alpha'^2 "
                               "is undefined")
     u = curvs[0] / slopes[0] ** 2

@@ -35,14 +35,17 @@ derivative rules are the derivative 1 or 0 of a coordinate, the 0 of a
 number, explicit partials, and the chain rule of the operation that derived
 a field (forward mode over the field graph), so long differentiation chains
 stay at round-off accuracy in analytic mode.  A field without a rule along
-an axis is differenced there by a stencil node: one evaluation of the
-differenced field on the batch moved by +h and by -h, both legs stacked in
-one batch.  A stencil node has no derivative rule, so its own partials are
-stencils in turn.  Directional derivatives and the curvature read first
-partials through the cache of ``diff``, so each is one node per field and
-axis.  Pure partials, and the stencil reach they need, follow from
-``diff``, but for the second and third partials of a field without a
-derivative rule, which take direct stencils (see ``ScalarField._partial``).
+an axis is differenced there by a stencil node, if its graph reads that
+axis (see ``_axes``): one evaluation of the differenced field on the batch
+moved by +h and by -h, both legs stacked in one batch.  Along an axis its
+graph does not read, both legs would give the same values, so its
+derivative is the exact number 0.  A stencil node has no derivative rule,
+so its own partials are stencils in turn, along the axes its input reads.
+Directional derivatives and the curvature read first partials through the
+cache of ``diff``, so each is one node per field and axis.  Pure partials,
+and the stencil reach they need, follow from ``diff``, but for the second
+and third partials of a field without a derivative rule along an axis it
+reads, which take direct stencils (see ``ScalarField._partial``).
 
 Values are IEEE double arithmetic on arrays, and the unary functions apply
 the ``math`` module one value after another: numpy's vectorised exp, tan,
@@ -347,7 +350,8 @@ class ScalarField:
         derive = self._derive
         out = derive(axis, *self._args) if derive else None
         if out is None:  # no derivative rule, or one that skips this axis
-            out = _stencil(self, axis, 1)
+            out = (_stencil(self, axis, 1) if self._reads(axis)
+                   else ScalarField.constant(0.0, self.dim))
         self._diff_cache[axis] = out
         return out
 
@@ -355,17 +359,21 @@ class ScalarField:
         """The field whose values are the pure partial of the given order.
 
         A first partial is ``diff``.  A higher partial of a field without a
-        derivative rule (an opaque leaf or a stencil node) takes one direct
-        second difference, where two nested first differences would amplify
-        round-off more; every other field follows its ``diff`` chain.
+        derivative rule (an opaque leaf or a stencil node) along an axis it
+        reads takes one direct second difference, where two nested first
+        differences would amplify round-off more; every other field follows
+        its ``diff`` chain.
         """
-        if self._derive is None and order > 1:
+        if self._derive is None and order > 1 and self._reads(axis):
             out = _stencil(self, axis, 2, H_FD)
             return _stencil(out, axis, 1, H_FD3) if order == 3 else out
         out = self
         for _ in range(order):
             out = out.diff(axis)
         return out
+
+    def _reads(self, axis):
+        return _axes(self, {}) >> axis & 1
 
     def partial(self, point, axis, order=1):
         """Pure partial of the given order (1..3) at a point or a batch."""
@@ -544,6 +552,13 @@ def _stencil_values(batch, known, field, axis, order, h):
     return central(field, batch, axis, h)
 
 
+def _inputs(field):
+    """The fields among a node's arguments."""
+    return [f for arg in field._args
+            for f in (arg if type(arg) is tuple else (arg,))
+            if isinstance(f, ScalarField)]
+
+
 def _reach(field, memo):
     """Half-width of the set of points an evaluation of ``field`` touches:
     the steps of its stencils, the largest reach of a node's inputs."""
@@ -555,10 +570,30 @@ def _reach(field, memo):
             comps, f = args
             inputs = comps + tuple(map(f.diff, range(f.dim)))
         else:
-            inputs = [f for arg in args
-                      for f in (arg if type(arg) is tuple else (arg,))
-                      if isinstance(f, ScalarField)]
+            inputs = _inputs(field)
         memo[id(field)] = max((_reach(f, memo) for f in inputs), default=0.0)
+    return memo[id(field)]
+
+
+def _axes(field, memo):
+    """Bit mask of the chart axes an evaluation of ``field`` reads: a
+    coordinate its own, a number none, an evaluator or a compose node every
+    axis (a ``numeric_only`` copy those its original reads), any other node
+    those its inputs read."""
+    values, args = field._values, field._args
+    if values is _coordinate_values:
+        return 1 << args[0]
+    if field.number is not None:
+        return 0
+    if values is _leaf_values and len(args) == 2:  # a numeric_only copy
+        return args[1]
+    if values in (_leaf_values, _compose_values):
+        return (1 << field.dim) - 1
+    if id(field) not in memo:
+        mask = 0
+        for f in _inputs(field):
+            mask |= _axes(f, memo)
+        memo[id(field)] = mask
     return memo[id(field)]
 
 
@@ -835,20 +870,18 @@ def numeric_only(obj):
     """Copy of ``obj`` with every analytic derivative route removed
     (finite-difference mode).
 
-    A ``ScalarField`` becomes an opaque leaf that evaluates it.  A number
-    keeps its zero derivative: every central difference of a constant is
-    exactly zero, so both routes give the same values, and the terms that
-    derivative multiplies fold away.  The copy itself is not an exact
+    A ``ScalarField`` becomes an opaque leaf that evaluates it, differenced
+    along the axes its graph reads (found by one walk of the field and
+    kept on the copy) and the exact number 0 along the rest, where every
+    central difference would be +0.0: a number reads no axis, so the terms
+    its derivative multiplies fold away.  The copy itself is not an exact
     number, so operations on it do not fold.  A tuple is rebuilt from the
     copies of its items, and a dataclass instance by ``dataclasses.replace``
     from those of its init fields (so ``__post_init__`` runs again); one
     that holds no field comes back as itself, as does any other value.
     """
     if isinstance(obj, ScalarField):
-        if obj.number is not None:
-            return _derived(obj.dim, _number_values, _number_diff,
-                            obj.number, obj.dim)
-        return ScalarField(obj.__call__, obj.dim)
+        return _derived(obj.dim, _leaf_values, None, obj, _axes(obj, {}))
     if type(obj) is tuple:
         items = tuple(map(numeric_only, obj))
         return obj if all(map(operator.is_, items, obj)) else items

@@ -741,6 +741,31 @@ class TestNonFiniteProfile:
             prof.validate()
         with pytest.raises(SingularProfile, match=message):
             riccati_consistency(prof)
+        # the residual table, on and between nodes, and the array path
+        for y in (0.3, 0.45, 0.5, np.array([0.3, 0.5])):
+            with pytest.raises(SingularProfile, match=message):
+                alpha_ode_residual(self._profile(*bad), y)
+
+    def test_node_lookups_check_once(self, monkeypatch):
+        checks = []
+        check = AlphaProfile._check_finite
+
+        def counted(profile):
+            checks.append(1)
+            return check(profile)
+
+        monkeypatch.setattr(AlphaProfile, "_check_finite", counted)
+        prof = self._profile()
+        for _ in range(3):
+            for y in prof.y_grid[1:-1]:
+                alpha_ode_residual(prof, y)
+        assert len(checks) == 1
+
+    def test_empty_profile_keeps_the_min_error(self):
+        empty = np.array([])
+        with pytest.raises(ValueError, match=r"^min\(\) arg is an empty "
+                                             r"sequence$"):
+            riccati_consistency(AlphaProfile(empty, empty, empty, empty))
 
 
 class TestOneBatchPerCheck:

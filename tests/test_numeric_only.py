@@ -1,14 +1,16 @@
 """The contract of ``numeric_only``, the finite-difference copy of a spec.
 
 Every spec type the fd mode strips is walked in parallel with its copy:
-each field is swapped for an opaque leaf or an fd number, every value that
-holds no field is the original object, and no cached derived value rides
-along into the copy.
+each field, an exact number included, is swapped for an opaque leaf, every
+value that holds no field is the original object, and no cached derived
+value rides along into the copy.  An opaque leaf is differenced along the
+axes its original reads and is the exact 0 along the rest.
 """
 
 import math
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 
 from biharm.constructor import (
@@ -16,16 +18,35 @@ from biharm.constructor import (
     build_nonflat_target,
     integrate_alpha,
 )
-from biharm.frames import AdaptedFrameSpec
-from biharm.geometry import FrameField, ProductMetric3, SurfaceMetric
+from biharm import numkernel
+from biharm.frames import AdaptedFrameSpec, SeededUniform, random_adapted_specs
+from biharm.geometry import (
+    FrameField,
+    ProductMetric3,
+    SurfaceMetric,
+    base_sweep,
+)
 from biharm.hypersurface import (
     HopfCylinderSpec,
     SurfaceImmersion,
     vertical_cylinder,
 )
-from biharm.numkernel import H_FD, ChartBox, ScalarField, numeric_only
-from biharm.submersion import SubmersionSpec, projection_spec
-from conftest import S, field_of
+from biharm.numkernel import (
+    H_FD,
+    ChartBox,
+    ScalarField,
+    as_batch,
+    compose,
+    lift,
+    numeric_only,
+)
+from biharm.submersion import (
+    SubmersionSpec,
+    catalog_examples,
+    projection_spec,
+    residual_report,
+)
+from conftest import S, T, field_of
 
 
 def _warped():
@@ -83,14 +104,15 @@ def _holds_field(obj):
     return any(isinstance(a, ScalarField) for a, _ in _pairs(obj, obj))
 
 
-def _is_fd_leaf(f):
-    """An opaque leaf (differenced along every axis), or an fd number (not
-    an exact number, but its derivatives are the exact 0)."""
+def _is_fd_leaf(f, original):
+    """An opaque leaf, not an exact number: differenced along every axis its
+    original reads, the exact 0 along the rest (along every axis, for the
+    copy of a number)."""
     if f.number is not None:
         return False
-    axes = range(f.dim)
-    return (all(f.stencil_reach(a, 1) == H_FD for a in axes)
-            or all(f.diff(a).number == 0.0 for a in axes))
+    reads = numkernel._axes(original, {})
+    return all(f.stencil_reach(a, 1) == H_FD if reads >> a & 1
+               else f.diff(a).number == 0.0 for a in range(f.dim))
 
 
 @pytest.mark.parametrize("kind", list(CASES))
@@ -104,7 +126,7 @@ def test_walk_contract(kind):
     for a, b in _pairs(orig, copy):
         if isinstance(a, ScalarField):
             assert b is not a and b.dim == a.dim
-            assert _is_fd_leaf(b), (kind, a)
+            assert _is_fd_leaf(b, a), (kind, a)
             swapped += 1
         elif not _holds_field(a):
             # labels, flags, families, boxes, orientation, profile
@@ -123,3 +145,67 @@ def test_holders_without_fields_come_back_as_themselves():
               {"profile": spec.profile})
     for value in values:
         assert numeric_only(value) is value
+
+
+def _fd_copies():
+    """(original, fd copy, verification batch) of every catalog spec and of
+    one ``SeededUniform`` draw of the four frame families."""
+    for spec in catalog_examples():
+        yield spec, numeric_only(spec), spec.verification_points()
+    for label, metric, spec in random_adapted_specs(SeededUniform(7), 4):
+        pair = (metric, spec)
+        yield pair, numeric_only(pair), base_sweep(metric.box, (21, 21))
+
+
+class TestUnreadAxes:
+    """Along an axis its original does not read, an fd leaf's derivative is
+    the exact 0, and a stencil there would give +0.0 everywhere."""
+
+    def test_unread_axes_are_the_exact_zero(self):
+        unread = 0
+        for orig, copy, points in _fd_copies():
+            grid = as_batch(points)
+            for a, b in _pairs(orig, copy):
+                if not isinstance(a, ScalarField) or a.number is not None:
+                    continue
+                reads = numkernel._axes(a, {})
+                for axis in range(b.dim):
+                    if reads >> axis & 1:
+                        continue
+                    unread += 1
+                    assert b.diff(axis) is ScalarField.constant(0.0, b.dim)
+                    assert b.stencil_reach(axis, 3) == 0.0
+                    forced = numkernel._stencil(b, axis, 1)(grid[:, :b.dim])
+                    assert not forced.any() and not np.signbit(forced).any()
+        assert unread
+
+    def test_evaluators_and_compose_read_every_axis(self):
+        def squared(b):  # reads s alone
+            return b[:, 1] ** 2
+
+        opaque = ScalarField(squared, 3)
+        explicit = ScalarField(squared, 3,
+                               partials={1: (lambda b: 2.0 * b[:, 1],)})
+        pulled = compose(field_of(T * T, 1), (ScalarField.coordinate(1, 3),))
+        lifted = lift(explicit.diff(1), 3, (1, 0, 2))
+        for f in (opaque, numeric_only(opaque), numeric_only(explicit),
+                  numeric_only(pulled), numeric_only(lifted)):
+            assert all(f.stencil_reach(a, 1) == H_FD for a in range(3))
+        # the explicit leaf: its own partial along s, differenced elsewhere
+        assert [explicit.stencil_reach(a, 1) for a in range(3)] == \
+            [H_FD, 0.0, H_FD]
+
+    def test_y4_sweep_differences_along_s_alone(self, monkeypatch):
+        # the y4 exponent 2 log s reads s alone: 9,768 stencil-leg rows,
+        # where differences along all three axes take 66,600
+        rows = []
+        legs = numkernel._legs
+
+        def counted(f, batch, axis, h):
+            rows.append(2 * len(batch))
+            return legs(f, batch, axis, h)
+
+        monkeypatch.setattr(numkernel, "_legs", counted)
+        y4 = next(s for s in catalog_examples() if s.label == "y4")
+        assert residual_report(numeric_only(y4), tol=1e-3).passed
+        assert sum(rows) < 15_000
