@@ -97,20 +97,19 @@ def _cmd_verify(args):
     def selected(label):
         return not cases or any(c in label for c in cases)
 
+    # every frame spec is drawn, in order, but only selected ones evaluated
     in_mode = _in_mode(args)
-    catalog = list(map(in_mode, submersion.catalog_examples()))
-    specs = map(in_mode, random_adapted_specs(SeededUniform(args.seed),
-                                              args.specs))
-    reports = [rep for rep in (submersion.catalog_suite(catalog, tol, grid)
-                               + frame_identity_suite(specs, tol))
-               if selected(rep.case_label)]
+    catalog = [in_mode(spec) for spec in submersion.catalog_examples()
+               if selected(spec.label)]
+    specs = (in_mode(triple) for triple in random_adapted_specs(
+        SeededUniform(args.seed), args.specs) if selected(triple[0]))
+    reports = (submersion.catalog_suite(catalog, tol, grid)
+               + frame_identity_suite(specs, tol))
     for rep in reports:
         _print_report(rep)
     if args.dump_grids:
         os.makedirs(args.dump_grids, exist_ok=True)
         for spec in catalog:
-            if not selected(spec.label):
-                continue
             r1f, r2f = spec.residual_fields
             points = spec.verification_points(grid)
             batch = as_batch(points)

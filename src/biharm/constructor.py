@@ -250,22 +250,16 @@ class AlphaProfile:
         return _CubicHermite(self.y_grid, self.alpha2, self._alpha3_nodes)
 
     def field(self, dim=3, axis=1) -> ScalarField:
-        """The angle as a chart field varying along one axis only."""
-        a, a1 = self.angle, self.slope
-        a2 = self.curvature2
+        """The angle as a chart field varying along one axis only: the
+        1-D leaf of alpha with alpha', alpha'' and alpha''', lifted."""
+        a, a1, a2 = self.angle, self.slope, self.curvature2
         ys, a3s = self.y_grid, self._alpha3_nodes
-
-        zero = lambda b: 0.0
-        partials = {
-            ax: (zero, zero, zero) for ax in range(dim) if ax != axis
-        }
-        partials[axis] = (
-            lambda b: a1(b[:, axis]),
-            lambda b: a2(b[:, axis]),
-            lambda b: np.interp(b[:, axis], ys, a3s),
-        )
-        return ScalarField(fn=lambda b: a(b[:, axis]), dim=dim,
-                           partials=partials)
+        alpha = ScalarField(lambda b: a(b[:, 0]), 1, (
+            lambda b: a1(b[:, 0]),
+            lambda b: a2(b[:, 0]),
+            lambda b: np.interp(b[:, 0], ys, a3s),
+        ))
+        return lift(alpha, dim, (axis,))
 
 
 def _node(state):

@@ -3,11 +3,10 @@
 A :class:`ScalarField` is a real-valued function of 1 to 3 chart coordinates
 that evaluates a whole batch of points at once: an (n, dim) array of points
 gives n values, and a single point (a sequence of dim floats) is a batch of
-one that gives a float.  Leaf fields are of four kinds: a coordinate (it
-reads its column of the batch), an exact number (a float on the field), an
-explicit leaf (an evaluator with per-axis derivative callables) and an
-opaque leaf (an evaluator without partials, such as every field
-``numeric_only`` makes).
+one that gives a float.  Leaf fields are of four kinds: a coordinate, an
+exact number, an explicit leaf (an evaluator of one coordinate with its
+successive derivatives, taken to a chart by ``lift``) and an opaque leaf
+(an evaluator without partials, as ``numeric_only`` makes).
 Evaluators and derivative callables receive the (n, dim) batch only, a
 single point included, so they are written for arrays.  Every other field
 is derived from fields by a rule: algebra, ``compose``,
@@ -34,13 +33,13 @@ applies the same IEEE operation to every element either way.
 derivative rules are the derivative 1 or 0 of a coordinate, the 0 of a
 number, explicit partials, and the chain rule of the operation that derived
 a field (forward mode over the field graph), so long differentiation chains
-stay at round-off accuracy in analytic mode.  A field without a rule along
-an axis is differenced there by a stencil node, if its graph reads that
-axis (see ``_axes``): one evaluation of the differenced field on the batch
-moved by +h and by -h, both legs stacked in one batch.  Along an axis its
-graph does not read, both legs would give the same values, so its
-derivative is the exact number 0.  A stencil node has no derivative rule,
-so its own partials are stencils in turn, along the axes its input reads.
+stay at round-off accuracy in analytic mode; a rule gives a field along
+every axis.  A field without a rule is differenced by a stencil node along
+an axis its graph reads (see ``_axes``): one evaluation of it on the batch
+moved by +h and by -h, both legs stacked in one batch.  Along any other
+axis both legs would give the same values, so its derivative is the exact
+number 0.  A stencil node has no derivative rule, so its own partials are
+stencils in turn, along the axes its input reads.
 Directional derivatives and the curvature read first partials through the
 cache of ``diff``, so each is one node per field and axis.  Pure partials,
 and the stencil reach they need, follow from ``diff``, but for the second
@@ -278,10 +277,11 @@ class ScalarField:
         a single point, so it must be written for arrays.
     dim : int
         Number of chart coordinates (1, 2 or 3).
-    partials : dict, optional
-        ``{axis: (d1, d2[, d3])}`` explicit derivative callables per axis,
-        with the same calling convention as ``fn``; they become the field's
-        derivative rule.  Along an axis without them the field is differenced.
+    partials : tuple, optional
+        ``(d1, d2[, d3])``, the successive derivatives of a 1-D leaf as
+        callables with the same calling convention as ``fn``; they become
+        its derivative rule, and the derivative past the last one is
+        differenced.  ``lift`` pulls such a leaf back to a chart axis.
 
     ``number`` is the value of an exact number, None for any other field.
     """
@@ -291,10 +291,13 @@ class ScalarField:
 
     def __init__(self, fn, dim, partials=None):
         self.dim = int(dim)
+        if partials and self.dim != 1:
+            raise ValueError("explicit partials need a 1-D leaf")
         self.number = None
         self._values = _leaf_values
         self._derive = _explicit_diff if partials else None
-        self._args = (fn, dict(partials), self.dim) if partials else (fn,)
+        # an evaluator reads every axis of its chart
+        self._args = (fn, (1 << self.dim) - 1, tuple(partials or ()))
         self._diff_cache = {}
 
     # -- constructors -------------------------------------------------------
@@ -347,11 +350,12 @@ class ScalarField:
             return self._diff_cache[axis]
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        derive = self._derive
-        out = derive(axis, *self._args) if derive else None
-        if out is None:  # no derivative rule, or one that skips this axis
-            out = (_stencil(self, axis, 1) if self._reads(axis)
-                   else ScalarField.constant(0.0, self.dim))
+        if self._derive is not None:
+            out = self._derive(axis, *self._args)
+        elif self._reads(axis):
+            out = _stencil(self, axis, 1)
+        else:
+            out = ScalarField.constant(0.0, self.dim)
         self._diff_cache[axis] = out
         return out
 
@@ -483,13 +487,8 @@ def _leaf_values(batch, known, fn, *_):
     return fn(batch)
 
 
-def _explicit_diff(axis, fn, partials, dim):
-    derivs = partials.get(axis)
-    if derivs is None:
-        return None
-    rest = tuple(derivs[1:])
-    return ScalarField(fn=derivs[0], dim=dim,
-                       partials={axis: rest} if rest else None)
+def _explicit_diff(axis, fn, mask, partials):
+    return ScalarField(partials[0], 1, partials[1:])
 
 
 def _number_values(batch, known, value, dim):
@@ -577,21 +576,25 @@ def _reach(field, memo):
 
 def _axes(field, memo):
     """Bit mask of the chart axes an evaluation of ``field`` reads: a
-    coordinate its own, a number none, an evaluator or a compose node every
-    axis (a ``numeric_only`` copy those its original reads), any other node
-    those its inputs read."""
+    coordinate its own, a number none, a leaf those recorded on it (an
+    evaluator every axis, a ``numeric_only`` copy those its original
+    reads), a compose node those its components read for the coordinates
+    its inner field reads, any other node those its inputs read."""
     values, args = field._values, field._args
     if values is _coordinate_values:
         return 1 << args[0]
     if field.number is not None:
         return 0
-    if values is _leaf_values and len(args) == 2:  # a numeric_only copy
+    if values is _leaf_values:
         return args[1]
-    if values in (_leaf_values, _compose_values):
-        return (1 << field.dim) - 1
     if id(field) not in memo:
+        if values is _compose_values:
+            reads = _axes(args[0], memo)
+            inputs = [c for l, c in enumerate(args[1]) if reads >> l & 1]
+        else:
+            inputs = _inputs(field)
         mask = 0
-        for f in _inputs(field):
+        for f in inputs:
             mask |= _axes(f, memo)
         memo[id(field)] = mask
     return memo[id(field)]
@@ -680,11 +683,12 @@ def lift(field, dim, axes: Sequence[int]) -> ScalarField:
     closed-form part of the graph (algebra, unary functions, ``fatan2``) is
     rebuilt over the new chart's coordinate fields with the same rules, so
     it is evaluated on the new chart's batch itself; any other node (an
-    explicit or opaque leaf, a stencil, compose or directional node) is
-    pulled back by ``compose`` with coordinate fields.  The chain rules
-    then fold exactly as over the original coordinates, and to the exact
-    number 0 along the other axes, so every value and partial is that of
-    ``compose(field, coordinates)``, bit for bit.
+    explicit leaf, which is 1-D, or an opaque leaf, a stencil, compose or
+    directional node) is pulled back by ``compose`` with coordinate fields.
+    The chain rules then fold exactly as over the original coordinates, and
+    to the exact number 0 along the other axes, which no node then reads,
+    so every value and partial is that of ``compose(field, coordinates)``,
+    bit for bit.
     """
     axes = tuple(axes)
     if len(axes) != field.dim:

@@ -90,6 +90,21 @@ def graph_nodes(field, seen=None):
 
 
 @pytest.fixture
+def leg_rows(monkeypatch):
+    """The rows of every stencil leg evaluated from here on, one entry of
+    2 x batch rows per central difference."""
+    rows = []
+    legs = numkernel._legs
+
+    def counted(f, batch, axis, h):
+        rows.append(2 * len(batch))
+        return legs(f, batch, axis, h)
+
+    monkeypatch.setattr(numkernel, "_legs", counted)
+    return rows
+
+
+@pytest.fixture
 def flat_metric3():
     box = ChartBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), 0.05)
     return ProductMetric3(ScalarField.constant(0.0, 3), box)

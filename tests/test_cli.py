@@ -197,6 +197,38 @@ class TestVerifyCommand:
         assert csv[0] == "axis1,axis2,r1,r2"
         assert len(csv) == 17
 
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_cases_filter_before_evaluating(self, tmp_path, monkeypatch,
+                                            mode):
+        # --cases y4 evaluates the y4 case alone; its report line and grid
+        # dump are those of the whole run
+        from biharm import frames, submersion
+
+        calls = []
+        for module, name in ((submersion, "residual_report"),
+                             (frames, "validate_frame")):
+            def counted(*args, _fn=getattr(module, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        argv = ["verify", "--mode", mode, "--grid", "5", "--specs", "4",
+                "--seed", "3"]
+        outputs = {}
+        for label, cases in (("all", []), ("y4", ["--cases", "y4"])):
+            calls.clear()
+            out, dump = tmp_path / f"{label}.jsonl", tmp_path / label
+            assert run(argv + cases + ["--dump-grids", str(dump),
+                                       "--out", str(out)]) == 0
+            outputs[label] = (out.read_text().splitlines(),
+                              {p.name: p.read_bytes() for p in dump.iterdir()})
+        assert calls == ["residual_report"]
+        (whole, grids), (alone, grid) = outputs["all"], outputs["y4"]
+        assert alone == [whole[0]] + [
+            line for line in whole if '"case_label": "y4"' in line]
+        assert grid == {"y4.csv": grids["y4.csv"]}
+
 
 class TestConstructCommand:
     def test_short_span(self, tmp_path, capsys):

@@ -788,6 +788,39 @@ class TestOneBatchPerCheck:
         assert n + 3 in rows and n not in rows
 
 
+class TestAxesRead:
+    """The warped construction reads the axes its profile and free
+    functions vary along: analytic verification takes no difference, and
+    an fd copy takes differences along those axes alone."""
+
+    @pytest.fixture
+    def built(self, solved_profile):
+        return build_nonflat_target(ConstructionSpec(
+            solved_profile, phi=field_of(0.3 * sp.sin(T), 1),
+            w=field_of(0.2 * T, 1)))
+
+    def test_exponents_read_their_axes(self, built):
+        assert [numkernel._axes(spec.domain_metric.conformal_exponent, {})
+                for spec in (built.canonical, built.general)] == [0b010,
+                                                                  0b011]
+
+    def test_analytic_verification_takes_no_difference(self, built,
+                                                       leg_rows):
+        # 16,368 stencil-leg rows per spec while the profile's field was
+        # read as every axis
+        for spec in (built.canonical, built.general):
+            assert verify_construction(spec, tol=1e-4, grid=(11, 11)).passed
+        assert leg_rows == []
+
+    def test_fd_copy_differences_along_the_axes_it_reads(self, built,
+                                                         leg_rows):
+        # 5,456 stencil-leg rows, where differences along all three axes
+        # take 77,376
+        assert verify_construction(numeric_only(built.canonical), tol=1e-4,
+                                   grid=(11, 11)).passed
+        assert sum(leg_rows) < 10_000
+
+
 class TestFlatTargetBuilder:
     def test_cosh_family_residual_vanishes(self):
         spec = build_flat_target(field_of(2 * sp.log(sp.cosh(S)), 2),

@@ -148,10 +148,14 @@ def test_holders_without_fields_come_back_as_themselves():
 
 
 def _fd_copies():
-    """(original, fd copy, verification batch) of every catalog spec and of
-    one ``SeededUniform`` draw of the four frame families."""
+    """(original, fd copy, verification batch) of every catalog spec, of
+    the warped construction's 3-chart metric and frame spec, and of one
+    ``SeededUniform`` draw of the four frame families."""
     for spec in catalog_examples():
         yield spec, numeric_only(spec), spec.verification_points()
+    warped = _warped()
+    pair = (warped.domain_metric, warped.frame_spec)
+    yield pair, numeric_only(pair), warped.verification_points()
     for label, metric, spec in random_adapted_specs(SeededUniform(7), 4):
         pair = (metric, spec)
         yield pair, numeric_only(pair), base_sweep(metric.box, (21, 21))
@@ -179,33 +183,38 @@ class TestUnreadAxes:
                     assert not forced.any() and not np.signbit(forced).any()
         assert unread
 
-    def test_evaluators_and_compose_read_every_axis(self):
-        def squared(b):  # reads s alone
+    def test_leaves_read_what_they_record_and_compose_what_it_pulls_back(
+            self):
+        def squared(b):  # reads s alone, but an evaluator reads every axis
             return b[:, 1] ** 2
 
         opaque = ScalarField(squared, 3)
-        explicit = ScalarField(squared, 3,
-                               partials={1: (lambda b: 2.0 * b[:, 1],)})
-        pulled = compose(field_of(T * T, 1), (ScalarField.coordinate(1, 3),))
-        lifted = lift(explicit.diff(1), 3, (1, 0, 2))
-        for f in (opaque, numeric_only(opaque), numeric_only(explicit),
-                  numeric_only(pulled), numeric_only(lifted)):
+        for f in (opaque, numeric_only(opaque)):
             assert all(f.stencil_reach(a, 1) == H_FD for a in range(3))
-        # the explicit leaf: its own partial along s, differenced elsewhere
-        assert [explicit.stencil_reach(a, 1) for a in range(3)] == \
-            [H_FD, 0.0, H_FD]
 
-    def test_y4_sweep_differences_along_s_alone(self, monkeypatch):
+        # 1-D leaves and a closed form pulled back along s, and a compose
+        # node whose inner field reads its first coordinate (s) alone
+        def square(b):
+            return b[:, 0] ** 2
+
+        explicit = ScalarField(square, 1, (lambda b: 2.0 * b[:, 0],))
+        s, t = ScalarField.coordinate(1, 3), ScalarField.coordinate(0, 3)
+        first = numeric_only(field_of(T * T, 2))
+        lifted_opaque = lift(ScalarField(square, 1), 3, (1,))
+        zero = ScalarField.constant(0.0, 3)
+        for f in (compose(field_of(T * T, 1), (s,)), lift(explicit, 3, (1,)),
+                  lifted_opaque, compose(first, (s, t))):
+            assert numkernel._axes(f, {}) == 0b010
+            assert f.diff(0) is zero and f.diff(2) is zero
+            assert [numeric_only(f).stencil_reach(a, 1)
+                    for a in range(3)] == [0.0, H_FD, 0.0]
+        # along s: the explicit partial, a stencil of the opaque leaf
+        assert lift(explicit, 3, (1,)).stencil_reach(1, 1) == 0.0
+        assert lifted_opaque.stencil_reach(1, 1) == H_FD
+
+    def test_y4_sweep_differences_along_s_alone(self, leg_rows):
         # the y4 exponent 2 log s reads s alone: 9,768 stencil-leg rows,
         # where differences along all three axes take 66,600
-        rows = []
-        legs = numkernel._legs
-
-        def counted(f, batch, axis, h):
-            rows.append(2 * len(batch))
-            return legs(f, batch, axis, h)
-
-        monkeypatch.setattr(numkernel, "_legs", counted)
         y4 = next(s for s in catalog_examples() if s.label == "y4")
         assert residual_report(numeric_only(y4), tol=1e-3).passed
-        assert sum(rows) < 15_000
+        assert sum(leg_rows) < 15_000

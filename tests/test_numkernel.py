@@ -57,14 +57,17 @@ class TestPartialDerivative:
         assert f.partial((0.0,), 0, 3) == pytest.approx(-1.0, abs=1e-4)
 
     def test_explicit_partials_win_over_stencils(self):
-        f = ScalarField(
-            fn=lambda b: np.exp(b[:, 0]),
-            dim=1,
-            partials={0: (lambda b: np.exp(b[:, 0]), lambda b: np.exp(b[:, 0]))},
-        )
+        f = _exp_leaf(2)
         assert f.partial((0.3,), 0, 2) == pytest.approx(math.exp(0.3), abs=1e-15)
         # third order nests a difference of the explicit second derivative
         assert f.partial((0.3,), 0, 3) == pytest.approx(math.exp(0.3), abs=1e-6)
+
+    def test_explicit_partials_need_a_1d_leaf(self):
+        def first(b):
+            return b[:, 0]
+
+        with pytest.raises(ValueError, match="1-D leaf"):
+            ScalarField(first, 2, (first,))
 
     def test_nonfinite(self):
         f = ScalarField(fn=lambda b: math.inf, dim=1)
@@ -274,7 +277,7 @@ class TestBatchEvaluation:
         with pytest.raises(TypeError):
             ScalarField(fn=point_only, dim=1)(batch)
         explicit = ScalarField(fn=lambda b: b[:, 0], dim=1,
-                               partials={0: (point_only,)})
+                               partials=(point_only,))
         with pytest.raises(TypeError):
             explicit.partial(batch, 0, 1)
 
@@ -312,15 +315,18 @@ class TestBatchEvaluation:
             (f * 2.0 + 1.0)(batch)
 
 
+def _exp_leaf(count):
+    """exp as a 1-D explicit leaf with ``count`` explicit partials."""
+    def exp(b):
+        return np.exp(b[:, 0])
+    return ScalarField(exp, 1, (exp,) * count)
+
+
 def _explicit_exp(count=3):
-    """exp(t + 2s - z) with ``count`` explicit partials along every axis."""
-    def along(k):
-        return lambda b: k * np.exp(b[:, 0] + 2.0 * b[:, 1] - b[:, 2])
-    rates = (1.0, 2.0, -1.0)
-    return ScalarField(
-        fn=along(1.0), dim=3,
-        partials={a: tuple(along(r ** n) for n in range(1, count + 1))
-                  for a, r in enumerate(rates)})
+    """exp(t + 2s - z): the explicit leaf of exp with ``count`` partials,
+    pulled back through t + 2s - z."""
+    return compose(_exp_leaf(count),
+                   (field_of_text("t + 2*s - z", ("t", "s", "z")),))
 
 
 def _leaf_kinds():
@@ -617,17 +623,20 @@ class TestLift:
     def test_leaves_lift_through_compose(self):
         from biharm.constructor import integrate_alpha
 
+        # one compose node over those of the original: the profile's field
+        # on a 1-chart is its explicit leaf pulled back already
         profile = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-2)
-        explicit = profile.field(dim=1, axis=0)
+        explicit = _exp_leaf(3)
         w = field_of_text("sin(x) + x*y", ("x", "y"))
         x = ScalarField.coordinate(0, 2)
         for field, dim, axes in [
                 (explicit, 3, (2,)),
                 (fsin(explicit) * ScalarField.coordinate(0, 1), 3, (2,)),
+                (profile.field(dim=1, axis=0), 3, (2,)),
                 (numeric_only(w), 3, (2, 0)),
                 (flog(2.0 + fcos(numeric_only(w) * x)), 3, (0, 1))]:
             lifted = lift(field, dim, axes)
-            assert len(_composes(lifted)) == 1
+            assert len(_composes(lifted)) == len(_composes(field)) + 1
             _assert_lift_is_compose(field, dim, axes, False)
 
     @pytest.mark.parametrize("text", ["sin(x) / (2 + cos(x))",
@@ -828,10 +837,16 @@ class TestStackedLegs:
 
         profile = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-2)
         alpha = profile.field(dim=2, axis=1)
-        fourth = alpha.diff(1).diff(1).diff(1).diff(1)  # a stencil on alpha'''
-        fields = [fourth, fourth.diff(1), fourth.diff(0), fourth.diff(1).diff(0)]
+        # stencils on the profile's 1-D leaf alpha''', pulled back along y,
+        # from the third stacked difference on at H_FD3
+        fourth = alpha.diff(1).diff(1).diff(1).diff(1)
+        fields = [fourth, fourth.diff(1), fourth.diff(1).diff(1),
+                  fourth.diff(1).diff(1).diff(1)]
         stencil = numkernel._stencil_values
-        assert [f._values for f in fields[:2]] == [stencil] * 2
+        inner = [f._args[0] for f in fields]
+        assert [f._values for f in inner] == [stencil] * 4
+        assert [f._args[3] for f in inner] == [H_FD, H_FD, H_FD3, H_FD3]
+        assert fourth.diff(0) is const(0.0, 2)
         batch = numkernel.as_batch([(0.1 * k, 0.2 + 0.07 * k)
                                     for k in range(9)])
 
