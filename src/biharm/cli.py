@@ -93,6 +93,8 @@ def _cmd_verify(args):
         raise ValueError("grid counts must be at least 2")
     grid = (args.grid, args.grid)
     cases = args.cases.split(",") if args.cases else ()
+    if "" in cases:  # an empty substring would select every case
+        raise ValueError(f"--cases has an empty item: {args.cases!r}")
 
     def selected(label):
         return not cases or any(c in label for c in cases)

@@ -28,6 +28,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -107,11 +108,13 @@ def _floats(column):
     return memoryview(np.asarray(column, dtype=float))
 
 
-def _libm(f, column):
-    """f of every item of a float array, one Python float at a time: libm's
-    sin, cos and cube, whose last bit numpy's may not match."""
-    return np.fromiter(map(f, _floats(column.ravel())), float, column.size
-                       ).reshape(column.shape)
+def _libm(f, column, *args):
+    """f(item, *args) of every item of a float array, one Python float at a
+    time and no Python frame per item: libm's sin, cos and (through pow,
+    the same float_pow as ``**``) cube, whose last bit numpy's may not
+    match."""
+    return np.fromiter(map(f, _floats(column.ravel()), *map(repeat, args)),
+                       float, column.size).reshape(column.shape)
 
 
 def _third_derivatives(alpha, a1, a2):
@@ -122,7 +125,7 @@ def _third_derivatives(alpha, a1, a2):
     if (np.abs(lead) < EPS_SING ** 2).any():
         raise SingularCoefficient("sin*cos^2 inside the margin in a column")
     return -(c * (s * s + 3.0) * a1 * a2
-             + s * (2.0 * c * c + 3.0) * _libm(lambda v: v ** 3, a1)) / lead
+             + s * (2.0 * c * c + 3.0) * _libm(pow, a1, 3.0)) / lead
 
 
 class _CubicHermite:
@@ -302,79 +305,100 @@ def _rk4_step(state, f1, h):
             c + h6 * (((f1 + 2 * f2) + 2 * f3) + f4))
 
 
-def _next_node(a, b, c, f1, h, quarter):
-    """The node integrate_alpha keeps after the node (a, b, c), whose third
-    derivative is ``f1``: two _rk4_step calls at h/2, with each stage's
-    _third_derivative written out in the same operations, then the node's
-    checks, whose sin and cos the node's third derivative shares.
+def _half_steps(y0, state, f1, h, n, quarter):
+    """The nodes integrate_alpha keeps: up to n steps from ``state``, whose
+    third derivative is ``f1``, each taken as two _rk4_step calls at h/2,
+    in one float loop.  Each stage's _third_derivative and each half
+    step's update are written out in the same operations, and a kept
+    node's third derivative shares the sin and cos of the node's checks.
 
-    Returns (alpha, alpha', alpha'', alpha''', "") when the node can be
-    kept, otherwise (a, b, c, f1, the reason it cannot).  A stage inside
-    the margin raises SingularCoefficient as _third_derivative does, and a
-    value that leaves the float range raises OverflowError or ValueError.
+    Returns (node rows, reason, raised): the rows (y, alpha, alpha',
+    alpha'', alpha''') packed as doubles, so a long profile keeps no Python
+    object per node; why the node after the last row cannot be kept ("" when
+    all n are); and whether an exception said so.  A stage inside the margin
+    raises SingularCoefficient as _third_derivative does, and a value that
+    leaves the float range raises OverflowError or ValueError, read as a
+    non-finite state.
     """
-    sin, cos, lead_min = math.sin, math.cos, EPS_SING ** 2
+    sin, cos, floor, isfinite, pi = (math.sin, math.cos, math.floor,
+                                     math.isfinite, math.pi)
+    m = EPS_SING ** 2  # -m < lead < m is abs(lead) < m, NaN included
     hs = 0.5 * h
     hh, h6 = 0.5 * hs, hs / 6.0
-    x, y, z, f = a, b, c, f1
-    for second in (False, True):
-        if second:  # the third derivative where the second half step starts
+    a, b, c = state
+    nodes = array("d", (y0, a, b, c, f1))
+    try:
+        for k in range(n):
+            # the two half steps from the node (a, b, c), whose third
+            # derivative f1 is known (first same as last)
+            x, y, z, f = a, b, c, f1
+            for second in (False, True):
+                if second:  # the third derivative where the second starts
+                    s, co = sin(x), cos(x)
+                    lead = s * co * co
+                    if -m < lead < m:  # _third_derivative raises
+                        _third_derivative(x, y, z)
+                    f = -(co * (s * s + 3.0) * y * z
+                          + s * (2.0 * co * co + 3.0) * y ** 3) / lead
+                a2, b2, c2 = x + hh * y, y + hh * z, z + hh * f
+                s, co = sin(a2), cos(a2)
+                lead = s * co * co
+                if -m < lead < m:
+                    _third_derivative(a2, b2, c2)  # raises SingularCoefficient
+                f2 = -(co * (s * s + 3.0) * b2 * c2 + s * (2.0 * co * co + 3.0)
+                       * b2 ** 3) / lead
+                a3, b3, c3 = x + hh * b2, y + hh * c2, z + hh * f2
+                s, co = sin(a3), cos(a3)
+                lead = s * co * co
+                if -m < lead < m:
+                    _third_derivative(a3, b3, c3)  # raises SingularCoefficient
+                f3 = -(co * (s * s + 3.0) * b3 * c3 + s * (2.0 * co * co + 3.0)
+                       * b3 ** 3) / lead
+                a4, b4, c4 = x + hs * b3, y + hs * c3, z + hs * f3
+                s, co = sin(a4), cos(a4)
+                lead = s * co * co
+                if -m < lead < m:
+                    _third_derivative(a4, b4, c4)  # raises SingularCoefficient
+                f4 = -(co * (s * s + 3.0) * b4 * c4 + s * (2.0 * co * co + 3.0)
+                       * b4 ** 3) / lead
+                x, y, z = (x + h6 * (((y + 2.0 * b2) + 2.0 * b3) + b4),
+                           y + h6 * (((z + 2.0 * c2) + 2.0 * c3) + c4),
+                           z + h6 * (((f + 2.0 * f2) + 2.0 * f3) + f4))
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                return nodes, "non-finite state", False
+            # margins are checked at nodes only: a step jumping over zeros
+            # of sin(2 alpha) ends outside the start's quarter period
+            # floor(2 alpha/pi)
+            if floor(2.0 * x / pi) != quarter:
+                return nodes, (f"step crossed sin(2 alpha) = 0 between "
+                               f"alpha={a:.6g} and alpha={x:.6g}"), False
             s, co = sin(x), cos(x)
-            lead = s * co * co
-            if abs(lead) < lead_min:
-                _third_derivative(x, y, z)  # raises SingularCoefficient
-            f = -(co * (s * s + 3.0) * y * z + s * (2.0 * co * co + 3.0)
-                  * y ** 3) / lead
-        a2, b2, c2 = x + hh * y, y + hh * z, z + hh * f
-        s, co = sin(a2), cos(a2)
-        lead = s * co * co
-        if abs(lead) < lead_min:
-            _third_derivative(a2, b2, c2)  # raises SingularCoefficient
-        f2 = -(co * (s * s + 3.0) * b2 * c2 + s * (2.0 * co * co + 3.0)
-               * b2 ** 3) / lead
-        a3, b3, c3 = x + hh * b2, y + hh * c2, z + hh * f2
-        s, co = sin(a3), cos(a3)
-        lead = s * co * co
-        if abs(lead) < lead_min:
-            _third_derivative(a3, b3, c3)  # raises SingularCoefficient
-        f3 = -(co * (s * s + 3.0) * b3 * c3 + s * (2.0 * co * co + 3.0)
-               * b3 ** 3) / lead
-        a4, b4, c4 = x + hs * b3, y + hs * c3, z + hs * f3
-        s, co = sin(a4), cos(a4)
-        lead = s * co * co
-        if abs(lead) < lead_min:
-            _third_derivative(a4, b4, c4)  # raises SingularCoefficient
-        f4 = -(co * (s * s + 3.0) * b4 * c4 + s * (2.0 * co * co + 3.0)
-               * b4 ** 3) / lead
-        x, y, z = (x + h6 * (((y + 2.0 * b2) + 2.0 * b3) + b4),
-                   y + h6 * (((z + 2.0 * c2) + 2.0 * c3) + c4),
-                   z + h6 * (((f + 2.0 * f2) + 2.0 * f3) + f4))
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        return a, b, c, f1, "non-finite state"
-    # margins are checked at nodes only: a step jumping over zeros of
-    # sin(2 alpha) ends outside the start's quarter period floor(2 alpha/pi)
-    if math.floor(2.0 * x / math.pi) != quarter:
-        return a, b, c, f1, (f"step crossed sin(2 alpha) = 0 between "
-                             f"alpha={a:.6g} and alpha={x:.6g}")
-    s, co = sin(x), cos(x)
-    if abs(s * co) < EPS_SING:
-        return a, b, c, f1, (f"|sin*cos| margin {EPS_SING:g} hit at "
-                             f"alpha={x:.6g}")
-    if abs(y) < MIN_SLOPE:
-        return a, b, c, f1, f"|alpha'| fell below {MIN_SLOPE:g}"
-    # no margin check on sin*cos^2 here: past |sin*cos| >= EPS_SING,
-    # |cos| >= EPS_SING and |sin| <= 1 - 4e-7, so |sin*cos^2| exceeds
-    # EPS_SING**2 by far more than rounding
-    return x, y, z, -(co * (s * s + 3.0) * y * z + s * (2.0 * co * co + 3.0)
-                      * y ** 3) / (s * co * co), ""
+            if abs(s * co) < EPS_SING:
+                return nodes, (f"|sin*cos| margin {EPS_SING:g} hit at "
+                               f"alpha={x:.6g}"), False
+            if abs(y) < MIN_SLOPE:
+                return nodes, f"|alpha'| fell below {MIN_SLOPE:g}", False
+            # no margin check on sin*cos^2 here: past |sin*cos| >= EPS_SING,
+            # |cos| >= EPS_SING and |sin| <= 1 - 4e-7, so |sin*cos^2|
+            # exceeds EPS_SING**2 by far more than rounding
+            f1 = -(co * (s * s + 3.0) * y * z + s * (2.0 * co * co + 3.0)
+                   * y ** 3) / (s * co * co)
+            a, b, c = x, y, z
+            nodes.extend((y0 + (k + 1) * h, a, b, c, f1))
+    except SingularCoefficient as err:
+        return nodes, str(err), True
+    except (OverflowError, ValueError):  # a value left the float range
+        return nodes, "non-finite state", True
+    return nodes, "", False
 
 
 def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step) -> AlphaProfile:
     """Integrate the third-order angle ODE with classical 4th-order steps.
 
     Every step is taken as two h/2 steps, whose result is kept as the next
-    node: one call of the float kernel _next_node per step, which writes
-    the third derivative out at every stage and checks the node it makes.
+    node: the float kernel _half_steps takes all of them in one call,
+    writing the third derivative out at every stage and checking every
+    node it makes.
     After the last step, the whole step at h from every node a step
     started from is taken in one array pass (see _whole_steps); its
     difference from the kept node over 15 is the per-step error estimate,
@@ -410,30 +434,13 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step) -> AlphaProfile:
         raise ImmediateSingularity(f"initial data rejected: {reason}")
 
     h = (y1 - y0) / n
-    # node rows (y, alpha, alpha', alpha'', alpha''') packed as doubles, so
-    # a long profile keeps no Python object per node; the third-derivative
-    # column is exact on solution trajectories
-    nodes = array("d", (y0, *state, alpha3))
     try:
         quarter = math.floor(2.0 * state[0] / math.pi)
     except OverflowError:  # 2 alpha beyond the float range
         raise ImmediateSingularity(
             f"initial data rejected: 2 alpha overflows at alpha = "
             f"{state[0]!r}") from None
-    a, b, c = state
-    raised = False
-    for k in range(n):
-        try:
-            # alpha3 is the third derivative at (a, b, c) (first same as
-            # last), where the step starts
-            a, b, c, alpha3, reason = _next_node(a, b, c, alpha3, h, quarter)
-        except SingularCoefficient as err:
-            reason, raised = str(err), True
-        except (OverflowError, ValueError):  # a value left the float range
-            reason, raised = "non-finite state", True
-        if reason:
-            break
-        nodes.extend((y0 + (k + 1) * h, a, b, c, alpha3))
+    nodes, reason, raised = _half_steps(y0, state, alpha3, h, n, quarter)
     # one copy: the rows are read in place, then laid out as columns
     table = np.frombuffer(nodes).reshape(-1, 5).T.copy()
     kept, reason, worst = _whole_steps(table, h, reason, raised)
@@ -507,7 +514,7 @@ def _ode_residuals(profile, ys):
     a3 = (np.interp(ys + d, xp, fp) - np.interp(ys - d, xp, fp)) / (2.0 * d)
     alpha, a1 = profile.angle(ys), profile.slope(ys)
     s, c = _libm(math.sin, alpha), _libm(math.cos, alpha)
-    cube = _libm(lambda v: v ** 3, a1)
+    cube = _libm(pow, a1, 3.0)
     return (a3 * s * c * c + c * (s * s + 3.0) * a1 * np.interp(ys, xp, fp)
             + s * (2.0 * c * c + 3.0) * cube)
 
@@ -524,7 +531,12 @@ def alpha_ode_residual(profile: AlphaProfile, y):
         return _ode_residuals(profile, y)
     ys, table = profile._node_residuals
     y = float(y)
-    j = bisect_left(ys, y)
+    # the node's index on a uniform grid, else a search (nodes that are
+    # not uniform, or a y between nodes)
+    q = (y - ys[0]) / (ys[1] - ys[0])
+    j = round(q) if 0.0 <= q <= len(ys) - 1 else 0
+    if ys[j] != y:
+        j = bisect_left(ys, y)
     if j < len(ys) and ys[j] == y and not math.isnan(table[j]):
         return table[j]
     return float(_ode_residuals(profile, [y])[0])

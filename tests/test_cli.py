@@ -377,6 +377,14 @@ class TestArgumentValidation:
         argv = ["verify", "--grid", "5", "--specs", "-1", "--out", str(out)]
         self._rejected(argv, "--specs", out, capsys)
 
+    @pytest.mark.parametrize("cases", ["y4,", ",y4", "y4,,cosh4", ","])
+    def test_empty_case_item(self, tmp_path, capsys, cases):
+        # an empty item would select every case
+        out = tmp_path / "out"
+        argv = ["verify", "--grid", "3", "--specs", "2", "--cases", cases,
+                "--out", str(out)]
+        self._rejected(argv, "--cases", out, capsys)
+
     @pytest.mark.parametrize("args, option", [
         (["--chart", "sphere", "--radius", "0"], "--radius"),
         (["--chart", "sphere", "--radius", "-2"], "--radius"),

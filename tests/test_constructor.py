@@ -312,6 +312,30 @@ class TestScalarPaths:
             assert _bits(alpha_ode_residual(prof, y)) == \
                 _reference_residual(prof, y).hex()
 
+    def test_uneven_nodes_read_from_the_table(self, monkeypatch):
+        # uniform nodes but for a few moved past the midpoint to the next
+        # one, where the index a uniform grid gives misses: the search finds
+        # them, and every interior node is read from the one node table
+        calls = []
+        kernel = constructor._ode_residuals
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(constructor, "_ode_residuals", counted)
+        ys = np.linspace(0.0, 1.0, 81)
+        ys[5::7] += 0.6 * (ys[1] - ys[0])
+        prof = profile_from_text(profile_to_text(AlphaProfile(
+            ys, 0.3 + 0.5 * ys, np.full_like(ys, 0.5), np.sin(7 * ys))))
+        d = prof.node_step
+        inner = ys[(ys[0] + d <= ys) & (ys <= ys[-1] - d)].tolist()
+        assert len(inner) == 79
+        for y in inner:
+            assert _bits(alpha_ode_residual(prof, y)) == \
+                _reference_residual(prof, y).hex()
+        assert len(calls) == 1
+
     def test_array_form_matches_scalar_form(self, solved_profile):
         prof = solved_profile
         d = prof.node_step
@@ -373,7 +397,7 @@ class TestScalarPaths:
         return calls
 
     def test_one_rk4_call_per_integration(self, monkeypatch):
-        # the half steps run in _next_node; _rk4_step takes the whole steps
+        # the half steps run in _half_steps; _rk4_step takes the whole steps
         # as one array pass
         calls = self._counted(monkeypatch, "_rk4_step")
         prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
@@ -381,7 +405,7 @@ class TestScalarPaths:
         assert len(calls) == 1
 
     def test_third_derivative_once_at_the_initial_node(self, monkeypatch):
-        # every later node's third derivative is written out in _next_node,
+        # every later node's third derivative is written out in _half_steps,
         # and the array pass evaluates none one at a time
         calls = self._counted(monkeypatch, "_third_derivative")
         prof = integrate_alpha(*START, (0.0, 0.05), 1e-3)
@@ -389,20 +413,28 @@ class TestScalarPaths:
         assert len(calls) == 1
 
     def test_next_node_matches_two_numpy_half_steps(self):
+        # one- and two-step integrations, at angles of either sign: each
+        # kept node is two array-form steps at h/2 from the node before it,
+        # with its third derivative
         rng = random.Random(19)
         for _ in range(50):
-            state = (rng.uniform(0.3, 1.2), rng.uniform(-1.0, 1.0),
-                     rng.uniform(-1.0, 1.0))
+            state = (rng.choice([1, -1]) * rng.uniform(0.3, 1.2),
+                     rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
             h = rng.choice([1e-4, 1e-3, 0.05])
+            n = rng.choice([1, 2])
             f1 = constructor._third_derivative(*state)
             quarter = math.floor(2.0 * state[0] / math.pi)
-            *got, reason = constructor._next_node(*state, f1, h, quarter)
-            ref = _numpy_rk4_step(_numpy_rk4_step(np.array(state), 0.5 * h),
-                                  0.5 * h)
-            ref = [float(v) for v in ref]
-            assert reason == ""
-            assert [_bits(v) for v in got] == [
-                v.hex() for v in (*ref, constructor._third_derivative(*ref))]
+            nodes, reason, raised = constructor._half_steps(
+                0.25, state, f1, h, n, quarter)
+            assert (reason, raised) == ("", False)
+            ref, rows = np.array(state), [(0.25, *state, f1)]
+            for k in range(n):
+                ref = _numpy_rk4_step(_numpy_rk4_step(ref, 0.5 * h), 0.5 * h)
+                node = [float(v) for v in ref]
+                rows.append((0.25 + (k + 1) * h, *node,
+                             constructor._third_derivative(*node)))
+            assert [v.hex() for v in nodes] == [
+                v.hex() for row in rows for v in row]
 
     @pytest.mark.parametrize("state, error", [
         # a stage of the first or of the second half step lies inside the
@@ -411,25 +443,39 @@ class TestScalarPaths:
         ((1.55, 3.1, 0.0), "SingularCoefficient"),
         # alpha'^3 of a first-half-step stage leaves the float range
         ((0.3, 1e30, 0.0), "OverflowError"),
+        # a stage whose sin*cos^2 is negative and inside the margin
+        ((-0.0007505, 0.3, 0.0), "SingularCoefficient"),
     ])
     def test_next_node_raises_as_the_float_steps(self, state, error):
         f1 = constructor._third_derivative(*state)
         h = 1e-2
-
-        def outcome(step):
-            try:
-                step()
-            except (SingularCoefficient, OverflowError) as err:
-                return type(err).__name__, str(err)
-
-        def float_halves():
-            rk4 = constructor._rk4_step
+        rk4 = constructor._rk4_step
+        with pytest.raises((SingularCoefficient, OverflowError)) as err:
             mid = rk4(state, f1, 0.5 * h)
             rk4(mid, constructor._third_derivative(*mid), 0.5 * h)
+        assert err.type.__name__ == error
+        expected = (str(err.value) if error == "SingularCoefficient"
+                    else "non-finite state")
+        nodes, reason, raised = constructor._half_steps(
+            0.0, state, f1, h, 3, 0)
+        assert (reason, raised) == (expected, True)
+        assert list(nodes) == [0.0, *state, f1]  # the start node alone
 
-        got = outcome(lambda: constructor._next_node(*state, f1, h, 0))
-        assert got is not None and got[0] == error
-        assert got == outcome(float_halves)
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.floats(), max_size=8))
+    @example([-0.0, 5e-324, -5e-324, -2.2250738585072014e-308, -1e-103,
+              -5.6e102, math.inf, -math.inf, math.nan])
+    @example([1.0, -5.7e102])
+    def test_cube_is_float_power(self, values):
+        column = np.array(values, dtype=float)
+        try:
+            ref = [v ** 3 for v in values]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                constructor._libm(pow, column, 3.0)
+            return
+        got = constructor._libm(pow, column, 3.0)
+        assert [float(v).hex() for v in got] == [v.hex() for v in ref]
 
     def test_ode_residual_matches_numpy(self, solved_profile):
         prof = solved_profile
