@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -335,6 +336,8 @@ def _build_parser():
     def command(name, summary, default_out, *reads):
         """A subcommand with --out and those of --tol and --mode it reads."""
         p = sub.add_parser(name, help=summary)
+        # a token such as -1:2, -1e4 or -.5 is a value (Python 3.13's rule)
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         if "tol" in reads:
             p.add_argument("--tol", type=float, default=None,
                            help="tolerance (default 1e-6 analytic, 1e-3 fd)")

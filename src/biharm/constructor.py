@@ -60,6 +60,7 @@ from .submersion import SubmersionSpec, projection_spec, residual_report
 EPS_SING = 1e-3  # margin on |sin(a) cos(a)| away from the ODE singularities
 MIN_SLOPE = 1e-6  # |a'| below this is the degenerate constant-angle branch
 MAX_STEPS = 10**7  # about 400 MB of node rows
+_CHUNK = 1024  # steps per column pass: its temporaries stay this size
 
 
 def _riccati_coefficients(alpha):
@@ -169,8 +170,7 @@ class AlphaProfile:
     cubic Hermite.  ``truncated`` flags an integration stopped early (see
     integrate_alpha); ``step_error`` is the worst per-step Richardson
     estimate from step halving over the kept steps, each kept node against
-    the whole step from the node before it (taken for all nodes at once
-    after the integration).
+    the whole step from the node before it.
     """
 
     y_grid: np.ndarray
@@ -231,13 +231,13 @@ class AlphaProfile:
     @cached_property
     def _node_residuals(self):
         """(node view, alpha_ode_residual at the interior nodes and NaN at
-        the others)."""
+        the others, first node, node step, last index)."""
         d = self.node_step
         (y0, y1), ys = self.span, self.y_grid
         table = np.full(len(ys), math.nan)
         inside = (y0 + d <= ys) & (ys <= y1 - d)
         table[inside] = _ode_residuals(self, ys[inside])
-        return _floats(ys), _floats(table)
+        return _floats(ys), _floats(table), y0, d, len(ys) - 1
 
     # alpha, alpha' and alpha'' between nodes, at a float or an array
     @cached_property
@@ -269,7 +269,7 @@ def _node(state):
     """(third derivative at a node state, "") when the node can be kept,
     otherwise (None, the reason it cannot)."""
     alpha, a1, a2 = state
-    if not all(math.isfinite(v) for v in state):
+    if not all(map(math.isfinite, state)):
         return None, "non-finite state"
     if abs(math.sin(alpha) * math.cos(alpha)) < EPS_SING:
         return None, f"|sin*cos| margin {EPS_SING:g} hit at alpha={alpha:.6g}"
@@ -287,9 +287,8 @@ def _node(state):
 def _rk4_step(state, f1, h):
     """One classical RK4 step of (alpha, alpha', alpha''), in the operation
     order of the array form state + (h/6)(k1 + 2 k2 + 2 k3 + k4); ``f1`` is
-    the third derivative at ``state``, which the caller already has.  The
-    state items and ``f1`` are floats, or node columns for the whole steps
-    that integrate_alpha takes in one array pass."""
+    the third derivative at ``state``.  The state items and ``f1`` are
+    floats, or node columns for _whole_steps' array passes."""
     third = _third_derivative if type(f1) is float else _third_derivatives
     a, b, c = state
     hh = 0.5 * h
@@ -313,12 +312,10 @@ def _half_steps(y0, state, f1, h, n, quarter):
     node's third derivative shares the sin and cos of the node's checks.
 
     Returns (node rows, reason, raised): the rows (y, alpha, alpha',
-    alpha'', alpha''') packed as doubles, so a long profile keeps no Python
-    object per node; why the node after the last row cannot be kept ("" when
-    all n are); and whether an exception said so.  A stage inside the margin
-    raises SingularCoefficient as _third_derivative does, and a value that
-    leaves the float range raises OverflowError or ValueError, read as a
-    non-finite state.
+    alpha'', alpha''') packed as doubles; why the node after the last row
+    cannot be kept ("" when all n are); and whether an exception said so
+    (SingularCoefficient at a stage inside the margin, as from
+    _third_derivative, or OverflowError or ValueError: a non-finite state).
     """
     sin, cos, floor, isfinite, pi = (math.sin, math.cos, math.floor,
                                      math.isfinite, math.pi)
@@ -396,13 +393,10 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step) -> AlphaProfile:
     """Integrate the third-order angle ODE with classical 4th-order steps.
 
     Every step is taken as two h/2 steps, whose result is kept as the next
-    node: the float kernel _half_steps takes all of them in one call,
-    writing the third derivative out at every stage and checking every
-    node it makes.
-    After the last step, the whole step at h from every node a step
-    started from is taken in one array pass (see _whole_steps); its
-    difference from the kept node over 15 is the per-step error estimate,
-    and ``step_error`` is the worst of it over the kept steps.
+    node: the float kernel _half_steps takes all of them in one call.
+    Then _whole_steps takes the whole step at h from every node a step
+    started from; its difference from the kept node over 15 is the
+    per-step error estimate, and ``step_error`` is its worst.
     Integration stops early, returning a truncated profile, when a step
     leaves the float range, crosses a zero of sin(2 alpha), or violates a
     singularity margin or the nonzero-slope requirement; a whole step
@@ -441,8 +435,9 @@ def integrate_alpha(alpha0, alpha1_0, alpha2_0, y_span, step) -> AlphaProfile:
             f"initial data rejected: 2 alpha overflows at alpha = "
             f"{state[0]!r}") from None
     nodes, reason, raised = _half_steps(y0, state, alpha3, h, n, quarter)
-    # one copy: the rows are read in place, then laid out as columns
+    # one copy: the rows are read in place, laid out as columns and freed
     table = np.frombuffer(nodes).reshape(-1, 5).T.copy()
+    del nodes
     kept, reason, worst = _whole_steps(table, h, reason, raised)
     ys, alpha, alpha1, alpha2, alpha3 = table[:, :kept + 1]
     return AlphaProfile(
@@ -456,29 +451,31 @@ def _whole_steps(table, h, reason, raised):
     """(steps kept, truncate reason, step_error) from the whole steps at h.
 
     ``table`` holds the node columns (y, alpha, alpha', alpha'', alpha''')
-    that the half steps kept, ``reason`` says why they stopped, and
-    ``raised`` whether an exception stopped them.  A
-    whole step is taken from every node a step started from, the stopped
-    step's included, in one array pass.  A whole step that fails (raises,
-    leaves the float range or has a stage inside the margin) ends the
-    integration at its start node, before its halves: on any anomaly in
-    the pass the whole steps are replayed one at a time in node order
-    with the float code, which finds the first failure and its reason.
+    the half steps kept, ``reason`` why they stopped and ``raised`` whether
+    an exception did.  The whole steps from every node a step started from,
+    the stopped step's included, are array passes over _CHUNK nodes each.
+    A failing whole step (it raises, leaves the float range or has a stage
+    inside the margin) ends the integration at its start node: from a pass
+    with an anomaly on, the float code replays the steps in node order.
     """
-    m = table.shape[1] - 1
+    err, m = 0.0, table.shape[1] - 1
     cols = table[1:, :m + 1 if reason else m]
-    try:
-        with np.errstate(all="ignore"):
-            whole = _rk4_step(tuple(cols[:3]), cols[3], h)
-            if all(np.isfinite(w).all() for w in whole):
-                err = max(np.abs(w[:m] - node[1:]).max(initial=0.0)
-                          for w, node in zip(whole, table[1:4]))
-                return m, reason, float(err) / 15.0
-    except (SingularCoefficient, OverflowError, ValueError):
-        pass
-    alpha, alpha1, alpha2, alpha3 = cols.tolist()
-    worst = 0.0
-    for k in range(len(alpha)):
+    with np.errstate(all="ignore"):
+        for i in range(0, cols.shape[1], _CHUNK):
+            try:
+                whole = np.array(_rk4_step(tuple(cols[:3, i:i + _CHUNK]),
+                                           cols[3, i:i + _CHUNK], h))
+            except (SingularCoefficient, OverflowError, ValueError):
+                break
+            if not np.isfinite(whole).all():
+                break
+            gap = whole[:, :m - i] - table[1:4, i + 1:i + _CHUNK + 1]
+            err = max(err, np.abs(gap).max(initial=0.0))
+        else:
+            return m, reason, float(err) / 15.0
+    alpha, alpha1, alpha2, alpha3 = table[1:].tolist()
+    worst = float(err) / 15.0  # the steps before i: / 15.0 is monotonic
+    for k in range(i, cols.shape[1]):
         try:
             full = _rk4_step((alpha[k], alpha1[k], alpha2[k]), alpha3[k], h)
         except SingularCoefficient as err:
@@ -529,16 +526,15 @@ def alpha_ode_residual(profile: AlphaProfile, y):
     """
     if not isinstance(y, float) and np.ndim(y):
         return _ode_residuals(profile, y)
-    ys, table = profile._node_residuals
+    ys, table, y0, d, last = profile._node_residuals
     y = float(y)
-    # the node's index on a uniform grid, else a search (nodes that are
-    # not uniform, or a y between nodes)
-    q = (y - ys[0]) / (ys[1] - ys[0])
-    j = round(q) if 0.0 <= q <= len(ys) - 1 else 0
+    # the index on a uniform grid, else a search (uneven nodes, y between)
+    q = (y - y0) / d
+    j = round(q) if 0.0 <= q <= last else 0
     if ys[j] != y:
         j = bisect_left(ys, y)
-    if j < len(ys) and ys[j] == y and not math.isnan(table[j]):
-        return table[j]
+    if j <= last and ys[j] == y and (r := table[j]) == r:  # r != r: NaN
+        return r
     return float(_ode_residuals(profile, [y])[0])
 
 
@@ -547,8 +543,11 @@ def riccati_consistency(profile: AlphaProfile):
 
     The Riccati equation is integrated independently (classical 4th order,
     node-to-node in the alpha variable) from the initial u and compared
-    with the profile's own u at every node.  A non-finite node value
-    raises SingularProfile.
+    with the profile's own u at every node; a non-finite node value raises
+    SingularProfile.  Each step's midpoint and end coefficients are column
+    passes over _CHUNK steps (_riccati_coefficients' operations, libm's
+    sin and cos); a step with such a point inside the margin or not finite
+    is replayed by _riccati_coefficients, which raises as the walk would.
     """
     profile._check_finite()
     alphas, slopes, curvs = map(_floats, (profile.alpha, profile.alpha1,
@@ -559,42 +558,43 @@ def riccati_consistency(profile: AlphaProfile):
     if float(min(least[:len(slopes)])) ** 2 == 0.0:
         raise SingularProfile("alpha'^2 = 0 at a node: u = alpha''/alpha'^2 "
                               "is undefined")
-    u = curvs[0] / slopes[0] ** 2
-    worst = 0.0
-    sin, cos = math.sin, math.cos
-    end, end_pq = math.nan, None  # the last step's end and its (p, q)
-    for a, nxt, slope, curv in zip(alphas, alphas[1:], slopes, curvs):
-        dev = abs(u - curv / slope ** 2)
-        if dev > worst:  # max(worst, dev), without the call
-            worst = dev
-        # riccati_rhs written out, so that k2 and k3 share the coefficients
-        # of the midpoint, and a step starts with the coefficients its
-        # predecessor ended with when a + da rounded to the next node
-        # (always, by Sterbenz's lemma, between neighbours of one sign
-        # within a factor 2); the coefficients at the midpoint and the end
-        # are _riccati_coefficients written out
-        da = nxt - a
-        p, q = end_pq if end == a else _riccati_coefficients(a)
-        k1 = -2.0 * u * u - p * u - q
-        mid = a + 0.5 * da
-        s, c = sin(mid), cos(mid)
-        sc = s * c
-        if abs(sc) < EPS_SING:
-            _riccati_coefficients(mid)  # raises SingularCoefficient
-        p, q = (s * s + 3.0) / sc, (2.0 * c * c + 3.0) / (c * c)
-        v = u + 0.5 * da * k1
-        k2 = -2.0 * v * v - p * v - q
-        v = u + 0.5 * da * k2
-        k3 = -2.0 * v * v - p * v - q
-        end = a + da
-        s, c = sin(end), cos(end)
-        sc = s * c
-        if abs(sc) < EPS_SING:
-            _riccati_coefficients(end)  # raises SingularCoefficient
-        p, q = end_pq = (s * s + 3.0) / sc, (2.0 * c * c + 3.0) / (c * c)
-        v = u + da * k3
-        k4 = -2.0 * v * v - p * v - q
-        u = u + (da / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    u, worst = curvs[0] / slopes[0] ** 2, 0.0
+    # a step reuses the last end's (p, q) when a + da rounded to its node
+    # (always, by Sterbenz's lemma, for neighbours of one sign within 2x)
+    end, col = math.nan, np.asarray(alphas)
+    steps = min(len(alphas) - 1, len(slopes), len(curvs))  # as zip stops
+    for i in range(0, steps, _CHUNK):
+        j = min(i + _CHUNK, steps)
+        with np.errstate(all="ignore"):  # points past the stop are unread
+            da = col[i + 1:j + 1] - col[i:j]
+            pts = col[i:j] + np.multiply.outer((0.5, 1.0), da)  # mid, end
+            pts[~np.isfinite(pts)] = math.nan  # libm raises on inf, not nan
+            s, c = _libm(math.sin, pts), _libm(math.cos, pts)
+            sc = s * c
+            stop = np.append((np.abs(sc) >= EPS_SING).all(0), False).argmin()
+            p, q = (s * s + 3.0) / sc, (2.0 * c * c + 3.0) / (c * c)
+        for a, slope, curv, d, e, pm, pe, qm, qe in zip(
+                alphas[i:i + stop], slopes[i:], curvs[i:],
+                *map(_floats, (da, pts[1], *p, *q))):
+            dev = abs(u - curv / slope ** 2)
+            if dev > worst:  # max(worst, dev), without the call
+                worst = dev
+            if end != a:
+                p0, q0 = _riccati_coefficients(a)
+            k1 = -2.0 * u * u - p0 * u - q0
+            v = u + 0.5 * d * k1
+            k2 = -2.0 * v * v - pm * v - qm
+            v = u + 0.5 * d * k2
+            k3 = -2.0 * v * v - pm * v - qm
+            v = u + d * k3
+            k4 = -2.0 * v * v - pe * v - qe
+            u = u + (d / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            end, p0, q0 = e, pe, qe
+        if i + stop < j:  # replay the step that stops the walk: it raises
+            slopes[i + stop] ** 2  # its deviation's OverflowError comes first
+            a, d = alphas[i + stop], float(da[stop])
+            for x in ([a] if end != a else []) + [a + 0.5 * d, a + d]:
+                _riccati_coefficients(x)
     k = len(alphas) - 1  # the last node
     return max(worst, abs(u - curvs[k] / slopes[k] ** 2))
 

@@ -305,6 +305,42 @@ def test_entry_point_requires_subcommand():
     assert err.value.code == 2
 
 
+class TestNegativeValues:
+    """A token that starts with "-" and then a digit or ".digit" is the
+    value of the option before it, as with "=" (Python 3.13's rule)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--alpha0", "0.8", "--alpha1", "0.1", "--u0", "-1",
+         "--yspan", "-0.5:0.5", "--step", "1e-2"],
+        ["construct", "--alpha0", "0.8", "--alpha1", "0.1", "--u0", "-1e0",
+         "--yspan", "0:1", "--step", "1e-2"],
+        ["construct", "--alpha0", "0.8", "--alpha1", "0.1", "--u0", "-.5",
+         "--yspan", "-.5:.5", "--step", "1e-2"],
+        ["scan", "--c", "-2", "--range", "-1:2"],
+    ])
+    def test_spaced_value_runs_as_with_equals(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.jsonl"
+        joined = argv[:1] + [f"{flag}={value}" for flag, value
+                             in zip(argv[1::2], argv[2::2])]
+        runs = []
+        for line in (argv, joined):
+            code = run(line + ["--out", str(out)])
+            runs.append((code, out.read_bytes(), capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 1)
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_non_finite_token_stays_a_usage_error(self, tmp_path, capsys,
+                                                  value):
+        with pytest.raises(SystemExit) as err:
+            run(["construct", "--alpha0", "0.8", "--alpha1", "0.1",
+                 "--u0", value, "--yspan", "0:1",
+                 "--out", str(tmp_path / "c.jsonl")])
+        assert err.value.code == 2
+        assert "argument --u0: expected one argument" in \
+            capsys.readouterr().err
+
+
 def _argv(command, out):
     """A small valid command line of each command, writing to ``out``."""
     base = {

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -336,6 +337,34 @@ class TestScalarPaths:
                 _reference_residual(prof, y).hex()
         assert len(calls) == 1
 
+    def test_lookup_forms(self, monkeypatch):
+        # an int, a 0-d array and a numpy float on a node read the node
+        # table; a y between nodes is a batch of one; NaN is OutOfProfile
+        # as in the array path
+        calls = []
+        kernel = constructor._ode_residuals
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(constructor, "_ode_residuals", counted)
+        ys = np.arange(0.0, 21.0)
+        prof = AlphaProfile(ys, 0.3 + 0.02 * ys, np.full_like(ys, 0.02),
+                            np.sin(0.3 * ys))
+        for y in (5, np.array(7.0), np.float64(9.0)):
+            assert _bits(alpha_ode_residual(prof, y)) == \
+                _reference_residual(prof, float(y)).hex()
+        assert len(calls) == 1
+        assert _bits(alpha_ode_residual(prof, 10.5)) == \
+            _reference_residual(prof, 10.5).hex()
+        assert len(calls) == 2
+        with pytest.raises(OutOfProfile) as scalar:
+            alpha_ode_residual(prof, math.nan)
+        with pytest.raises(OutOfProfile) as array:
+            alpha_ode_residual(prof, np.array([math.nan]))
+        assert str(scalar.value) == str(array.value)
+
     def test_array_form_matches_scalar_form(self, solved_profile):
         prof = solved_profile
         d = prof.node_step
@@ -650,6 +679,37 @@ class TestWholeStepPass:
         assert prof.truncate_reason == reason
         assert len(prof.y_grid) == 1
 
+    def test_whole_step_fails_in_a_later_pass(self):
+        # the halves stop after 4,617 steps; the whole step of the stopped
+        # step, in the fifth pass, enters the margin first
+        prof = _assert_same_integration(1.45, 0.8, 0.0, (0.0, 1.0), 1e-4)
+        assert len(prof.y_grid) - 1 > 4 * constructor._CHUNK
+        assert prof.truncate_reason == ("sin*cos^2 = 9.991e-07 inside the "
+                                        "margin at alpha = 1.5698")
+
+    def test_non_finite_whole_step_in_a_later_pass(self, monkeypatch):
+        # the whole step from node 1,500 (second pass) is made infinite,
+        # in the array pass and in the float replay: the integration ends
+        # there, and step_error is the worst of the steps before it, from
+        # both passes
+        args = (*START, (0.0, 1.0), 1e-4)
+        node = float(integrate_alpha(*args).alpha[1500])
+        rk4 = constructor._rk4_step
+
+        def infinite_from_node(state, f1, h):
+            out = rk4(state, f1, h)
+            if h != 1e-4:
+                return out
+            if type(f1) is float:
+                return (math.inf, *out[1:]) if state[0] == node else out
+            return (np.where(state[0] == node, math.inf, out[0]), *out[1:])
+
+        monkeypatch.setattr(constructor, "_rk4_step", infinite_from_node)
+        prof = _assert_same_integration(*args)
+        assert len(prof.y_grid) == 1501
+        assert prof.truncate_reason == "non-finite state"
+        assert prof.step_error > 0.0
+
     @pytest.mark.parametrize("start", [(0.8, 1.0, 1e6), (0.3, 1e30, 0.0)])
     def test_overflow_warns_nothing(self, start):
         with warnings.catch_warnings():
@@ -693,7 +753,8 @@ def _reference_riccati(profile):
 def _riccati_outcome(check, profile):
     try:
         return _bits(check(profile))
-    except (SingularProfile, SingularCoefficient) as err:
+    except (SingularProfile, SingularCoefficient, ValueError, OverflowError,
+            IndexError) as err:
         return type(err).__name__, str(err)
 
 
@@ -748,12 +809,109 @@ class TestRiccatiWalk:
             with pytest.raises(IndexError):
                 check(prof)
 
+    # the largest float inside the sin*cos margin above 0, and the end of
+    # the step to it from 0.5, which rounds to a float outside it
+    EDGE = 0.0010000006666678665
+
+    @pytest.mark.parametrize("alphas", [
+        [EDGE, 0.3, 0.35, 0.4, 0.45],  # the first start
+        [0.3, 0.4, 0.5, EDGE, 0.3, 0.35],  # a start the last end missed
+        [0.3, 0.4, 0.5, EDGE, -EDGE, 0.3],  # ... whose midpoint is inside too
+    ])
+    def test_fresh_start_inside_the_margin(self, alphas):
+        assert 0.5 + (self.EDGE - 0.5) != self.EDGE
+        ys = np.linspace(0.0, 1.0, len(alphas))
+        prof = AlphaProfile(ys, np.array(alphas), np.ones_like(ys),
+                            np.zeros_like(ys))
+        got = _assert_same_riccati(prof)
+        assert got[0] == "SingularCoefficient"
+        assert f"at alpha = {self.EDGE:.6g}" in got[1]
+
+    def test_midpoint_overflow(self):
+        # 1e308 - (-1e308) overflows, so the step's midpoint is infinite
+        # and libm's sin raises
+        ys = np.linspace(0.0, 1.0, 6)
+        prof = AlphaProfile(ys, np.array([0.5, 0.6, 1e308, -1e308, 0.7, 0.8]),
+                            np.ones_like(ys), np.zeros_like(ys))
+        assert _assert_same_riccati(prof) == ("ValueError",
+                                              "math domain error")
+
+    @staticmethod
+    def _long_profile(n, top):
+        """n nodes of alpha rising from 0.3 to ``top``: more than one
+        column pass of steps."""
+        assert n > 2 * constructor._CHUNK
+        ys = np.linspace(0.0, 1.0, n)
+        return ys, 0.3 + (top - 0.3) * ys
+
+    @pytest.mark.parametrize("top", [1.2, 1.6])
+    def test_first_bad_step_in_a_later_pass(self, top):
+        # alpha passes pi/2 - EPS_SING after the second pass (top 1.6), or
+        # never (top 1.2)
+        ys, alphas = self._long_profile(2500, top)
+        prof = AlphaProfile(ys, alphas, np.full_like(ys, 0.9), np.sin(3 * ys))
+        got = _assert_same_riccati(prof)
+        assert (got[0] == "SingularCoefficient") == (top > 1.2)
+
+    @pytest.mark.parametrize("bad", [
+        "non-finite",  # a midpoint past the float range, after the margin
+        "overflow",  # the deviation's alpha'^2 overflows where a point of
+                     # the same step is inside the margin: that comes first
+    ])
+    def test_later_pass_error_order(self, bad):
+        ys, alphas = self._long_profile(2500, 1.6)
+        slopes = np.full_like(ys, 0.9)
+        sc = np.abs(np.sin(alphas) * np.cos(alphas))
+        first = int(np.argmax(sc < constructor.EPS_SING)) - 1
+        assert first > 2 * constructor._CHUNK
+        if bad == "non-finite":
+            alphas[first - 40:first - 38] = 1e308, -1e308
+        else:
+            slopes[first] = 1e200
+        prof = AlphaProfile(ys, alphas, slopes, np.sin(3 * ys))
+        expected = {"non-finite": "ValueError", "overflow": "OverflowError"}
+        assert _assert_same_riccati(prof)[0] == expected[bad]
+
     @given(st.floats(0.3, 1.2), st.floats(0.05, 1.0),
            st.sampled_from([1.0, -1.0]), st.floats(-2.0, 2.0))
     def test_draws(self, alpha0, speed, sign, u0):
         alpha1_0 = sign * speed
         _assert_same_riccati(integrate_alpha(
             alpha0, alpha1_0, u0 * alpha1_0 ** 2, (0.0, 1.0), 1e-2))
+
+
+def _column_bytes(profile):
+    return sum(getattr(profile, name).nbytes for name in (
+        "y_grid", "alpha", "alpha1", "alpha2", "alpha3"))
+
+
+class TestMemoryStaysFlat:
+    """Traced peaks of an integration and of its Riccati check against the
+    bytes of the columns the integration returns: the node rows are freed
+    once laid out as columns, and the array passes work on fixed-size
+    chunks of steps."""
+
+    def test_integration_peak(self):
+        # 10**4 steps: tracing the float loop over 10**5 takes about 40 s,
+        # for the same ratio
+        tracemalloc.start()
+        try:
+            prof = integrate_alpha(0.8, 0.1, -0.01, (0.0, 1.0), 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(prof.y_grid) == 10 ** 4 + 1 and not prof.truncated
+        assert peak <= 2.5 * _column_bytes(prof)
+
+    def test_riccati_peak(self):
+        prof = integrate_alpha(0.8, 0.1, -0.01, (0.0, 1.0), 1e-5)
+        tracemalloc.start()
+        try:
+            riccati_consistency(prof)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * _column_bytes(prof)
 
 
 class TestNonFiniteProfile:
