@@ -17,7 +17,6 @@ from .errors import (
     NonFiniteValue,
     NonOrthonormalFrame,
     NotCMC,
-    NotUmbilic,
     OutOfProfile,
     SingularCoefficient,
     SingularProfile,
@@ -54,7 +53,6 @@ from .submersion import (
     biharmonic_residuals,
     catalog_examples,
     catalog_suite,
-    harmonicity_test,
     hyperbolic_uniqueness_scan,
     residual_report,
 )
@@ -67,14 +65,12 @@ from .hypersurface import (
     cmc_classify,
     hopf_cylinder_residuals,
     surface_geometry,
-    umbilic_biharmonic_test,
     vertical_cylinder,
 )
 from .constructor import (
     AlphaProfile,
     ConstructionSpec,
     alpha_ode_residual,
-    build_flat_target,
     build_nonflat_target,
     integrate_alpha,
     riccati_consistency,

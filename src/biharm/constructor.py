@@ -12,8 +12,7 @@ reduces it to the Riccati equation
     u'(a) = -2u^2 - (sin^2(a)+3)/(sin(a)cos(a)) u - (2cos^2(a)+3)/cos^2(a),
 
 used here as the independent cross-check of the y-integration.  A solved
-profile feeds two builders: the flat-target twisted projection (domain
-e^{2p(x,y)} dx^2 + dy^2 + dz^2, target flat) and the non-flat warped pair
+profile feeds the builder of the non-flat warped pair
 
     domain tan^2(a(y)) dt^2 + dy^2 + dz^2,
     target dy^2 + sin^2(a(y)) dpsi^2,
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 
@@ -54,8 +52,9 @@ from .numkernel import (
     sample_grid,
     sweep,
 )
+from .record import Record
 from .report import build_report, max_over_batch
-from .submersion import SubmersionSpec, projection_spec, residual_report
+from .submersion import SubmersionSpec, residual_report
 
 EPS_SING = 1e-3  # margin on |sin(a) cos(a)| away from the ODE singularities
 MIN_SLOPE = 1e-6  # |a'| below this is the degenerate constant-angle branch
@@ -162,8 +161,7 @@ class _CubicHermite:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaProfile:
+class AlphaProfile(Record, eq=False):
     """Sampled solution of the fiber-angle ODE with its derivatives.
 
     Nodes carry (alpha, alpha', alpha''); interpolation between nodes is
@@ -473,11 +471,13 @@ def _whole_steps(table, h, reason, raised):
             err = max(err, np.abs(gap).max(initial=0.0))
         else:
             return m, reason, float(err) / 15.0
-    alpha, alpha1, alpha2, alpha3 = table[1:].tolist()
+    # the replay reads the nodes from i on: column j is node i + j
+    alpha, alpha1, alpha2, alpha3 = table[1:, i:].tolist()
     worst = float(err) / 15.0  # the steps before i: / 15.0 is monotonic
     for k in range(i, cols.shape[1]):
+        j = k - i
         try:
-            full = _rk4_step((alpha[k], alpha1[k], alpha2[k]), alpha3[k], h)
+            full = _rk4_step((alpha[j], alpha1[j], alpha2[j]), alpha3[j], h)
         except SingularCoefficient as err:
             return k, str(err), worst
         except (OverflowError, ValueError):  # a stage left the float range
@@ -488,9 +488,9 @@ def _whole_steps(table, h, reason, raised):
             return k, (reason if k == m and raised
                        else "non-finite state"), worst
         if k < m:
-            worst = max(worst, max(abs(full[0] - alpha[k + 1]),
-                                   abs(full[1] - alpha1[k + 1]),
-                                   abs(full[2] - alpha2[k + 1])) / 15.0)
+            worst = max(worst, max(abs(full[0] - alpha[j + 1]),
+                                   abs(full[1] - alpha1[j + 1]),
+                                   abs(full[2] - alpha2[j + 1])) / 15.0)
     return m, reason, worst
 
 
@@ -601,8 +601,7 @@ def riccati_consistency(profile: AlphaProfile):
 
 # -- builders --------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ConstructionSpec:
+class ConstructionSpec(Record, eq=False):
     """Inputs of the warped construction: a solved angle profile plus the
     free functions of the general-coordinates form.
 
@@ -616,7 +615,7 @@ class ConstructionSpec:
     w: ScalarField = None
     F: ScalarField = None
     branch_sign: int = 1
-    u_box: ChartBox = field(default_factory=lambda: ChartBox((-1.0,), (1.0,)))
+    u_box: ChartBox = None
 
     def __post_init__(self):
         if self.phi is None:
@@ -625,6 +624,8 @@ class ConstructionSpec:
             object.__setattr__(self, "w", ScalarField.constant(0.0, 1))
         if self.F is None:
             object.__setattr__(self, "F", ScalarField.coordinate(0, 1))
+        if self.u_box is None:
+            object.__setattr__(self, "u_box", ChartBox((-1.0,), (1.0,)))
         if self.branch_sign not in (1, -1):
             raise ValueError("branch sign must be +1 or -1")
         grid = sample_grid(self.u_box, (9,))
@@ -633,8 +634,7 @@ class ConstructionSpec:
             raise ValueError("the fiber collapse F must be nonconstant")
 
 
-@dataclass(frozen=True)
-class NonflatConstruction:
+class NonflatConstruction(Record):
     """Output of the warped builder: canonical and general-coordinates specs,
     the target surface, and a plain-text description of the map."""
 
@@ -650,24 +650,6 @@ class NonflatConstruction:
         a1 = self.profile.slope(y)
         a2 = self.profile.curvature2(y)
         return -(math.cos(a) * a2 - math.sin(a) * a1 ** 2) / math.sin(a)
-
-
-@sweep()
-def build_flat_target(p, box=None, label="flat-target") -> SubmersionSpec:
-    """Flat-target twisted projection for a free exponent p(x, y).
-
-    Vanishing base slope p_y means the projection is harmonic; such specs
-    are returned flagged rather than rejected.
-    """
-    if box is None:
-        box = ChartBox((-1.0, 0.2, -0.5), (1.0, 1.5, 0.5), 0.05)
-    spec = projection_spec(p, box, label)
-    q = spec.domain_metric.conformal_exponent
-    pts = as_batch(spec.verification_points((5, 5)))
-    slope = float(np.max(np.abs(q.partial(pts, 1, 1))))
-    if slope <= 1e-12:
-        spec.flags = spec.flags + ("harmonic: vanishing base slope",)
-    return spec
 
 
 def build_nonflat_target(cspec: ConstructionSpec) -> NonflatConstruction:
@@ -792,17 +774,3 @@ def profile_to_text(profile: AlphaProfile) -> str:
                    profile.alpha2):
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
-
-
-def profile_from_text(text) -> AlphaProfile:
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
-    if not lines or lines[0][1] != ["y", "alpha", "alpha1", "alpha2"]:
-        raise ValueError("expected header 'y alpha alpha1 alpha2'")
-    # a header alone: the first row is missing from the line after it
-    for no, cols in lines[1:] or [(lines[0][0] + 1, [])]:
-        if len(cols) != 4:
-            raise ValueError(f"line {no}: expected a node row of 4 numbers")
-    rows = np.array([[float(v) for v in cols] for _, cols in lines[1:]])
-    return AlphaProfile(y_grid=rows[:, 0], alpha=rows[:, 1],
-                        alpha1=rows[:, 2], alpha2=rows[:, 3])

@@ -25,10 +25,6 @@ class NotCMC(GeometryError):
     """Mean curvature varies beyond tolerance where a constant is required."""
 
 
-class NotUmbilic(GeometryError):
-    """The shape operator is not a multiple of the identity."""
-
-
 class SingularCoefficient(GeometryError):
     """An ODE coefficient is evaluated inside its singular margin."""
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,11 +63,11 @@ from .numkernel import (
     ftan,
     sweep,
 )
+from .record import Record, replace
 from .report import build_report, max_over_batch
 
 
-@dataclass(frozen=True, eq=False)
-class AdaptedFrameSpec:
+class AdaptedFrameSpec(Record, eq=False):
     """Angle pair (theta, alpha) defining an adapted frame.
 
     ``theta`` orients the horizontal leg e1 inside the base surface;
@@ -84,8 +83,7 @@ class AdaptedFrameSpec:
         object.__setattr__(self, "alpha", as_field(self.alpha, 3))
 
 
-@dataclass(frozen=True, eq=False)
-class IntegrabilityData:
+class IntegrabilityData(Record, eq=False):
     """The six bracket/connection functions of an adapted frame, plus the
     rotated base slope fbar they are built from."""
 

@@ -21,7 +21,6 @@ one value and a batch a leading batch axis (``numkernel.one_or_all``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .numkernel import (
     sample_grid,
     sweep,
 )
+from .record import Record
 
 PRODUCT_AXIS = 2  # the flat R factor of a 3-chart
 
@@ -53,8 +53,7 @@ def cached_on_owner(fn):
     return cached
 
 
-@dataclass(frozen=True, eq=False)
-class ProductMetric3:
+class ProductMetric3(Record, eq=False):
     """Metric e^{2q} (weighted axis)^2 + unit^2 + unit^2 on a 3-chart.
 
     ``conformal_exponent`` is q; it must not depend on the product axis
@@ -116,8 +115,7 @@ def base_sweep(box: ChartBox, grid):
     return [(t, s, zmid) for (t, s) in sample_grid(base, grid)]
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceMetric:
+class SurfaceMetric(Record, eq=False):
     """Diagonal 2-chart metric with e^{2q} on one axis and 1 on the other."""
 
     conformal_exponent: ScalarField
@@ -140,8 +138,7 @@ class SurfaceMetric:
         return _diagonal_weights(self, point)
 
 
-@dataclass(frozen=True, eq=False)
-class FrameField:
+class FrameField(Record, eq=False):
     """Orthonormal frame given by chart-component fields, one row per leg.
 
     ``coeff`` optionally stores the rotation coefficients of each leg

@@ -18,12 +18,11 @@ Gram-Schmidt from the coordinate tangents (first leg along d_u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateImmersion, NonFiniteValue, NotCMC, NotUmbilic
+from .errors import DegenerateImmersion, NonFiniteValue, NotCMC
 from .geometry import (
     ProductMetric3,
     add_christoffel_terms,
@@ -50,12 +49,12 @@ from .numkernel import (
     sample_grid,
     sweep,
 )
+from .record import Record
 
 _RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceImmersion:
+class SurfaceImmersion(Record, eq=False):
     """Codimension-one surface (u, v) -> (chart point) in a product 3-chart.
 
     ``components`` are three fields of (u, v); ``orientation`` (+1 or -1)
@@ -83,10 +82,6 @@ class SurfaceImmersion:
         batch = as_batch(uv)
         return one_or_all(as_batch(
             np.column_stack([c(batch) for c in self.components])), uv)
-
-    def flipped(self):
-        return replace(self, orientation=-self.orientation,
-                       label=self.label + "-flipped")
 
     # -- derived fields on the (u, v) chart -----------------------------------
 
@@ -243,8 +238,7 @@ class SurfaceImmersion:
                 @ _field_matrix(self.tangent_fields, uv))
 
 
-@dataclass(frozen=True)
-class SurfaceGeometry:
+class SurfaceGeometry(Record):
     """First/second fundamental data of an immersion at one parameter point,
     or per point of a batch (every field then has a leading batch axis)."""
 
@@ -306,8 +300,7 @@ def surface_geometry(immersion: SurfaceImmersion, uv) -> SurfaceGeometry:
     ), uv)
 
 
-@dataclass(frozen=True)
-class RicciSplit:
+class RicciSplit(Record):
     """Ambient Ricci curvature split along a surface normal, at a point or
     per point of a batch.
 
@@ -370,8 +363,7 @@ def biharmonic_residuals_surface(immersion: SurfaceImmersion, uv):
     return one_or_all(scalars, uv), one_or_all(tangents, uv)
 
 
-@dataclass(frozen=True)
-class CmcClassification:
+class CmcClassification(Record):
     kind: str  # "minimal" | "proper_biharmonic_vertical_cylinder" | "not_biharmonic"
     mean_curvature: float
     sphere_radius: float = math.nan
@@ -423,8 +415,7 @@ def cmc_classify(immersion: SurfaceImmersion, points, tol=1e-6):
 # -- Hopf cylinders -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class HopfCylinderSpec:
+class HopfCylinderSpec(Record, eq=False):
     """Preimage of a unit-speed base curve under the vertical projection.
 
     ``geodesic_curvature`` is k_g(s) of the base curve, ``base_curvature``
@@ -459,44 +450,6 @@ def hopf_cylinder_residuals(spec: HopfCylinderSpec, s):
     r1 = kg.partial(p, 0, 2) - cube + k * spec.base_curvature(p)
     r2 = 3.0 * kg.partial(p, 0, 1) * k
     return r1, r2
-
-
-# -- umbilic test ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UmbilicResult:
-    minimal: bool
-    consistent: bool
-    max_mean_curvature: float
-    max_scalar_residual: float
-
-
-@sweep()
-def umbilic_biharmonic_test(immersion: SurfaceImmersion, points, tol=1e-6):
-    """For totally umbilical surfaces, check biharmonic <=> minimal.
-
-    Raises NotUmbilic when the shape operator is not H * Id on some point.
-    Otherwise the verdict is consistent when either H vanishes everywhere
-    (minimal, hence biharmonic) or the scalar residual is nonzero somewhere
-    (nonminimal umbilical surfaces are never biharmonic).
-    """
-    batch = as_batch(points)
-    geo = surface_geometry(immersion, batch)
-    h = geo.mean_curvature
-    dev = geo.shape_operator - h[:, None, None] * np.eye(2)
-    defect = float(np.max(np.abs(dev), initial=0.0))
-    h_max = float(np.max(np.abs(h), initial=0.0))
-    if defect > tol:
-        raise NotUmbilic(f"umbilic defect {defect:.3e} exceeds {tol:g}")
-    if h_max <= tol:
-        return UmbilicResult(minimal=True, consistent=True,
-                             max_mean_curvature=h_max,
-                             max_scalar_residual=0.0)
-    worst = float(np.max(np.abs(
-        biharmonic_residuals_surface(immersion, batch)[0])))
-    return UmbilicResult(minimal=False, consistent=worst > tol,
-                         max_mean_curvature=h_max, max_scalar_residual=worst)
 
 
 # -- builders --------------------------------------------------------------------

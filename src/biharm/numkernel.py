@@ -60,12 +60,12 @@ import contextvars
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateBox, NonFiniteValue
+from .record import Record, replace
 
 # Central-difference steps: H_FD for first/second differences, H_FD3 for the
 # outer step of a nested third difference.  Chosen to balance truncation
@@ -74,8 +74,7 @@ H_FD = 1e-4
 H_FD3 = 1e-3
 
 
-@dataclass(frozen=True)
-class ChartBox:
+class ChartBox(Record):
     """Axis-aligned chart domain with a guard margin.
 
     The guard is the strip near the boundary excluded from verification
@@ -91,7 +90,7 @@ class ChartBox:
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise ValueError("lower/upper must have equal lengths")
-        if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
+        if any(map(operator.ge, self.lower, self.upper)):
             raise ValueError("need lower < upper on every axis")
         if self.guard < 0:
             raise ValueError("guard must be nonnegative")
@@ -880,21 +879,21 @@ def numeric_only(obj):
     central difference would be +0.0: a number reads no axis, so the terms
     its derivative multiplies fold away.  The copy itself is not an exact
     number, so operations on it do not fold.  A tuple is rebuilt from the
-    copies of its items, and a dataclass instance by ``dataclasses.replace``
-    from those of its init fields (so ``__post_init__`` runs again); one
-    that holds no field comes back as itself, as does any other value.
+    copies of its items, and a record by ``record.replace`` from those of
+    its fields (so ``__post_init__`` runs again); one that holds no field
+    comes back as itself, as does any other value.
     """
     if isinstance(obj, ScalarField):
         return _derived(obj.dim, _leaf_values, None, obj, _axes(obj, {}))
     if type(obj) is tuple:
         items = tuple(map(numeric_only, obj))
         return obj if all(map(operator.is_, items, obj)) else items
-    if is_dataclass(obj) and not isinstance(obj, type):
+    if isinstance(obj, Record):
         changes = {}
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            copy = numeric_only(value) if f.init else value
+        for name in obj._fields:
+            value = getattr(obj, name)
+            copy = numeric_only(value)
             if copy is not value:
-                changes[f.name] = copy
+                changes[name] = copy
         return replace(obj, **changes) if changes else obj
     return obj

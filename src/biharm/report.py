@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+
+from .record import Record
 
 REPORT_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Record):
     name: str
     max_abs: float
     at: tuple
@@ -28,8 +28,7 @@ class Channel:
                 "at": list(self.at)}
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     case_label: str
     points_checked: int
     channels: tuple
@@ -102,7 +101,7 @@ def max_over_batch(name, points, values):
             worst_p, worst_v = tuple(point), a
     if worst_p is None:
         raise ValueError("no points supplied")
-    return Channel(name=name, max_abs=worst_v, at=worst_p)
+    return Channel(name, worst_v, worst_p)
 
 
 def _atomic_write(path, text):

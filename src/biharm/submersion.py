@@ -19,7 +19,6 @@ most of r2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +34,6 @@ from .geometry import (
     ProductMetric3,
     SurfaceMetric,
     base_sweep,
-    gauss_curvature_2d,
     laplacian_field,
 )
 from .numkernel import (
@@ -51,13 +49,13 @@ from .numkernel import (
     fsin,
     sweep,
 )
-from .report import ResidualReport, build_report, max_over_batch
+from .record import Record
+from .report import build_report, max_over_batch
 
 Z_SPREAD_TOL = 1e-10  # all fields must be constant along the flat factor
 
 
-@dataclass(eq=False)
-class SubmersionSpec:
+class SubmersionSpec(Record, eq=False):
     """A submersion case: domain metric + adapted-frame angles.
 
     ``family`` tags how the spec was built ("flat_target" for projections
@@ -77,7 +75,7 @@ class SubmersionSpec:
     profile: object = None
 
     def __post_init__(self):
-        self.flags = tuple(self.flags)
+        object.__setattr__(self, "flags", tuple(self.flags))
 
     # -- derived structure --------------------------------------------------
 
@@ -143,56 +141,6 @@ def biharmonic_residuals(spec: SubmersionSpec, point):
     """The two residual channels at a point; (0, 0) iff biharmonic there."""
     r1, r2 = spec.residual_fields
     return r1(point), r2(point)
-
-
-@dataclass(frozen=True)
-class HarmonicityResult:
-    harmonic: bool
-    report: object
-
-
-@sweep()
-def harmonicity_test(spec: SubmersionSpec, points, tol=1e-6):
-    """Harmonic iff both fiber curvatures k1, k2 vanish on the points.
-
-    Harmonic submersions have totally geodesic fibers; for those the test
-    additionally asserts an integrable horizontal distribution (sigma = 0)
-    and reports the agreement K_N = 3 sigma^2 + cos^2(alpha) K_base.
-    """
-    d = spec.data
-    points = list(points)
-    batch = as_batch(points)
-    ch_k1 = max_over_batch("kappa1", points, d.kappa1(batch))
-    ch_k2 = max_over_batch("kappa2", points, d.kappa2(batch))
-    harmonic = max(ch_k1.max_abs, ch_k2.max_abs) <= tol
-    channels = [ch_k1, ch_k2]
-    notes = []
-    extra_fail = False
-    if harmonic:
-        sigma = d.sigma(batch)
-        channels.append(max_over_batch("sigma", points, sigma))
-        kn = spec.target_curvature_field(batch)
-        a33 = spec.frame.coeff[2][2](batch)
-        kb = gauss_curvature_2d(spec.domain_metric, batch)
-        channels.append(max_over_batch(
-            "target_vs_base_curvature", points,
-            kn - 3.0 * sigma ** 2 - a33 * a33 * kb))
-        extra_fail = any(c.max_abs > tol for c in channels[2:])
-        notes.append("totally geodesic fibers")
-        # harmonic: kappa channels are within tol by definition
-        report = build_report(spec.label, tol, channels, len(points),
-                              classification="harmonic", notes=notes,
-                              extra_fail=extra_fail)
-    else:
-        # fiber curvature channels are measurements here, not failures
-        report = ResidualReport(
-            case_label=spec.label, points_checked=len(points),
-            channels=tuple(channels), tolerance=tol, verdict="pass",
-            classification="not harmonic",
-            notes=(f"max |kappa1| = {ch_k1.max_abs:.3e}",
-                   f"max |kappa2| = {ch_k2.max_abs:.3e}"),
-        )
-    return HarmonicityResult(harmonic, report)
 
 
 @sweep()
@@ -316,8 +264,7 @@ def catalog_suite(specs, tol=1e-6, grid=(21, 21)):
 # -- uniqueness scan ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRoot:
+class ScanRoot(Record):
     slope: float
     kind: str  # "proper" | "harmonic"
 

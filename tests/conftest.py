@@ -1,13 +1,30 @@
 import math
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import settings
 
 from biharm import numkernel
-from biharm.numkernel import ChartBox, ScalarField, fcos, fsin
-from biharm.geometry import ProductMetric3
-from biharm.hypersurface import SurfaceImmersion
+from biharm.constructor import AlphaProfile
+from biharm.errors import GeometryError
+from biharm.numkernel import (
+    ChartBox,
+    ScalarField,
+    as_batch,
+    fcos,
+    fsin,
+    sweep,
+)
+from biharm.geometry import ProductMetric3, gauss_curvature_2d
+from biharm.hypersurface import (
+    SurfaceImmersion,
+    biharmonic_residuals_surface,
+    surface_geometry,
+)
+from biharm.record import Record, replace
+from biharm.report import ResidualReport, build_report, max_over_batch
+from biharm.submersion import SubmersionSpec, projection_spec
 
 # property tests draw the same few examples on every run, so Tier-1 stays
 # deterministic and quick
@@ -170,3 +187,136 @@ def round_sphere(radius=1.0) -> SurfaceImmersion:
     uv_box = ChartBox((0.5, 0.3), (math.pi - 0.5, 2.5), 0.02)
     return SurfaceImmersion(comps, ambient, uv_box,
                             label=f"sphere(R={radius:g})")
+
+
+def flipped(immersion: SurfaceImmersion) -> SurfaceImmersion:
+    """The same surface with the opposite unit normal."""
+    return replace(immersion, orientation=-immersion.orientation,
+                   label=immersion.label + "-flipped")
+
+
+# -- checks that no command runs ---------------------------------------------------
+
+
+class NotUmbilic(GeometryError):
+    """The shape operator is not a multiple of the identity."""
+
+
+class UmbilicResult(Record):
+    minimal: bool
+    consistent: bool
+    max_mean_curvature: float
+    max_scalar_residual: float
+
+
+@sweep()
+def umbilic_biharmonic_test(immersion: SurfaceImmersion, points, tol=1e-6):
+    """For totally umbilical surfaces, check biharmonic <=> minimal.
+
+    Raises NotUmbilic when the shape operator is not H * Id on some point.
+    Otherwise the verdict is consistent when either H vanishes everywhere
+    (minimal, hence biharmonic) or the scalar residual is nonzero somewhere
+    (nonminimal umbilical surfaces are never biharmonic).
+    """
+    batch = as_batch(points)
+    geo = surface_geometry(immersion, batch)
+    h = geo.mean_curvature
+    dev = geo.shape_operator - h[:, None, None] * np.eye(2)
+    defect = float(np.max(np.abs(dev), initial=0.0))
+    h_max = float(np.max(np.abs(h), initial=0.0))
+    if defect > tol:
+        raise NotUmbilic(f"umbilic defect {defect:.3e} exceeds {tol:g}")
+    if h_max <= tol:
+        return UmbilicResult(minimal=True, consistent=True,
+                             max_mean_curvature=h_max,
+                             max_scalar_residual=0.0)
+    worst = float(np.max(np.abs(
+        biharmonic_residuals_surface(immersion, batch)[0])))
+    return UmbilicResult(minimal=False, consistent=worst > tol,
+                         max_mean_curvature=h_max, max_scalar_residual=worst)
+
+
+class HarmonicityResult(Record):
+    harmonic: bool
+    report: object
+
+
+@sweep()
+def harmonicity_test(spec: SubmersionSpec, points, tol=1e-6):
+    """Harmonic iff both fiber curvatures k1, k2 vanish on the points.
+
+    Harmonic submersions have totally geodesic fibers; for those the test
+    additionally asserts an integrable horizontal distribution (sigma = 0)
+    and reports the agreement K_N = 3 sigma^2 + cos^2(alpha) K_base.
+    """
+    d = spec.data
+    points = list(points)
+    batch = as_batch(points)
+    ch_k1 = max_over_batch("kappa1", points, d.kappa1(batch))
+    ch_k2 = max_over_batch("kappa2", points, d.kappa2(batch))
+    harmonic = max(ch_k1.max_abs, ch_k2.max_abs) <= tol
+    channels = [ch_k1, ch_k2]
+    notes = []
+    extra_fail = False
+    if harmonic:
+        sigma = d.sigma(batch)
+        channels.append(max_over_batch("sigma", points, sigma))
+        kn = spec.target_curvature_field(batch)
+        a33 = spec.frame.coeff[2][2](batch)
+        kb = gauss_curvature_2d(spec.domain_metric, batch)
+        channels.append(max_over_batch(
+            "target_vs_base_curvature", points,
+            kn - 3.0 * sigma ** 2 - a33 * a33 * kb))
+        extra_fail = any(c.max_abs > tol for c in channels[2:])
+        notes.append("totally geodesic fibers")
+        # harmonic: kappa channels are within tol by definition
+        report = build_report(spec.label, tol, channels, len(points),
+                              classification="harmonic", notes=notes,
+                              extra_fail=extra_fail)
+    else:
+        # fiber curvature channels are measurements here, not failures
+        report = ResidualReport(
+            case_label=spec.label, points_checked=len(points),
+            channels=tuple(channels), tolerance=tol, verdict="pass",
+            classification="not harmonic",
+            notes=(f"max |kappa1| = {ch_k1.max_abs:.3e}",
+                   f"max |kappa2| = {ch_k2.max_abs:.3e}"),
+        )
+    return HarmonicityResult(harmonic, report)
+
+
+# -- builders and readers that no command runs -------------------------------------
+
+
+@sweep()
+def build_flat_target(p, box=None, label="flat-target") -> SubmersionSpec:
+    """Flat-target twisted projection for a free exponent p(x, y).
+
+    Vanishing base slope p_y means the projection is harmonic; such specs
+    are returned flagged rather than rejected.
+    """
+    if box is None:
+        box = ChartBox((-1.0, 0.2, -0.5), (1.0, 1.5, 0.5), 0.05)
+    spec = projection_spec(p, box, label)
+    q = spec.domain_metric.conformal_exponent
+    pts = as_batch(spec.verification_points((5, 5)))
+    slope = float(np.max(np.abs(q.partial(pts, 1, 1))))
+    if slope <= 1e-12:
+        spec = replace(spec, flags=spec.flags
+                       + ("harmonic: vanishing base slope",))
+    return spec
+
+
+def profile_from_text(text) -> AlphaProfile:
+    """The profile of ``constructor.profile_to_text``'s columnar text."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or lines[0][1] != ["y", "alpha", "alpha1", "alpha2"]:
+        raise ValueError("expected header 'y alpha alpha1 alpha2'")
+    # a header alone: the first row is missing from the line after it
+    for no, cols in lines[1:] or [(lines[0][0] + 1, [])]:
+        if len(cols) != 4:
+            raise ValueError(f"line {no}: expected a node row of 4 numbers")
+    rows = np.array([[float(v) for v in cols] for _, cols in lines[1:]])
+    return AlphaProfile(y_grid=rows[:, 0], alpha=rows[:, 1],
+                        alpha1=rows[:, 2], alpha2=rows[:, 3])

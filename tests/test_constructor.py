@@ -16,11 +16,9 @@ from biharm.constructor import (
     AlphaProfile,
     ConstructionSpec,
     alpha_ode_residual,
-    build_flat_target,
     build_nonflat_target,
     integrate_alpha,
     ode_residual_terms,
-    profile_from_text,
     profile_to_text,
     riccati_consistency,
     riccati_rhs,
@@ -34,7 +32,7 @@ from biharm.errors import (
 )
 from biharm.numkernel import ChartBox, ScalarField, as_batch, numeric_only
 from biharm.report import write_report
-from conftest import S, T, field_of
+from conftest import S, T, build_flat_target, field_of, profile_from_text
 
 START = (math.pi / 4, 0.1, -0.01)  # alpha0, alpha1, alpha2 = u0 * alpha1^2
 
@@ -901,6 +899,18 @@ class TestMemoryStaysFlat:
         finally:
             tracemalloc.stop()
         assert len(prof.y_grid) == 10 ** 4 + 1 and not prof.truncated
+        assert peak <= 2.5 * _column_bytes(prof)
+
+    def test_truncated_integration_peak(self):
+        # a whole step fails in the fifth pass: the float replay reads the
+        # nodes from that pass on, not the whole table
+        tracemalloc.start()
+        try:
+            prof = integrate_alpha(1.45, 0.8, 0.0, (0.0, 1.0), 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(prof.y_grid) == 4_618 and prof.truncated
         assert peak <= 2.5 * _column_bytes(prof)
 
     def test_riccati_peak(self):

@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from biharm.numkernel import (
     ScalarField,
     directional_field,
 )
+from biharm.record import replace
 from biharm.submersion import target_curvature
 from conftest import S, T, Z, field_of, in_mode
 

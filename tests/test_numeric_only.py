@@ -8,7 +8,6 @@ axes its original reads and is the exact 0 along the rest.
 """
 
 import math
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -40,13 +39,14 @@ from biharm.numkernel import (
     numeric_only,
     sample_grid,
 )
+from biharm.record import Record
 from biharm.submersion import (
     SubmersionSpec,
     catalog_examples,
     projection_spec,
     residual_report,
 )
-from conftest import S, T, field_of
+from conftest import S, T, field_of, flipped
 
 
 def _warped():
@@ -54,7 +54,7 @@ def _warped():
     spec = build_nonflat_target(ConstructionSpec(prof)).canonical
     spec.residual_fields  # fills the caches on the spec and what it holds
     assert spec.profile is not None
-    assert set(vars(spec)) > {f.name for f in fields(spec)}
+    assert set(vars(spec)) > set(spec._fields)
     return spec
 
 
@@ -68,7 +68,7 @@ def _projection():
 
 
 def _cylinder():
-    cyl = vertical_cylinder(1.0, 1.0).flipped()
+    cyl = flipped(vertical_cylinder(1.0, 1.0))
     cyl.normal_fields
     assert cyl.orientation == -1
     return cyl
@@ -88,16 +88,16 @@ CASES = {
 
 
 def _pairs(orig, copy):
-    """(original, copy) of the object, of every init field value and of
+    """(original, copy) of the object, of every record field value and of
     every tuple item below it."""
     yield orig, copy
     if type(orig) is tuple:
         assert type(copy) is tuple and len(copy) == len(orig)
         for a, b in zip(orig, copy):
             yield from _pairs(a, b)
-    elif is_dataclass(orig):
-        for f in fields(orig):
-            yield from _pairs(getattr(orig, f.name), getattr(copy, f.name))
+    elif isinstance(orig, Record):
+        for name in orig._fields:
+            yield from _pairs(getattr(orig, name), getattr(copy, name))
 
 
 def _holds_field(obj):
@@ -131,10 +131,10 @@ def test_walk_contract(kind):
         elif not _holds_field(a):
             # labels, flags, families, boxes, orientation, profile
             assert b is a, (kind, a)
-        elif is_dataclass(a):
+        elif isinstance(a, Record):
             assert type(b) is type(a) and b is not a
             # cached_property values and owner memos stay behind
-            assert set(vars(b)) <= {f.name for f in fields(b)}, kind
+            assert set(vars(b)) <= set(b._fields), kind
     assert swapped
 
 

@@ -24,14 +24,13 @@ from biharm.submersion import (
     catalog_examples,
     catalog_suite,
     flat_random_specs,
-    harmonicity_test,
     hyperbolic_uniqueness_scan,
     projection_spec,
     residual_report,
     target_curvature,
     _slope_residual,
 )
-from conftest import S, T, field_of, graph_nodes
+from conftest import S, T, field_of, graph_nodes, harmonicity_test
 
 
 def warped_spec(alpha_expr, s_span, label="warped-test"):
