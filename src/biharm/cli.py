@@ -9,9 +9,10 @@ scan       constant-slope residual roots over a slope interval
 surface    Hopf-cylinder residuals and CMC classification for (k_g, K)
 
 Exit codes: 0 when every selected verdict passes, 1 on verification
-failure, 2 on argument errors.  Defaults: tolerance 1e-6 in analytic mode,
-1e-3 in finite-difference mode; no environment variables are consulted, so
-a command line fully determines its report (byte-identical reruns).
+failure, 2 on argument errors and on an output path that cannot be
+written.  Defaults: tolerance 1e-6 in analytic mode, 1e-3 in
+finite-difference mode; no environment variables are consulted, so a
+command line fully determines its report (byte-identical reruns).
 """
 
 from __future__ import annotations
@@ -409,7 +410,7 @@ def main(argv=None):
         # a typed error (NonFiniteValue) where it is checked
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (GeometryError, ValueError) as err:
+    except (GeometryError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

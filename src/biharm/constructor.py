@@ -73,12 +73,6 @@ def _riccati_coefficients(alpha):
     return (s * s + 3.0) / (s * c), (2.0 * c * c + 3.0) / (c * c)
 
 
-def riccati_rhs(alpha, u):
-    """Right side of the Riccati equation for u(alpha) = a''/a'^2."""
-    p, q = _riccati_coefficients(alpha)
-    return -2.0 * u * u - p * u - q
-
-
 def _third_derivative(alpha, a1, a2):
     """a''' from the third-order form, solved for the leading term."""
     s, c = math.sin(alpha), math.cos(alpha)
@@ -161,7 +155,7 @@ class _CubicHermite:
         return out if out.ndim else float(out)
 
 
-class AlphaProfile(Record, eq=False):
+class AlphaProfile(Record):
     """Sampled solution of the fiber-angle ODE with its derivatives.
 
     Nodes carry (alpha, alpha', alpha''); interpolation between nodes is
@@ -601,18 +595,16 @@ def riccati_consistency(profile: AlphaProfile):
 
 # -- builders --------------------------------------------------------------------
 
-class ConstructionSpec(Record, eq=False):
+class ConstructionSpec(Record):
     """Inputs of the warped construction: a solved angle profile plus the
     free functions of the general-coordinates form.
 
-    phi(x) reshapes the horizontal coordinate, w(.) the target fiber
-    coordinate and F (nonconstant) the fiber collapse; the defaults give
-    the canonical warped pair directly.
+    phi(x) reshapes the horizontal coordinate and F (nonconstant) is the
+    fiber collapse; the defaults give the canonical warped pair directly.
     """
 
     profile: AlphaProfile
     phi: ScalarField = None
-    w: ScalarField = None
     F: ScalarField = None
     branch_sign: int = 1
     u_box: ChartBox = None
@@ -620,8 +612,6 @@ class ConstructionSpec(Record, eq=False):
     def __post_init__(self):
         if self.phi is None:
             object.__setattr__(self, "phi", ScalarField.constant(0.0, 1))
-        if self.w is None:
-            object.__setattr__(self, "w", ScalarField.constant(0.0, 1))
         if self.F is None:
             object.__setattr__(self, "F", ScalarField.coordinate(0, 1))
         if self.u_box is None:
@@ -655,10 +645,10 @@ class NonflatConstruction(Record):
 def build_nonflat_target(cspec: ConstructionSpec) -> NonflatConstruction:
     """Warped construction from a solved angle profile.
 
-    Emits the canonical warped pair (free functions integrated away by the
-    coordinate change t = int e^{phi} dx, psi = int e^{w} dphi) and the
-    general-coordinates form with exponent log(tan a(y)) + phi(x).  The
-    profile must stay inside (0, pi/2) clear of the singularity margins.
+    Emits the canonical warped pair (phi integrated away by the coordinate
+    change t = int e^{phi} dx) and the general-coordinates form with
+    exponent log(tan a(y)) + phi(x).  The profile must stay inside
+    (0, pi/2) clear of the singularity margins.
     """
     prof = cspec.profile
     prof.validate()
@@ -685,16 +675,14 @@ def build_nonflat_target(cspec: ConstructionSpec) -> NonflatConstruction:
 
     canonical = SubmersionSpec(
         canonical_metric, frame_spec, "warped-canonical",
-        target_metric=target, family="nonflat_target", profile=prof,
+        family="nonflat_target", profile=prof,
     )
 
     phi3 = lift(cspec.phi, 3, (0,))
     general_metric = ProductMetric3(q_canonical + phi3, domain_box())
-    w2 = lift(cspec.w, 2, (1,))
-    general_target = SurfaceMetric(lam + w2, target_box, weighted_axis=1)
     general = SubmersionSpec(
         general_metric, frame_spec, "warped-general",
-        target_metric=general_target, family="nonflat_target", profile=prof,
+        family="nonflat_target", profile=prof,
     )
 
     sign = "+" if cspec.branch_sign > 0 else "-"

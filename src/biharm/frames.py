@@ -67,7 +67,7 @@ from .record import Record, replace
 from .report import build_report, max_over_batch
 
 
-class AdaptedFrameSpec(Record, eq=False):
+class AdaptedFrameSpec(Record):
     """Angle pair (theta, alpha) defining an adapted frame.
 
     ``theta`` orients the horizontal leg e1 inside the base surface;
@@ -83,7 +83,7 @@ class AdaptedFrameSpec(Record, eq=False):
         object.__setattr__(self, "alpha", as_field(self.alpha, 3))
 
 
-class IntegrabilityData(Record, eq=False):
+class IntegrabilityData(Record):
     """The six bracket/connection functions of an adapted frame, plus the
     rotated base slope fbar they are built from."""
 
@@ -94,38 +94,6 @@ class IntegrabilityData(Record, eq=False):
     kappa1: ScalarField
     kappa2: ScalarField
     fbar: ScalarField
-
-    def as_dict(self):
-        return {
-            "f1": self.f1, "f2": self.f2, "f3": self.f3,
-            "sigma": self.sigma, "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-        }
-
-
-def semi_geodesic_frame(metric) -> FrameField:
-    """Orthonormal coordinate-aligned frame of a diagonal conformal metric.
-
-    Leg 0 is e^{-q} along the weighted axis; the remaining legs are unit
-    coordinate fields in ascending axis order.
-    """
-    d = metric.dim
-    q = metric.conformal_exponent
-    einv = fexp(-1.0 * q)
-    zero = ScalarField.constant(0.0, d)
-    one = ScalarField.constant(1.0, d)
-    axes = [metric.weighted_axis] + [
-        a for a in range(d) if a != metric.weighted_axis
-    ]
-    rows = []
-    for leg, axis in enumerate(axes):
-        row = [zero] * d
-        row[axis] = einv if leg == 0 else one
-        rows.append(tuple(row))
-    coeff = tuple(
-        tuple(one if i == j else zero for j in range(d)) for i in range(d)
-    )
-    return FrameField(tuple(rows), metric, coeff)
 
 
 @cached_on_owner
@@ -453,25 +421,3 @@ def frame_identity_suite(specs, tol=1e-6, grid=(5, 5)):
 
     # starmap keeps no triple once its report is made
     return list(itertools.starmap(report, specs))
-
-
-@sweep()
-def mutation_detected(metric, spec, points, tol=1e-6, factor=1.1):
-    """Scale each not-identically-zero data channel and check detection.
-
-    Returns {channel name: detected} for every channel whose magnitude on
-    the points exceeds the noise floor (a multiplicative bump of an
-    identically-zero function is invisible by construction).
-    """
-    frame = adapted_frame(spec, metric)
-    data = integrability_data(spec, metric)
-    results = {}
-    batch = as_batch(points)
-    for name, fld in data.as_dict().items():
-        scale = float(np.max(np.abs(fld(batch))))
-        if scale <= 100.0 * tol:
-            continue
-        mutated = replace(data, **{name: fld * factor})
-        results[name] = not validate_frame(frame, mutated, points, tol).passed
-    return results
-

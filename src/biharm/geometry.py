@@ -53,7 +53,7 @@ def cached_on_owner(fn):
     return cached
 
 
-class ProductMetric3(Record, eq=False):
+class ProductMetric3(Record):
     """Metric e^{2q} (weighted axis)^2 + unit^2 + unit^2 on a 3-chart.
 
     ``conformal_exponent`` is q; it must not depend on the product axis
@@ -115,7 +115,7 @@ def base_sweep(box: ChartBox, grid):
     return [(t, s, zmid) for (t, s) in sample_grid(base, grid)]
 
 
-class SurfaceMetric(Record, eq=False):
+class SurfaceMetric(Record):
     """Diagonal 2-chart metric with e^{2q} on one axis and 1 on the other."""
 
     conformal_exponent: ScalarField
@@ -138,7 +138,7 @@ class SurfaceMetric(Record, eq=False):
         return _diagonal_weights(self, point)
 
 
-class FrameField(Record, eq=False):
+class FrameField(Record):
     """Orthonormal frame given by chart-component fields, one row per leg.
 
     ``coeff`` optionally stores the rotation coefficients of each leg

@@ -54,7 +54,7 @@ from .record import Record
 _RANK_TOL = 1e-10
 
 
-class SurfaceImmersion(Record, eq=False):
+class SurfaceImmersion(Record):
     """Codimension-one surface (u, v) -> (chart point) in a product 3-chart.
 
     ``components`` are three fields of (u, v); ``orientation`` (+1 or -1)
@@ -248,7 +248,6 @@ class SurfaceGeometry(Record):
     mean_curvature: float
     shape_norm_sq: float
     principal_curvatures: np.ndarray  # by |k| descending
-    tangent_frame: np.ndarray  # ambient components of the orthonormal legs
 
 
 def _at_point_or_batch(result, uv):
@@ -296,7 +295,6 @@ def surface_geometry(immersion: SurfaceImmersion, uv) -> SurfaceGeometry:
         mean_curvature=0.5 * (a11 + a22),
         shape_norm_sq=np.sum(shapes * shapes, axis=(-2, -1)),
         principal_curvatures=np.take_along_axis(eig, order, axis=-1),
-        tangent_frame=immersion.frame_vectors_ambient(batch),
     ), uv)
 
 
@@ -415,7 +413,7 @@ def cmc_classify(immersion: SurfaceImmersion, points, tol=1e-6):
 # -- Hopf cylinders -------------------------------------------------------------
 
 
-class HopfCylinderSpec(Record, eq=False):
+class HopfCylinderSpec(Record):
     """Preimage of a unit-speed base curve under the vertical projection.
 
     ``geodesic_curvature`` is k_g(s) of the base curve, ``base_curvature``

@@ -693,26 +693,29 @@ def lift(field, dim, axes: Sequence[int]) -> ScalarField:
     if len(axes) != field.dim:
         raise ValueError("axes must list one target axis per original axis")
     coords = [ScalarField.coordinate(a, dim) for a in axes]
-    memo = {}  # id(original) -> lifted: shared nodes stay shared
+    return _lifted(field, dim, coords, {})
 
-    def lifted(f):
-        out = memo.get(id(f))
-        if out is None:
-            values = f._values
-            if f.number is not None:
-                out = ScalarField.constant(f.number, dim)
-            elif values is _coordinate_values:
-                out = coords[f._args[0]]
-            elif values in (_algebra_values, _unary_values, _atan2_values):
-                out = _derived(dim, values, f._derive, *(
-                    lifted(a) if isinstance(a, ScalarField) else a
-                    for a in f._args))
-            else:
-                out = compose(f, coords)
-            memo[id(f)] = out
-        return out
 
-    return lifted(field)
+def _lifted(f, dim, coords, memo):
+    """``f`` rebuilt over ``coords``; ``memo`` maps id(original) -> lifted,
+    so shared nodes stay shared.  A module function, not a closure that
+    calls itself: such a closure is a reference cycle, and its memo would
+    keep the whole lifted graph alive until the cyclic collector runs."""
+    out = memo.get(id(f))
+    if out is None:
+        values = f._values
+        if f.number is not None:
+            out = ScalarField.constant(f.number, dim)
+        elif values is _coordinate_values:
+            out = coords[f._args[0]]
+        elif values in (_algebra_values, _unary_values, _atan2_values):
+            out = _derived(dim, values, f._derive, *(
+                _lifted(a, dim, coords, memo) if isinstance(a, ScalarField)
+                else a for a in f._args))
+        else:
+            out = compose(f, coords)
+        memo[id(f)] = out
+    return out
 
 
 def compose(field, components) -> ScalarField:

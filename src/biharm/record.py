@@ -13,9 +13,7 @@ defaults and then calls the class's ``__post_init__``, if it has one,
 which may set a field with ``object.__setattr__``.  After that a field
 can be neither assigned nor deleted (``functools.cached_property`` still
 caches on the instance, past ``__setattr__``).  Records compare and hash
-by their field tuple; a class declared ``class Name(Record, eq=False)``
-keeps identity equality and hashing.  ``repr`` is
-``Name(field=value, ...)``.
+by identity.  ``repr`` is ``Name(field=value, ...)``.
 """
 
 _MISSING = object()
@@ -24,7 +22,7 @@ _MISSING = object()
 class Record:
     _fields = ()  # the field names, in constructor order
 
-    def __init_subclass__(cls, eq=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(cls.__dict__.get("__annotations__", ()))
         pads = tuple(cls.__dict__.get(name, _MISSING) for name in names)
@@ -35,8 +33,6 @@ class Record:
         cls._fields = names
         cls.__init__ = _initializer(names, pads,
                                     getattr(cls, "__post_init__", None))
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -48,18 +44,6 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _values(self) == _values(other)
-
-    def __hash__(self):
-        return hash(_values(self))
-
-
-def _values(record):
-    return tuple([getattr(record, name) for name in record._fields])
 
 
 def _initializer(names, pads, post_init):

@@ -32,7 +32,6 @@ from .frames import (
 from .geometry import (
     FrameField,
     ProductMetric3,
-    SurfaceMetric,
     base_sweep,
     laplacian_field,
 )
@@ -55,7 +54,7 @@ from .report import build_report, max_over_batch
 Z_SPREAD_TOL = 1e-10  # all fields must be constant along the flat factor
 
 
-class SubmersionSpec(Record, eq=False):
+class SubmersionSpec(Record):
     """A submersion case: domain metric + adapted-frame angles.
 
     ``family`` tags how the spec was built ("flat_target" for projections
@@ -68,14 +67,9 @@ class SubmersionSpec(Record, eq=False):
     domain_metric: ProductMetric3
     frame_spec: AdaptedFrameSpec
     label: str
-    target_metric: SurfaceMetric = None
     family: str = None
     aux_residual: ScalarField = None
-    flags: tuple = ()
     profile: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "flags", tuple(self.flags))
 
     # -- derived structure --------------------------------------------------
 
@@ -137,13 +131,6 @@ def target_curvature(data, frame: FrameField) -> ScalarField:
 
 
 @sweep()
-def biharmonic_residuals(spec: SubmersionSpec, point):
-    """The two residual channels at a point; (0, 0) iff biharmonic there."""
-    r1, r2 = spec.residual_fields
-    return r1(point), r2(point)
-
-
-@sweep()
 def residual_report(spec: SubmersionSpec, tol=1e-6, grid=(21, 21)):
     """Grid sweep of the residual channels with verdict and classification.
 
@@ -197,7 +184,7 @@ _T, _S = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
 _HALF_PI = 0.5 * math.pi
 
 
-def projection_spec(exponent, box, label, flags=()) -> SubmersionSpec:
+def projection_spec(exponent, box, label) -> SubmersionSpec:
     """Flat-target projection along the weighted axis.
 
     The domain is e^{2p} dt^2 + ds^2 + dz^2 with p = ``exponent`` in
@@ -215,10 +202,8 @@ def projection_spec(exponent, box, label, flags=()) -> SubmersionSpec:
     aux = (ps.diff(1).diff(1) + ps.diff(1) * ps
            + fexp(-2.0 * p) * (p.diff(0).diff(0).diff(1)
                                - p.diff(0).diff(1) * p.diff(0)))
-    target_box = ChartBox(box.lower[1:], box.upper[1:], box.guard)
-    target = SurfaceMetric(ScalarField.constant(0.0, 2), target_box)
-    return SubmersionSpec(metric, spec3, label, target_metric=target,
-                          family="flat_target", aux_residual=aux, flags=flags)
+    return SubmersionSpec(metric, spec3, label, family="flat_target",
+                          aux_residual=aux)
 
 
 def hyperbolic_spec(c) -> SubmersionSpec:

@@ -6,17 +6,19 @@ import sympy as sp
 from hypothesis import settings
 
 from biharm import numkernel
-from biharm.constructor import AlphaProfile
+from biharm.constructor import AlphaProfile, _riccati_coefficients
 from biharm.errors import GeometryError
+from biharm.frames import adapted_frame, integrability_data, validate_frame
 from biharm.numkernel import (
     ChartBox,
     ScalarField,
     as_batch,
     fcos,
+    fexp,
     fsin,
     sweep,
 )
-from biharm.geometry import ProductMetric3, gauss_curvature_2d
+from biharm.geometry import FrameField, ProductMetric3, gauss_curvature_2d
 from biharm.hypersurface import (
     SurfaceImmersion,
     biharmonic_residuals_surface,
@@ -285,16 +287,49 @@ def harmonicity_test(spec: SubmersionSpec, points, tol=1e-6):
     return HarmonicityResult(harmonic, report)
 
 
+def data_channels(data):
+    """The six bracket/connection functions of integrability data by name,
+    without the base slope fbar they are built from."""
+    return {name: getattr(data, name)
+            for name in ("f1", "f2", "f3", "sigma", "kappa1", "kappa2")}
+
+
+@sweep()
+def mutation_detected(metric, spec, points, tol=1e-6, factor=1.1):
+    """Scale each not-identically-zero data channel and check detection.
+
+    Returns {channel name: detected} for every channel whose magnitude on
+    the points exceeds the noise floor (a multiplicative bump of an
+    identically-zero function is invisible by construction).
+    """
+    frame = adapted_frame(spec, metric)
+    data = integrability_data(spec, metric)
+    results = {}
+    batch = as_batch(points)
+    for name, fld in data_channels(data).items():
+        scale = float(np.max(np.abs(fld(batch))))
+        if scale <= 100.0 * tol:
+            continue
+        mutated = replace(data, **{name: fld * factor})
+        results[name] = not validate_frame(frame, mutated, points, tol).passed
+    return results
+
+
+@sweep()
+def biharmonic_residuals(spec: SubmersionSpec, point):
+    """The two residual channels at a point; (0, 0) iff biharmonic there."""
+    r1, r2 = spec.residual_fields
+    return r1(point), r2(point)
+
+
 # -- builders and readers that no command runs -------------------------------------
 
 
 @sweep()
-def build_flat_target(p, box=None, label="flat-target") -> SubmersionSpec:
-    """Flat-target twisted projection for a free exponent p(x, y).
-
-    Vanishing base slope p_y means the projection is harmonic; such specs
-    are returned flagged rather than rejected.
-    """
+def build_flat_target(p, box=None, label="flat-target"):
+    """Flat-target twisted projection for a free exponent p(x, y), with its
+    tags: vanishing base slope p_y means the projection is harmonic, and
+    such a spec comes back tagged rather than rejected."""
     if box is None:
         box = ChartBox((-1.0, 0.2, -0.5), (1.0, 1.5, 0.5), 0.05)
     spec = projection_spec(p, box, label)
@@ -302,9 +337,39 @@ def build_flat_target(p, box=None, label="flat-target") -> SubmersionSpec:
     pts = as_batch(spec.verification_points((5, 5)))
     slope = float(np.max(np.abs(q.partial(pts, 1, 1))))
     if slope <= 1e-12:
-        spec = replace(spec, flags=spec.flags
-                       + ("harmonic: vanishing base slope",))
-    return spec
+        return spec, ("harmonic: vanishing base slope",)
+    return spec, ()
+
+
+def riccati_rhs(alpha, u):
+    """Right side of the Riccati equation for u(alpha) = a''/a'^2."""
+    p, q = _riccati_coefficients(alpha)
+    return -2.0 * u * u - p * u - q
+
+
+def semi_geodesic_frame(metric) -> FrameField:
+    """Orthonormal coordinate-aligned frame of a diagonal conformal metric.
+
+    Leg 0 is e^{-q} along the weighted axis; the remaining legs are unit
+    coordinate fields in ascending axis order.
+    """
+    d = metric.dim
+    q = metric.conformal_exponent
+    einv = fexp(-1.0 * q)
+    zero = ScalarField.constant(0.0, d)
+    one = ScalarField.constant(1.0, d)
+    axes = [metric.weighted_axis] + [
+        a for a in range(d) if a != metric.weighted_axis
+    ]
+    rows = []
+    for leg, axis in enumerate(axes):
+        row = [zero] * d
+        row[axis] = einv if leg == 0 else one
+        rows.append(tuple(row))
+    coeff = tuple(
+        tuple(one if i == j else zero for j in range(d)) for i in range(d)
+    )
+    return FrameField(tuple(rows), metric, coeff)
 
 
 def profile_from_text(text) -> AlphaProfile:

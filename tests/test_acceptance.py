@@ -22,11 +22,7 @@ from biharm.constructor import (
     riccati_consistency,
     verify_construction,
 )
-from biharm.frames import (
-    frame_identity_suite,
-    mutation_detected,
-    random_adapted_specs,
-)
+from biharm.frames import frame_identity_suite, random_adapted_specs
 from biharm.geometry import SurfaceMetric, base_sweep, gauss_curvature_2d
 from biharm.hypersurface import (
     HopfCylinderSpec,
@@ -37,7 +33,7 @@ from biharm.hypersurface import (
     vertical_cylinder,
 )
 from biharm.numkernel import ChartBox, ScalarField, numeric_only
-from conftest import S, field_of, in_mode
+from conftest import S, field_of, in_mode, mutation_detected
 from biharm.submersion import (
     catalog_examples,
     catalog_suite,

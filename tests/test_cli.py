@@ -434,6 +434,39 @@ class TestArgumentValidation:
         self._rejected(argv, option, out, capsys)
 
 
+class TestUnwritablePath:
+    """A path that cannot be written is an error line and exit code 2, not
+    a traceback, and the report is not written."""
+
+    def _refused(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out"
+        self._refused(_argv(command, out), capsys)
+        assert not out.parent.exists()
+
+    def test_profile_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        profile = tmp_path / "missing" / "p.txt"
+        self._refused(_argv("construct", out)
+                      + ["--profile-out", str(profile)], capsys)
+        assert not out.exists() and not profile.parent.exists()
+
+    def test_dump_grids_onto_a_file(self, tmp_path, capsys):
+        out = tmp_path / "v.jsonl"
+        grids = tmp_path / "grids"
+        grids.write_text("a file\n")
+        self._refused(["verify", "--grid", "3", "--specs", "0",
+                       "--dump-grids", str(grids), "--out", str(out)],
+                      capsys)
+        assert not out.exists() and grids.read_text() == "a file\n"
+
+
 _SYMPY_FREE_RUN = """
 import json, sys
 from biharm.cli import run

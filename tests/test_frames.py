@@ -16,9 +16,7 @@ from biharm.frames import (
     adapted_frame,
     frame_identity_suite,
     integrability_data,
-    mutation_detected,
     random_adapted_specs,
-    semi_geodesic_frame,
     validate_frame,
 )
 from biharm.geometry import (
@@ -34,7 +32,16 @@ from biharm.numkernel import (
 )
 from biharm.record import replace
 from biharm.submersion import target_curvature
-from conftest import S, T, Z, field_of, in_mode
+from conftest import (
+    S,
+    T,
+    Z,
+    data_channels,
+    field_of,
+    in_mode,
+    mutation_detected,
+    semi_geodesic_frame,
+)
 
 
 def bracket_vector(frame, i, j, point):
@@ -142,7 +149,7 @@ class TestIntegrabilityData:
         spec = AdaptedFrameSpec(math.pi / 2, 0.7)
         data = integrability_data(spec, flat_metric3)
         p = (0.3, -0.4, 0.1)
-        for fld in data.as_dict().values():
+        for fld in data_channels(data).values():
             assert fld(p) == pytest.approx(0.0, abs=1e-14)
 
     def test_full_tilt_reduction(self, hyperbolic_metric3):
@@ -330,8 +337,8 @@ class TestCurvatureRowsPerPoint:
                 mid = expr(data, ops)(batch)
                 rhs = sign * a[:, r1 - 1, 2] * a[:, r2 - 1, 2] * k_base
                 values = np.maximum(np.abs(lhs - mid), np.abs(mid - rhs))
-                assert report.channel(name) == max_over_batch(name, pts,
-                                                              values)
+                assert (report.channel(name).to_record()
+                        == max_over_batch(name, pts, values).to_record())
 
 
 class TestRandomSuite:

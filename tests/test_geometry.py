@@ -11,7 +11,6 @@ from biharm.frames import (
     AdaptedFrameSpec,
     adapted_frame,
     random_adapted_specs,
-    semi_geodesic_frame,
 )
 from biharm.geometry import (
     FrameField,
@@ -32,7 +31,7 @@ from biharm.numkernel import (
     fsin,
     numeric_only,
 )
-from conftest import S, T, field_of, field_of_text
+from conftest import S, T, field_of, field_of_text, semi_geodesic_frame
 
 
 def _frame_components(metric, frame, p):

@@ -49,9 +49,13 @@ from biharm.submersion import (
 from conftest import S, T, field_of, flipped
 
 
-def _warped():
+def _built():
     prof = integrate_alpha(math.pi / 4, 0.1, -0.01, (0.0, 1.0), 1e-3)
-    spec = build_nonflat_target(ConstructionSpec(prof)).canonical
+    return build_nonflat_target(ConstructionSpec(prof))
+
+
+def _warped():
+    spec = _built().canonical
     spec.residual_fields  # fills the caches on the spec and what it holds
     assert spec.profile is not None
     assert set(vars(spec)) > set(spec._fields)
@@ -60,8 +64,7 @@ def _warped():
 
 def _projection():
     box = ChartBox((-1.0, 0.5, -0.5), (1.0, 3.0, 0.5), 0.05)
-    spec = projection_spec(field_of(2.0 * S ** 2, 2), box, "tagged",
-                           flags=("tag",))
+    spec = projection_spec(field_of(2.0 * S ** 2, 2), box, "tagged")
     spec.residual_fields
     assert spec.aux_residual is not None
     return spec
@@ -76,7 +79,7 @@ def _cylinder():
 
 CASES = {
     "ProductMetric3": (ProductMetric3, lambda: _warped().domain_metric),
-    "SurfaceMetric": (SurfaceMetric, lambda: _warped().target_metric),
+    "SurfaceMetric": (SurfaceMetric, lambda: _built().target),
     "FrameField": (FrameField, lambda: _warped().frame),
     "AdaptedFrameSpec": (AdaptedFrameSpec, lambda: _warped().frame_spec),
     "SurfaceImmersion": (SurfaceImmersion, _cylinder),
@@ -129,7 +132,7 @@ def test_walk_contract(kind):
             assert _is_fd_leaf(b, a), (kind, a)
             swapped += 1
         elif not _holds_field(a):
-            # labels, flags, families, boxes, orientation, profile
+            # labels, families, boxes, orientation, profile
             assert b is a, (kind, a)
         elif isinstance(a, Record):
             assert type(b) is type(a) and b is not a
@@ -149,12 +152,14 @@ def test_holders_without_fields_come_back_as_themselves():
 
 def _fd_copies():
     """(original, fd copy) of every catalog spec, of the whole canonical
-    warped spec and of one ``SeededUniform`` draw of the four frame
-    families (each a metric and its frame spec)."""
+    warped spec and its target surface, and of one ``SeededUniform`` draw
+    of the four frame families (each a metric and its frame spec)."""
     for spec in catalog_examples():
         yield spec, numeric_only(spec)
     warped = _warped()
     yield warped, numeric_only(warped)
+    target = _built().target
+    yield target, numeric_only(target)
     for label, metric, spec in random_adapted_specs(SeededUniform(7), 4):
         pair = (metric, spec)
         yield pair, numeric_only(pair)
@@ -163,7 +168,8 @@ def _fd_copies():
 def _chart_grids(obj):
     """A 5-point-per-axis grid on the guarded interior of each chart box
     below ``obj``, by chart dimension (one box per dimension)."""
-    boxes = {a for a, _ in _pairs(obj, obj) if isinstance(a, ChartBox)}
+    boxes = {(a.lower, a.upper, a.guard): a for a, _ in _pairs(obj, obj)
+             if isinstance(a, ChartBox)}.values()
     grids = {box.dim: as_batch(sample_grid(box, 5)) for box in boxes}
     assert len(grids) == len(boxes)
     return grids

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -654,6 +655,18 @@ class TestLift:
         lifted = lift(shared * shared + shared, 3, (1,))
         assert len([f for f in graph_nodes(lifted)
                     if f._values is numkernel._unary_values]) == 1
+
+    def test_a_dropped_lift_is_freed_at_once(self):
+        # nothing is left for the cyclic collector: a lifted graph, and the
+        # leaf it pulls back, go when the last reference does
+        field = fsin(_exp_leaf(3)) * ScalarField.coordinate(0, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            lift(field, 3, (2,))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSharedUnits:

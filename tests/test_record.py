@@ -1,5 +1,6 @@
-"""The record base: construction, immutability, equality, repr and
-``replace``, and an import of the package that generates no code."""
+"""The record base: construction, immutability, identity, repr and
+``replace``, and an import of the package that generates no code and
+loads none of its modules."""
 
 import math
 import subprocess
@@ -9,11 +10,16 @@ import pytest
 
 from biharm.constructor import ConstructionSpec, integrate_alpha
 from biharm.frames import AdaptedFrameSpec
-from biharm.hypersurface import CmcClassification, HopfCylinderSpec
+from biharm.hypersurface import (
+    CmcClassification,
+    HopfCylinderSpec,
+    surface_geometry,
+    vertical_cylinder,
+)
 from biharm.numkernel import ChartBox, ScalarField
 from biharm.record import Record, replace
 from biharm.report import Channel, build_report
-from biharm.submersion import ScanRoot, SubmersionSpec, catalog_examples
+from biharm.submersion import ScanRoot, catalog_examples
 
 # counts the code objects compiled from strings that run while biharm and
 # its command line are imported, after the modules they share with any
@@ -37,6 +43,16 @@ def test_import_generates_no_code():
     assert out.split() == ["0", "False"]
 
 
+def test_package_import_loads_no_module():
+    # the package exports no names: a caller imports the submodule it uses
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, biharm\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m.startswith(('biharm.', 'numpy'))))"],
+        capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestConstruction:
     def test_positional_keyword_and_defaults(self):
         box = ChartBox((-1.0,), (1.0,))
@@ -45,7 +61,8 @@ class TestConstruction:
         assert ChartBox((-1.0,), upper=(1.0,), guard=0.5).guard == 0.5
         spec = ConstructionSpec(integrate_alpha(0.8, 0.1, -0.01, (0.0, 1.0),
                                                 1e-2))
-        assert spec.u_box == ChartBox((-1.0,), (1.0,))
+        box = spec.u_box
+        assert (box.lower, box.upper, box.guard) == ((-1.0,), (1.0,), 0.0)
         assert spec.branch_sign == 1
 
     @pytest.mark.parametrize("args, kwargs, message", [
@@ -96,30 +113,40 @@ class TestFrozen:
         spec = catalog_examples()[0]
         assert spec.frame is spec.frame
         assert "frame" in vars(spec)
-        assert spec.flags == ()
 
 
 class TestEquality:
-    def test_value_records_compare_and_hash_by_fields(self):
-        a, b = ChartBox((-1.0,), (1.0,)), ChartBox((-1.0,), (1.0,), 0.0)
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != ChartBox((-1.0,), (1.0,), 0.5)
-        assert Channel("r", 1.0, (0.0,)) == Channel("r", 1.0, (0.0,))
-        # a record equals no tuple of its values, and no other record type
-        assert a != ((-1.0,), (1.0,), 0.0)
-        assert ScanRoot(1.0, "proper") != Channel(1.0, "proper", ())
-
     def test_identity_records_compare_by_identity(self):
-        a, b = HopfCylinderSpec(1.0, 2.0), HopfCylinderSpec(1.0, 2.0)
-        assert a == a and a != b and hash(a) != hash(b)
-        assert hash(a) == object.__hash__(a)
-        assert catalog_examples()[0] != catalog_examples()[0]
+        # records with equal fields, array fields included: neither == nor
+        # hash reads a field
+        for make in (lambda: ChartBox((-1.0,), (1.0,)),
+                     lambda: Channel("r", 1.0, (0.0,)),
+                     lambda: ScanRoot(1.0, "proper"),
+                     lambda: HopfCylinderSpec(1.0, 2.0),
+                     lambda: catalog_examples()[0],
+                     lambda: surface_geometry(vertical_cylinder(1.0, 1.0),
+                                              (0.1, 0.0))):
+            a, b = make(), make()
+            assert a == a and a != b and not a == b
+            assert hash(a) == object.__hash__(a) and len({a, b}) == 2
+            # a record equals no tuple of its values
+            assert a != tuple(getattr(a, name) for name in a._fields)
+
+    def test_record_defines_neither_eq_nor_hash(self):
+        assert "__eq__" not in vars(Record) and "__hash__" not in vars(Record)
+
+    def test_an_eq_option_is_refused(self):
+        with pytest.raises(TypeError):
+            class X(Record, eq=False):
+                field: int
 
 
 class TestReplace:
     def test_replace_runs_post_init(self):
         box = ChartBox((-1.0,), (1.0,), 0.1)
-        assert replace(box, guard=0.2) == ChartBox((-1.0,), (1.0,), 0.2)
+        moved = replace(box, guard=0.2)
+        assert (moved.lower, moved.upper, moved.guard) == ((-1.0,), (1.0,),
+                                                           0.2)
         with pytest.raises(ValueError, match="guard must be nonnegative"):
             replace(box, guard=-1.0)
         spec = replace(AdaptedFrameSpec(0.5, 0.25), alpha=0.75)
@@ -133,8 +160,6 @@ class TestReplace:
         assert copy.label == "other" and copy.family == spec.family
         assert copy.domain_metric is spec.domain_metric
         assert "frame" not in vars(copy)
-        flagged = replace(spec, flags=["a"])
-        assert flagged.flags == ("a",)  # __post_init__ makes it a tuple
 
     def test_unknown_field_is_a_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
