@@ -98,6 +98,9 @@ def _cmd_verify(args):
     if "" in cases:  # an empty substring would select every case
         raise ValueError(f"--cases has an empty item: {args.cases!r}")
 
+    if args.dump_grids:  # before any case is evaluated
+        os.makedirs(args.dump_grids, exist_ok=True)
+
     def selected(label):
         return not cases or any(c in label for c in cases)
 
@@ -112,7 +115,6 @@ def _cmd_verify(args):
     for rep in reports:
         _print_report(rep)
     if args.dump_grids:
-        os.makedirs(args.dump_grids, exist_ok=True)
         for spec in catalog:
             r1f, r2f = spec.residual_fields
             points = spec.verification_points(grid)

@@ -27,7 +27,10 @@ function ``_values(batch, known, *_args)`` and a derivative rule
 None for a field without partials.  A rule reads its inputs from the value
 table ``known`` of the batch being evaluated (see ``sweep``), and a finite
 exact number enters a rule as its float, not as an array of copies: numpy
-applies the same IEEE operation to every element either way.
+applies the same IEEE operation to every element either way.  An input not
+yet in the table is evaluated by ``_input`` itself, which calls the input's
+values function and checks the result, so a level of a field graph is two
+Python frames deep: ``_input`` and the rule.
 
 ``ScalarField.diff`` is the only place a derivative field is made.  The
 derivative rules are the derivative 1 or 0 of a coordinate, the 0 of a
@@ -219,7 +222,8 @@ class _Sweep:
         known = entry[1]
         values = known.get(field)
         if values is None:
-            values = known[field] = field._evaluate(batch, known)
+            values = known[field] = _checked(
+                field._values(batch, known, *field._args), batch)
         return values
 
     def batch(self, array):
@@ -319,15 +323,14 @@ class ScalarField:
 
     @classmethod
     def coordinate(cls, axis, dim):
-        return _derived(dim, _coordinate_values, _coordinate_diff, axis,
-                        int(dim))
+        dim = int(dim)
+        return _derived(dim, _coordinate_values, _coordinate_diff, axis, dim)
 
     # -- evaluation ---------------------------------------------------------
 
-    # Each level of a field graph costs three Python frames (``_input``,
-    # ``_evaluate`` and the rule): on CPython 3.11 a hot call on a
-    # frame-stack chunk boundary maps and unmaps a chunk every time (page
-    # faults in fd sweeps).
+    # Each level of a field graph costs two Python frames (``_input`` and
+    # the rule): on CPython 3.11 a hot call on a frame-stack chunk boundary
+    # maps and unmaps a chunk every time (page faults in fd sweeps).
 
     def __call__(self, point):
         current = _SWEEP.get()
@@ -337,9 +340,6 @@ class ScalarField:
         batch = as_batch(point)
         values = current.values(self, batch)
         return values if batch is point else one_or_all(values, point)
-
-    def _evaluate(self, batch, known):
-        return _checked(self._values(batch, known, *self._args), batch)
 
     # -- differentiation ----------------------------------------------------
 
@@ -454,13 +454,16 @@ _OPS = {
 def _input(field, batch, known):
     """Values of ``field`` on ``batch`` for a rule evaluating there, read
     from the batch's value table ``known``; a finite exact number is its
-    float (a NaN or an infinity takes the checked path and raises)."""
+    float (a NaN or an infinity takes the checked path and raises).  A
+    field not yet in the table is evaluated here: its rule runs and
+    ``_checked`` checks what it returns."""
     number = field.number
     if number is not None and math.isfinite(number):
         return number
     values = known.get(field)
     if values is None:
-        values = known[field] = field._evaluate(batch, known)
+        values = known[field] = _checked(
+            field._values(batch, known, *field._args), batch)
     return values
 
 
@@ -477,7 +480,8 @@ def _derived(dim, values, derive, *args):
     """Field evaluated as ``values(batch, known, *args)``, ``known`` being
     the batch's value table, whose partial along an axis is
     ``derive(axis, *args)`` (differenced where ``derive`` is None)."""
-    out = ScalarField(None, dim)
+    out = object.__new__(ScalarField)
+    out.dim, out.number, out._diff_cache = dim, None, {}
     out._values, out._derive, out._args = values, derive, args
     return out
 
@@ -654,15 +658,21 @@ def directional_field(vector_components, field) -> ScalarField:
 
 
 def _directional_values(batch, known, comps, field):
-    total = np.zeros(len(batch))
+    n = len(batch)
+    total = np.zeros(n)
     for axis, comp in enumerate(comps):
         c = _input(comp, batch, known)
-        live = np.asarray(c != 0.0)  # 0-d when c is a number
-        if live.all():
+        if type(c) is float:  # an exact number: zero at every point or none
+            whole = c != 0.0
+        else:
+            live = np.count_nonzero(c)
+            whole = live == n
+            if live and not whole:
+                mask = c != 0.0
+                sub = _new_batch(batch[mask])
+                total[mask] += c[mask] * field.diff(axis)(sub)
+        if whole:
             total = total + c * _input(field.diff(axis), batch, known)
-        elif live.any():
-            sub = _new_batch(batch[live])
-            total[live] += c[live] * field.diff(axis)(sub)
     return total
 
 
@@ -692,6 +702,7 @@ def lift(field, dim, axes: Sequence[int]) -> ScalarField:
     axes = tuple(axes)
     if len(axes) != field.dim:
         raise ValueError("axes must list one target axis per original axis")
+    dim = int(dim)
     coords = [ScalarField.coordinate(a, dim) for a in axes]
     return _lifted(field, dim, coords, {})
 

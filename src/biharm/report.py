@@ -105,15 +105,20 @@ def max_over_batch(name, points, values):
 
 
 def _atomic_write(path, text):
+    """Write ``text`` to ``path`` by a temporary file beside it and a rename.
+    An OSError names ``path``, not the temporary file, whose name is random."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as err:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError) and err.errno is not None:
+            raise type(err)(err.errno, err.strerror, path) from err
         raise
 
 

@@ -439,31 +439,49 @@ class TestUnwritablePath:
     a traceback, and the report is not written."""
 
     def _refused(self, argv, capsys):
-        assert run(argv) == 2
-        err = capsys.readouterr().err
+        """Run ``argv`` twice and return its output: exit code 2 and one
+        error line without a traceback, the same both times (no random
+        temporary name)."""
+        outputs = []
+        for _ in range(2):
+            assert run(argv) == 2
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        err = outputs[0].err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        return outputs[0]
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_out_in_a_missing_directory(self, tmp_path, capsys, command):
-        out = tmp_path / "missing" / "out"
-        self._refused(_argv(command, out), capsys)
-        assert not out.parent.exists()
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, command,
+                                        monkeypatch):
+        # a relative path, named as given
+        monkeypatch.chdir(tmp_path)
+        out = os.path.join("missing", "out")
+        err = self._refused(_argv(command, out), capsys).err
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_profile_out_in_a_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "c.jsonl"
-        profile = tmp_path / "missing" / "p.txt"
-        self._refused(_argv("construct", out)
-                      + ["--profile-out", str(profile)], capsys)
-        assert not out.exists() and not profile.parent.exists()
+        profile = str(tmp_path / "missing" / "p.txt")
+        err = self._refused(_argv("construct", out)
+                            + ["--profile-out", profile], capsys).err
+        assert err == (f"error: [Errno 2] No such file or directory: "
+                       f"{profile!r}\n")
+        assert os.listdir(tmp_path) == []
 
     def test_dump_grids_onto_a_file(self, tmp_path, capsys):
         out = tmp_path / "v.jsonl"
         grids = tmp_path / "grids"
         grids.write_text("a file\n")
-        self._refused(["verify", "--grid", "3", "--specs", "0",
-                       "--dump-grids", str(grids), "--out", str(out)],
-                      capsys)
+        captured = self._refused(["verify", "--grid", "3", "--specs", "0",
+                                  "--dump-grids", str(grids),
+                                  "--out", str(out)], capsys)
+        # refused before any case is evaluated, so no verdict is printed
+        assert captured.out == ""
+        assert captured.err == (f"error: [Errno 17] File exists: "
+                                f"{str(grids)!r}\n")
         assert not out.exists() and grids.read_text() == "a file\n"
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -690,21 +691,140 @@ class TestSharedUnits:
         assert lift(const(1.0, 2), 3, (2, 0)) is const(1.0)
 
 
-def test_deep_left_sum_evaluates():
-    # one graph level per term: a left-deep sum of 250 terms must stay
-    # within the default recursion limit
+def _left_sum(terms):
+    """x + 1*y + 2*y + ... on a 2-D chart, one graph level per term, and
+    its values, summed in the same order, on two points."""
     x, y = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
     total = x
-    for k in range(1, 250):
+    for k in range(1, terms):
         total = total + k * y
     batch = np.array([(0.3, 0.7), (-1.1, 0.2)])
     want = []
     for px, py in batch.tolist():
         ref = px
-        for k in range(1, 250):
+        for k in range(1, terms):
             ref = ref + k * py
         want.append(ref)
+    return total, batch, want
+
+
+def _headroom():
+    """How many more Python frames fit on the stack from here."""
+    def down(k):
+        try:
+            return down(k + 1)
+        except RecursionError:
+            return k
+
+    return down(0)
+
+
+def test_deep_left_sum_evaluates():
+    # one graph level per term: a left-deep sum of 250 terms must stay
+    # within the default recursion limit
+    total, batch, want = _left_sum(250)
     assert total(batch).tolist() == want
+
+
+def test_a_graph_level_takes_two_frames():
+    # 300 levels with room for 2 * 300 + 150 frames above the current
+    # depth: two frames per level (the input read and the rule) fit with
+    # room for the constant frames at the top and the bottom, three do not
+    terms = 300
+    total, batch, want = _left_sum(terms)
+    old = sys.getrecursionlimit()
+    used = old - _headroom()
+    sys.setrecursionlimit(used + 2 * terms + terms // 2)
+    try:
+        values = total(batch)
+    finally:
+        sys.setrecursionlimit(old)
+    assert values.tolist() == want
+
+
+class TestDirectionalComponents:
+    """A directional field decides per component: an exact number is zero
+    at every point or none, an array may be zero on part of the batch (only
+    the rest is evaluated) or everywhere.  Either way the values are those
+    of one point at a time, bit for bit."""
+
+    # t is zero, of either sign, on part of the batch
+    POINTS = [(0.0, 0.3, 0.2), (0.4, -0.5, 0.6), (-0.0, 0.8, -0.9),
+              (-0.7, 0.0, 0.1), (0.0, -0.0, -0.0)]
+
+    @staticmethod
+    def _kinds():
+        t = ScalarField.coordinate(0, 3)
+        s = ScalarField.coordinate(1, 3)
+        return {"part": t * s, "zero": s - s, "exact 0": const(0.0),
+                "exact": const(-2.5)}
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    @pytest.mark.parametrize("kinds", [
+        ("part", "zero", "exact 0"),
+        ("exact", "part", "zero"),
+        ("exact 0", "exact", "part"),
+        ("zero", "exact 0", "exact"),
+    ])
+    def test_matches_one_point_at_a_time(self, kinds, mode):
+        comps = self._kinds()
+        batch = np.array(self.POINTS)
+        assert comps["part"](batch).tolist().count(0.0) == 4
+        assert not comps["zero"](batch).any()
+        f, = in_mode(mode, [field_of_text("sin(t + 2*s) * exp(s*z) - t*z",
+                                          ("t", "s", "z"))])
+        d = directional_field([comps[k] for k in kinds], f)
+        one_at_a_time = np.array([d(p) for p in self.POINTS])
+        assert d(batch).tobytes() == one_at_a_time.tobytes()
+
+
+class TestEvaluatorResults:
+    """A field's values are one float64 per point: an evaluator's scalar,
+    list or integer array is coerced, at the root and below it, and any
+    other shape is refused."""
+
+    BATCH = np.array([(0.5,), (2.0,)])
+
+    @pytest.mark.parametrize("result,want", [
+        (lambda b: 3, [3.0, 3.0]),
+        (lambda b: [1, 2], [1.0, 2.0]),
+        (lambda b: np.array([4, 5]), [4.0, 5.0]),
+        (lambda b: np.float32(0.5), [0.5, 0.5]),
+    ], ids=["int", "list", "int-array", "float32"])
+    def test_coerced(self, result, want):
+        leaf = ScalarField(result, 1)
+        values = leaf(self.BATCH)
+        assert values.dtype == np.float64 and values.tolist() == want
+        x = ScalarField.coordinate(0, 1)
+        assert (leaf + x)(self.BATCH).tolist() == [
+            w + p for w, (p,) in zip(want, self.BATCH.tolist())]
+
+    @pytest.mark.parametrize("result,shape", [
+        (lambda b: np.ones((2, 2)), r"\(2, 2\)"),
+        (lambda b: [1.0, 2.0, 3.0], r"\(3,\)"),
+    ], ids=["2-d", "too-long"])
+    def test_wrong_shape_refused(self, result, shape):
+        leaf = ScalarField(result, 1)
+        x = ScalarField.coordinate(0, 1)
+        for field in (leaf, leaf * x):
+            with pytest.raises(ValueError,
+                               match=rf"gave shape {shape} for 2 points"):
+                field(self.BATCH)
+
+
+def test_non_finite_inner_node_is_named():
+    # 1/x is infinite at x = 0, where 1/(1/x) would be 0
+    one, x = ScalarField.constant(1.0, 1), ScalarField.coordinate(0, 1)
+    f = one / (one / x)
+    batch = np.array([(0.5,), (0.0,), (-0.0,), (2.0,)])
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NonFiniteValue,
+                           match=r"evaluated to inf at \(0\.0,\)"):
+            f(batch)
+        with pytest.raises(NonFiniteValue,
+                           match=r"evaluated to -inf at \(-0\.0,\)"):
+            f((-0.0,))
+    assert f((2.0,)) == 2.0
 
 
 class TestFiniteCheck:
