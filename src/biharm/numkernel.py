@@ -6,7 +6,8 @@ gives n values, and a single point (a sequence of dim floats) is a batch of
 one that gives a float.  Leaf fields are of four kinds: a coordinate, an
 exact number, an explicit leaf (an evaluator of one coordinate with its
 successive derivatives, taken to a chart by ``lift``) and an opaque leaf
-(an evaluator without partials, as ``numeric_only`` makes).
+(an evaluator without partials, as ``numeric_only`` makes of a field that
+is not an exact number).
 Evaluators and derivative callables receive the (n, dim) batch only, a
 single point included, so they are written for arrays.  Every other field
 is derived from fields by a rule: algebra, ``compose``,
@@ -301,7 +302,7 @@ class ScalarField:
         self._derive = _explicit_diff if partials else None
         # an evaluator reads every axis of its chart
         self._args = (fn, (1 << self.dim) - 1, tuple(partials or ()))
-        self._diff_cache = {}
+        self._diff_cache = None
 
     # -- constructors -------------------------------------------------------
 
@@ -345,8 +346,11 @@ class ScalarField:
 
     def diff(self, axis) -> "ScalarField":
         """Partial-derivative field along a chart axis."""
-        if axis in self._diff_cache:
-            return self._diff_cache[axis]
+        cache = self._diff_cache
+        if cache is None:  # most fields are never differentiated
+            cache = self._diff_cache = {}
+        elif axis in cache:
+            return cache[axis]
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
         if self._derive is not None:
@@ -355,7 +359,7 @@ class ScalarField:
             out = _stencil(self, axis, 1)
         else:
             out = ScalarField.constant(0.0, self.dim)
-        self._diff_cache[axis] = out
+        cache[axis] = out
         return out
 
     def _partial(self, axis, order):
@@ -481,7 +485,7 @@ def _derived(dim, values, derive, *args):
     the batch's value table, whose partial along an axis is
     ``derive(axis, *args)`` (differenced where ``derive`` is None)."""
     out = object.__new__(ScalarField)
-    out.dim, out.number, out._diff_cache = dim, None, {}
+    out.dim, out.number, out._diff_cache = dim, None, None
     out._values, out._derive, out._args = values, derive, args
     return out
 
@@ -887,17 +891,20 @@ def numeric_only(obj):
     """Copy of ``obj`` with every analytic derivative route removed
     (finite-difference mode).
 
-    A ``ScalarField`` becomes an opaque leaf that evaluates it, differenced
-    along the axes its graph reads (found by one walk of the field and
-    kept on the copy) and the exact number 0 along the rest, where every
-    central difference would be +0.0: a number reads no axis, so the terms
-    its derivative multiplies fold away.  The copy itself is not an exact
-    number, so operations on it do not fold.  A tuple is rebuilt from the
-    copies of its items, and a record by ``record.replace`` from those of
-    its fields (so ``__post_init__`` runs again); one that holds no field
-    comes back as itself, as does any other value.
+    An exact number has no derivative route to remove and is its own copy
+    (a NaN or an infinity too), so fd graphs fold constants as analytic
+    graphs do.  Any other ``ScalarField`` becomes an opaque leaf that
+    evaluates it, differenced along the axes its graph reads (found by one
+    walk of the field and kept on the copy) and the exact number 0 along
+    the rest, where every central difference would be +0.0.  A tuple is
+    rebuilt from the copies of its items, and a record by
+    ``record.replace`` from those of its fields (so ``__post_init__`` runs
+    again); one whose copies are all the originals comes back as itself,
+    as does any other value.
     """
     if isinstance(obj, ScalarField):
+        if obj.number is not None:
+            return obj
         return _derived(obj.dim, _leaf_values, None, obj, _axes(obj, {}))
     if type(obj) is tuple:
         items = tuple(map(numeric_only, obj))

@@ -1,10 +1,12 @@
 """The contract of ``numeric_only``, the finite-difference copy of a spec.
 
 Every spec type the fd mode strips is walked in parallel with its copy:
-each field, an exact number included, is swapped for an opaque leaf, every
-value that holds no field is the original object, and no cached derived
-value rides along into the copy.  An opaque leaf is differenced along the
-axes its original reads and is the exact 0 along the rest.
+each field but an exact number is swapped for an opaque leaf, an exact
+number and every value that holds no other field is the original object,
+and no cached derived value rides along into the copy.  An opaque leaf is
+differenced along the axes its original reads and is the exact 0 along the
+rest; an exact number is the exact 0 along every axis, so fd graphs fold
+constants as analytic graphs do and every node they build reads an axis.
 """
 
 import math
@@ -18,7 +20,13 @@ from biharm.constructor import (
     integrate_alpha,
 )
 from biharm import numkernel
-from biharm.frames import AdaptedFrameSpec, SeededUniform, random_adapted_specs
+from biharm.frames import (
+    AdaptedFrameSpec,
+    SeededUniform,
+    adapted_frame,
+    integrability_data,
+    random_adapted_specs,
+)
 from biharm.geometry import (
     FrameField,
     ProductMetric3,
@@ -46,7 +54,7 @@ from biharm.submersion import (
     projection_spec,
     residual_report,
 )
-from conftest import S, T, field_of, flipped
+from conftest import S, T, field_of, flipped, graph_nodes
 
 
 def _built():
@@ -104,18 +112,29 @@ def _pairs(orig, copy):
 
 
 def _holds_field(obj):
-    return any(isinstance(a, ScalarField) for a, _ in _pairs(obj, obj))
+    """Whether a field other than an exact number is at or below ``obj``."""
+    return any(isinstance(a, ScalarField) and a.number is None
+               for a, _ in _pairs(obj, obj))
 
 
 def _is_fd_leaf(f, original):
     """An opaque leaf, not an exact number: differenced along every axis its
-    original reads, the exact 0 along the rest (along every axis, for the
-    copy of a number)."""
-    if f.number is not None:
+    original reads, the exact 0 along the rest."""
+    if f.number is not None or f._values is not numkernel._leaf_values:
         return False
     reads = numkernel._axes(original, {})
-    return all(f.stencil_reach(a, 1) == H_FD if reads >> a & 1
-               else f.diff(a).number == 0.0 for a in range(f.dim))
+    return reads != 0 and all(
+        f.stencil_reach(a, 1) == H_FD if reads >> a & 1
+        else f.diff(a) is ScalarField.constant(0.0, f.dim)
+        for a in range(f.dim))
+
+
+def _is_exact_zero_everywhere(number):
+    """The exact 0 along every axis, with no stencil at any order."""
+    zero = ScalarField.constant(0.0, number.dim)
+    return all(number.diff(a) is zero
+               and number.stencil_reach(a, order) == 0.0
+               for a in range(number.dim) for order in (1, 2, 3))
 
 
 @pytest.mark.parametrize("kind", list(CASES))
@@ -124,21 +143,39 @@ def test_walk_contract(kind):
     orig = make()
     assert type(orig) is cls
     copy = numeric_only(orig)
-    assert type(copy) is cls and copy is not orig
-    swapped = 0
+    assert type(copy) is cls
+    # a record copies only what holds a field that is not an exact number
+    assert (copy is orig) == (not _holds_field(orig)), kind
     for a, b in _pairs(orig, copy):
-        if isinstance(a, ScalarField):
+        if isinstance(a, ScalarField) and a.number is not None:
+            assert b is a, (kind, a)
+            assert _is_exact_zero_everywhere(b), (kind, a)
+        elif isinstance(a, ScalarField):
             assert b is not a and b.dim == a.dim
             assert _is_fd_leaf(b, a), (kind, a)
-            swapped += 1
         elif not _holds_field(a):
-            # labels, families, boxes, orientation, profile
+            # labels, families, boxes, orientation, profile, and tuples and
+            # records of exact numbers alone
             assert b is a, (kind, a)
         elif isinstance(a, Record):
             assert type(b) is type(a) and b is not a
             # cached_property values and owner memos stay behind
             assert set(vars(b)) <= set(b._fields), kind
-    assert swapped
+
+
+def test_walk_cases_copy_all_but_a_record_of_numbers():
+    copied, kept = set(), set()
+    for kind, (_, make) in CASES.items():
+        orig = make()
+        copy = numeric_only(orig)
+        if copy is not orig:
+            copied.add(kind)
+        if any(isinstance(a, ScalarField) and a.number is not None
+               for a, _ in _pairs(orig, copy)):
+            kept.add(kind)
+    # the Hopf cylinder spec holds two exact numbers and nothing else
+    assert copied == set(CASES) - {"HopfCylinderSpec"}
+    assert kept == set(CASES) - {"ProductMetric3", "SurfaceMetric"}
 
 
 def test_holders_without_fields_come_back_as_themselves():
@@ -148,6 +185,32 @@ def test_holders_without_fields_come_back_as_themselves():
               {"profile": spec.profile})
     for value in values:
         assert numeric_only(value) is value
+
+
+def _fields_below(obj):
+    return [a for a, _ in _pairs(obj, obj) if isinstance(a, ScalarField)]
+
+
+def test_every_node_of_an_fd_graph_reads_an_axis():
+    # exact numbers fold in fd graphs too, so no node computes a constant
+    # once per point: the catalog residuals and the frame data of each
+    # family
+    roots = [f for spec in catalog_examples()
+             for f in numeric_only(spec).residual_fields]
+    families = set()
+    for label, metric, spec in random_adapted_specs(SeededUniform(7), 4):
+        metric, spec = numeric_only((metric, spec))
+        roots += _fields_below(adapted_frame(spec, metric))
+        roots += _fields_below(integrability_data(spec, metric))
+        families.add(label)
+    assert len(families) == 4
+    seen = {}
+    for root in roots:
+        graph_nodes(root, seen)
+    nodes = [f for f in seen.values() if f.number is None]
+    assert len(nodes) > 300
+    constant = [f for f in nodes if not numkernel._axes(f, {})]
+    assert not constant, constant[:5]
 
 
 def _fd_copies():

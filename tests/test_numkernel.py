@@ -483,15 +483,32 @@ def test_chain_rule_partials_match_sympy(rule, a, b, axes):
 
 
 def test_numeric_only_number_keeps_zero_derivative():
-    two = numeric_only(ScalarField.constant(2.0, 3))
-    assert two.number is None  # fd mode folds nothing
-    for axis in range(3):
-        assert two.diff(axis).number == 0.0
-        assert two.stencil_reach(axis, 3) == 0.0
-    # a coordinate is a leaf like any other closed form: differenced in fd
+    # an exact number has no derivative route to remove: its copy is itself,
+    # so fd graphs fold it as analytic graphs do
+    batch = np.array([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)])
     x = ScalarField.coordinate(1, 3)
+    for value in (2.0, -0.0, 0.0, 1.0, math.nan, math.inf):
+        number = ScalarField.constant(value, 3)
+        assert numeric_only(number) is number
+        for axis in range(3):
+            assert number.diff(axis) is ScalarField.constant(0.0, 3)
+            for order in (1, 2, 3):
+                assert number.stencil_reach(axis, order) == 0.0
+        if math.isfinite(value):
+            assert numeric_only(x * 3.0 + number)(batch).tobytes() == (
+                numeric_only(x * 3.0)(batch) + value).tobytes()
+        else:
+            # a NaN or an infinity stays exact too, and still names the
+            # first point when evaluated
+            with pytest.raises(NonFiniteValue,
+                               match=r"(nan|inf) at \(0\.1, 0\.2, 0\.3\)"):
+                (numeric_only(x) * numeric_only(number))(batch)
+    # a coordinate is a leaf like any other closed form: differenced in fd
     assert x.diff(1).number == 1.0 and x.diff(0).number == 0.0
-    assert numeric_only(x).stencil_reach(1, 1) == H_FD
+    fd = numeric_only(x)
+    assert fd is not x and fd.number is None
+    assert fd.stencil_reach(1, 1) == H_FD
+    assert fd.diff(0) is ScalarField.constant(0.0, 3)
 
 
 def _outcome(field, batch):
@@ -507,8 +524,9 @@ def _outcome(field, batch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNumbersInRules:
     """A finite exact number enters a rule as its float; the values are
-    those of the same rule on an array of copies of it (a numeric_only
-    copy), bit for bit.  A NaN or an infinity raises as before."""
+    those of the same rule on an array of copies of it (an opaque leaf of
+    constant value, which no rule folds), bit for bit.  A NaN or an
+    infinity raises as before."""
 
     BATCH = np.array([(0.1, 0.2, 0.3), (0.4, -0.5, 0.6), (-0.7, 0.8, 0.9)])
     NUMBERS = (-0.0, 2.5, -3.0, 1e-300, 1e300, 1.0 / 3.0)
@@ -516,6 +534,14 @@ class TestNumbersInRules:
     @staticmethod
     def _field():
         return field_of_text("sin(t) + 2 + s*z", ("t", "s", "z"))
+
+    @staticmethod
+    def _filled(c):
+        """``c`` as an opaque leaf that reads no axis: its values are an
+        array of copies of the number."""
+        filled = numkernel._derived(c.dim, numkernel._leaf_values, None, c, 0)
+        assert filled.number is None
+        return filled
 
     def test_algebra_on_either_side(self):
         f = self._field()
@@ -527,8 +553,8 @@ class TestNumbersInRules:
                     exact = lhs._binary(rhs, op)
                     if exact is f or exact.number is not None:
                         continue  # folded: no number reaches a rule
-                    filled = (lhs._binary(numeric_only(c), op) if lhs is f
-                              else numeric_only(c)._binary(rhs, op))
+                    filled = (lhs._binary(self._filled(c), op) if lhs is f
+                              else self._filled(c)._binary(rhs, op))
                     assert (_outcome(exact, self.BATCH)
                             == _outcome(filled, self.BATCH)), (value, op)
                     compared += 1
@@ -538,7 +564,8 @@ class TestNumbersInRules:
         f = self._field()
         g = field_of_text("x*x - 3*y", ("x", "y"))
         for value in self.NUMBERS:
-            c, filled = const(value), numeric_only(const(value))
+            c = const(value)
+            filled = self._filled(c)
             pairs = [
                 (compose(g, (f, c)), compose(g, (f, filled))),
                 (compose(g, (c, f)), compose(g, (filled, f))),

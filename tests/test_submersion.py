@@ -17,7 +17,14 @@ from biharm.frames import (
     random_adapted_specs,
 )
 from biharm.geometry import ProductMetric3, gauss_curvature_2d
-from biharm.numkernel import ChartBox, ScalarField, as_batch, numeric_only
+from biharm.numkernel import (
+    ChartBox,
+    ScalarField,
+    as_batch,
+    fcosh,
+    flog,
+    numeric_only,
+)
 from biharm.submersion import (
     SubmersionSpec,
     catalog_examples,
@@ -236,6 +243,21 @@ class TestReflection:
             for a, b in zip(up.channels, down.channels):
                 assert a.name == b.name
                 assert abs(a.max_abs - b.max_abs) <= bound, (mode, c, a.name)
+
+    def test_cosh4_reflected(self):
+        # cosh4 with cosh(-s) for cosh(s): libm's cosh is even and sinh odd,
+        # so every value and derivative is the same float at every point
+        cosh4 = catalog_examples()[0]
+        s = ScalarField.coordinate(1, 2)
+        reflected = projection_spec(2.0 * flog(fcosh(-1.0 * s)),
+                                    cosh4.domain_metric.box, "cosh4")
+        for mode, tol in (("analytic", 1e-6), ("fd", 1e-3)):
+            want, got = (residual_report(spec, tol)
+                         for spec in in_mode(mode, (cosh4, reflected)))
+            assert got.classification == want.classification
+            assert want.classification == "proper biharmonic", mode
+            assert [c.to_record() for c in got.channels] == [
+                c.to_record() for c in want.channels], mode
 
 
 class TestScan:
