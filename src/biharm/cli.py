@@ -38,6 +38,7 @@ from .numkernel import (
     flog,
     fsin,
     numeric_only,
+    sweep,
 )
 from .report import (
     REPORT_FORMAT_VERSION,
@@ -116,11 +117,12 @@ def _cmd_verify(args):
         _print_report(rep)
     if args.dump_grids:
         for spec in catalog:
-            r1f, r2f = spec.residual_fields
             points = spec.verification_points(grid)
             batch = as_batch(points)
-            rows = [(p[0], p[1], r1, r2) for p, r1, r2 in zip(
-                points, r1f(batch).tolist(), r2f(batch).tolist())]
+            with sweep():  # r1 and r2 share their subgraphs' values
+                r1, r2 = [f(batch).tolist() for f in spec.residual_fields]
+            rows = [(p[0], p[1], v1, v2)
+                    for p, v1, v2 in zip(points, r1, r2)]
             write_grid_csv(
                 os.path.join(args.dump_grids, f"{spec.label}.csv"),
                 ("axis1", "axis2", "r1", "r2"), rows,

@@ -38,10 +38,8 @@ import numpy as np
 from .geometry import (
     FrameField,
     ProductMetric3,
-    _christoffel_fields,
     _require_orthonormal,
     base_sweep,
-    cached_on_owner,
     covariant_leg,
     frame_contraction,
     gauss_curvature_2d,
@@ -96,7 +94,6 @@ class IntegrabilityData(Record):
     fbar: ScalarField
 
 
-@cached_on_owner
 def adapted_frame(spec: AdaptedFrameSpec, metric: ProductMetric3) -> FrameField:
     """Adapted frame of the angle spec, with rotation coefficients attached."""
     if metric.weighted_axis != 0:
@@ -116,21 +113,20 @@ def adapted_frame(spec: AdaptedFrameSpec, metric: ProductMetric3) -> FrameField:
     return FrameField(rows, metric, coeff)
 
 
-@cached_on_owner
 def integrability_data(spec: AdaptedFrameSpec,
-                       metric: ProductMetric3) -> IntegrabilityData:
-    """Closed-form integrability data of the adapted frame."""
+                       frame: FrameField) -> IntegrabilityData:
+    """Closed-form integrability data, built from ``frame``, the adapted
+    frame of ``spec`` they describe: the sines and cosines of its angles
+    are its rotation coefficients, and e3 is its vertical leg."""
     theta, alpha = spec.theta, spec.alpha
-    st, ct = fsin(theta), fcos(theta)
-    sa, ca = fsin(alpha), fcos(alpha)
-    q = metric.conformal_exponent
+    (ct, st, _), (_, _, sa), (_, _, ca) = frame.coeff
+    q = frame.metric.conformal_exponent
     f = q.diff(1)
     einv = fexp(-1.0 * q)
     e1_theta = einv * theta.diff(0)
     e2_theta = theta.diff(1)
     e3_theta = theta.diff(2)
     fbar = -1.0 * (st * e1_theta) + ct * e2_theta + f * st
-    frame = adapted_frame(spec, metric)
     e3_alpha = directional_field(frame.components[2], alpha)
     return IntegrabilityData(
         f1=ScalarField.constant(0.0, 3),
@@ -187,7 +183,7 @@ def _frame_identity_channels(frame: FrameField, data: IntegrabilityData):
     """
     metric = frame.metric
     rows = frame.components
-    gamma = _christoffel_fields(metric)
+    gamma = metric.christoffel_fields
     zero = ScalarField.constant(0.0, 3)
     D = data
 
@@ -415,7 +411,7 @@ def frame_identity_suite(specs, tol=1e-6, grid=(5, 5)):
     spec at a time."""
     def report(label, metric, spec):
         frame = adapted_frame(spec, metric)
-        data = integrability_data(spec, metric)
+        data = integrability_data(spec, frame)
         rep = validate_frame(frame, data, base_sweep(metric.box, grid), tol)
         return replace(rep, case_label=label)
 

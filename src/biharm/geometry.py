@@ -41,16 +41,24 @@ from .record import Record
 PRODUCT_AXIS = 2  # the flat R factor of a 3-chart
 
 
-def cached_on_owner(fn):
-    """Memoize ``fn(owner, *rest)`` on ``owner`` itself, so a result lives
-    exactly as long as the object it was made for."""
-    @functools.wraps(fn)
-    def cached(owner, *rest):
-        memo = owner.__dict__.setdefault("_memo_" + fn.__name__, {})
-        if rest not in memo:
-            memo[rest] = fn(owner, *rest)
-        return memo[rest]
-    return cached
+def _christoffel_fields(metric):
+    """Nonzero Christoffel fields {(k,i,j): field} of a diagonal metric.
+
+    For the weighted axis w: G^w_{wi} = G^w_{iw} = q_i and, for j != w,
+    G^j_{ww} = -e^{2q} q_j.  Each metric builds them once, as its
+    ``christoffel_fields``.
+    """
+    q = metric.conformal_exponent
+    w = metric.weighted_axis
+    e2q = fexp(q + q)
+    fields = {}
+    for i in range(metric.dim):
+        qi = q.diff(i)
+        fields[(w, w, i)] = qi
+        fields[(w, i, w)] = qi
+        if i != w:
+            fields[(i, w, w)] = -1.0 * (e2q * qi)
+    return fields
 
 
 class ProductMetric3(Record):
@@ -91,6 +99,8 @@ class ProductMetric3(Record):
         if abs(low - mid) > 1e-10 or abs(high - mid) > 1e-10:
             raise ValueError("conformal exponent depends on the product axis")
 
+    christoffel_fields = functools.cached_property(_christoffel_fields)
+
     @property
     def dim(self):
         return 3
@@ -129,6 +139,8 @@ class SurfaceMetric(Record):
             raise ValueError("a 2-chart box is required")
         if self.weighted_axis not in (0, 1):
             raise ValueError("weighted axis must be 0 or 1")
+
+    christoffel_fields = functools.cached_property(_christoffel_fields)
 
     @property
     def dim(self):
@@ -176,7 +188,7 @@ class FrameField(Record):
     def connection(self):
         """Chart components of grad_{e_i} e_i for each leg, as fields: built
         once per frame, so every Laplacian on it shares them."""
-        gamma = _christoffel_fields(self.metric)
+        gamma = self.metric.christoffel_fields
         return tuple(covariant_leg(row, row, gamma) for row in self.components)
 
 
@@ -189,33 +201,13 @@ def _field_matrix(rows, point):
 # -- Christoffel symbols ------------------------------------------------------
 
 
-@cached_on_owner
-def _christoffel_fields(metric):
-    """Nonzero Christoffel fields {(k,i,j): field} of a diagonal metric.
-
-    For the weighted axis w: G^w_{wi} = G^w_{iw} = q_i and, for j != w,
-    G^j_{ww} = -e^{2q} q_j.
-    """
-    q = metric.conformal_exponent
-    w = metric.weighted_axis
-    e2q = fexp(q + q)
-    fields = {}
-    for i in range(metric.dim):
-        qi = q.diff(i)
-        fields[(w, w, i)] = qi
-        fields[(w, i, w)] = qi
-        if i != w:
-            fields[(i, w, w)] = -1.0 * (e2q * qi)
-    return fields
-
-
 def christoffel_symbols(metric, point):
     """Chart Christoffel symbols as an array G[k, i, j] (G[n, k, i, j] for a
     batch)."""
     d = metric.dim
     batch = as_batch(point)
     out = np.zeros((len(batch), d, d, d))
-    for (k, i, j), fld in _christoffel_fields(metric).items():
+    for (k, i, j), fld in metric.christoffel_fields.items():
         out[:, k, i, j] = fld(batch)
     return one_or_all(out, point)
 
@@ -228,7 +220,7 @@ def riemann_chart(metric, point):
     batch = as_batch(point)
     gamma = christoffel_symbols(metric, batch)
     dgamma = np.zeros((len(batch), d, d, d, d))  # [n, a, k, i, j] = d_a G^k_ij
-    for (k, i, j), fld in _christoffel_fields(metric).items():
+    for (k, i, j), fld in metric.christoffel_fields.items():
         for a in range(d):
             dgamma[:, a, k, i, j] = fld.diff(a)(batch)
     weights = metric.weights(batch)

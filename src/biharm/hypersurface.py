@@ -32,7 +32,7 @@ from .geometry import (
     laplacian_field,
     riemann_chart,
 )
-from .geometry import _christoffel_fields, _field_matrix
+from .geometry import _field_matrix
 from .numkernel import (
     ChartBox,
     ScalarField,
@@ -144,7 +144,7 @@ class SurfaceImmersion(Record):
         """h_ab = -<grad_{T_a} xi, T_b> on the coordinate tangents."""
         T, w = self.tangent_fields, self._weight_fields
         xi = self.normal_fields
-        gamma = _christoffel_fields(self.ambient)
+        gamma = self.ambient.christoffel_fields
         gamma_uv = {key: compose(g, self.components) for key, g in gamma.items()}
 
         def cov_xi(a, l):

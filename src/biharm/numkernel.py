@@ -45,10 +45,13 @@ axis both legs would give the same values, so its derivative is the exact
 number 0.  A stencil node has no derivative rule, so its own partials are
 stencils in turn, along the axes its input reads.
 Directional derivatives and the curvature read first partials through the
-cache of ``diff``, so each is one node per field and axis.  Pure partials,
-and the stencil reach they need, follow from ``diff``, but for the second
-and third partials of a field without a derivative rule along an axis it
-reads, which take direct stencils (see ``ScalarField._partial``).
+cache of ``diff``, so each is one node per field and axis, and a
+directional derivative reads every partial it takes (one for each
+component that is not the exact 0) on the batch it is evaluated on.
+Pure partials, and the stencil reach they need, follow from ``diff``, but
+for the second and third partials of a field without a derivative rule
+along an axis it reads, which take direct stencils (see
+``ScalarField._partial``).
 
 Values are IEEE double arithmetic on arrays, and the unary functions apply
 the ``math`` module one value after another: numpy's vectorised exp, tan,
@@ -202,9 +205,9 @@ def _checked(values, batch):
 class _Sweep:
     """Field values of the evaluation in progress.
 
-    Batches made during a sweep (stencil legs, restrictions, pullbacks) are
-    kept once per set of points, so every route to the same points yields
-    the same batch object, and a field is evaluated at most once per batch.
+    Batches made during a sweep (stencil legs, pullbacks) are kept once
+    per set of points, so every route to the same points yields the same
+    batch object, and a field is evaluated at most once per batch.
     Each batch has a value table, {field: values}, that the rules of the
     fields evaluated on it read their inputs from (``_input``).  Batches
     are looked up by the hash of their bytes and a hit is confirmed by
@@ -662,21 +665,11 @@ def directional_field(vector_components, field) -> ScalarField:
 
 
 def _directional_values(batch, known, comps, field):
-    n = len(batch)
-    total = np.zeros(n)
+    total = np.zeros(len(batch))
     for axis, comp in enumerate(comps):
-        c = _input(comp, batch, known)
-        if type(c) is float:  # an exact number: zero at every point or none
-            whole = c != 0.0
-        else:
-            live = np.count_nonzero(c)
-            whole = live == n
-            if live and not whole:
-                mask = c != 0.0
-                sub = _new_batch(batch[mask])
-                total[mask] += c[mask] * field.diff(axis)(sub)
-        if whole:
-            total = total + c * _input(field.diff(axis), batch, known)
+        if comp.number != 0.0:  # the exact 0 contributes no term
+            total = total + (_input(comp, batch, known)
+                             * _input(field.diff(axis), batch, known))
     return total
 
 

@@ -79,7 +79,7 @@ class SubmersionSpec(Record):
 
     @cached_property
     def data(self):
-        return integrability_data(self.frame_spec, self.domain_metric)
+        return integrability_data(self.frame_spec, self.frame)
 
     def _edir(self, leg):
         return lambda fld: directional_field(self.frame.components[leg], fld)

@@ -303,7 +303,7 @@ def mutation_detected(metric, spec, points, tol=1e-6, factor=1.1):
     identically-zero function is invisible by construction).
     """
     frame = adapted_frame(spec, metric)
-    data = integrability_data(spec, metric)
+    data = integrability_data(spec, frame)
     results = {}
     batch = as_batch(points)
     for name, fld in data_channels(data).items():

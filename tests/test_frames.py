@@ -25,6 +25,7 @@ from biharm.geometry import (
     base_sweep,
     gauss_curvature_2d,
 )
+from biharm import numkernel
 from biharm.numkernel import (
     ChartBox,
     ScalarField,
@@ -38,6 +39,7 @@ from conftest import (
     Z,
     data_channels,
     field_of,
+    graph_nodes,
     in_mode,
     mutation_detected,
     semi_geodesic_frame,
@@ -136,7 +138,8 @@ class TestIntegrabilityData:
         # f2 = -1/4, sigma = -sqrt(3)/4, k2 = 0 (pure formula substitution;
         # this angle pair does not satisfy the submersion compatibility)
         spec = AdaptedFrameSpec(math.pi / 2, math.pi / 3)
-        data = integrability_data(spec, hyperbolic_metric3)
+        data = integrability_data(
+            spec, adapted_frame(spec, hyperbolic_metric3))
         p = (0.1, 0.2, 0.0)
         assert data.fbar(p) == pytest.approx(1.0, abs=1e-12)
         assert data.kappa1(p) == pytest.approx(-0.75, abs=1e-12)
@@ -147,7 +150,7 @@ class TestIntegrabilityData:
 
     def test_flat_constant_angles_vanish(self, flat_metric3):
         spec = AdaptedFrameSpec(math.pi / 2, 0.7)
-        data = integrability_data(spec, flat_metric3)
+        data = integrability_data(spec, adapted_frame(spec, flat_metric3))
         p = (0.3, -0.4, 0.1)
         for fld in data_channels(data).values():
             assert fld(p) == pytest.approx(0.0, abs=1e-14)
@@ -155,7 +158,8 @@ class TestIntegrabilityData:
     def test_full_tilt_reduction(self, hyperbolic_metric3):
         # alpha = pi/2: k1 = -fbar, everything else vanishes
         spec = AdaptedFrameSpec(math.pi / 2, math.pi / 2)
-        data = integrability_data(spec, hyperbolic_metric3)
+        data = integrability_data(
+            spec, adapted_frame(spec, hyperbolic_metric3))
         p = (0.1, 0.5, 0.0)
         assert data.kappa1(p) == pytest.approx(-data.fbar(p), abs=1e-12)
         assert data.f2(p) == pytest.approx(0.0, abs=1e-12)
@@ -169,8 +173,8 @@ class TestIntegrabilityData:
         theta = field_of(0.4 + 0.2 * sp.sin(T + 0.5 * Z), 3)
         alpha = field_of(0.9 + 0.15 * sp.cos(S), 3)
         spec = AdaptedFrameSpec(theta, alpha)
-        data = integrability_data(spec, hyperbolic_metric3)
         frame = adapted_frame(spec, hyperbolic_metric3)
+        data = integrability_data(spec, frame)
         rng = np.random.default_rng(3)
         for _ in range(5):
             p = tuple(rng.uniform(-0.8, 0.8, size=3))
@@ -187,18 +191,36 @@ class TestIntegrabilityData:
         for label, metric, spec in random_adapted_specs(
             np.random.default_rng(11), 4
         ):
-            data = integrability_data(spec, metric)
+            data = integrability_data(spec, adapted_frame(spec, metric))
             for p in base_sweep(metric.box, (3, 3)):
                 assert data.sigma(p) ** 2 == pytest.approx(
                     data.kappa1(p) * data.f2(p), abs=1e-10
                 )
+
+    def test_data_share_the_frame_trig_nodes(self):
+        # the polar draw, where both angles vary: the data read sin(alpha)
+        # from the frame's rotation coefficients instead of building it
+        draws = list(random_adapted_specs(SeededUniform(7), 3))
+        label, metric, spec = draws[2]
+        assert label.endswith("polar")
+        frame = adapted_frame(spec, metric)
+        data = integrability_data(spec, frame)
+        roots = [f for row in frame.components + frame.coeff for f in row]
+        roots += [getattr(data, name) for name in data._fields]
+        seen = {}
+        for root in roots:
+            graph_nodes(root, seen)
+        sines = [f for f in seen.values()
+                 if f._values is numkernel._unary_values
+                 and f._args == ("sin", spec.alpha)]
+        assert len(sines) == 1
 
 
 class TestValidateFrame:
     def test_flat_trivial(self, flat_metric3):
         spec = AdaptedFrameSpec(math.pi / 2, 0.0)
         frame = adapted_frame(spec, flat_metric3)
-        data = integrability_data(spec, flat_metric3)
+        data = integrability_data(spec, frame)
         pts = base_sweep(flat_metric3.box, (3, 3))
         report = validate_frame(frame, data, pts, tol=1e-6)
         assert report.passed
@@ -210,7 +232,7 @@ class TestValidateFrame:
         metric = ProductMetric3(field_of(q, 2), box)
         spec = AdaptedFrameSpec(math.pi / 2, field_of(S, 3))
         frame = adapted_frame(spec, metric)
-        data = integrability_data(spec, metric)
+        data = integrability_data(spec, frame)
         pts = base_sweep(box, (4, 4))
         report = validate_frame(frame, data, pts, tol=1e-6)
         assert report.passed
@@ -218,7 +240,7 @@ class TestValidateFrame:
     def test_non_orthonormal_frame_names_first_point(self, flat_metric3):
         spec = AdaptedFrameSpec(math.pi / 2, 0.0)
         good = adapted_frame(spec, flat_metric3)
-        data = integrability_data(spec, flat_metric3)
+        data = integrability_data(spec, good)
         # stretch the first leg by 10% where t > 0.2
         stretch = ScalarField(
             fn=lambda b: np.where(b[:, 0] > 0.2, 1.1, 1.0), dim=3)
@@ -236,7 +258,7 @@ class TestValidateFrame:
         # violates the adapted-frame equations, so the table must fail
         spec = AdaptedFrameSpec(math.pi / 2, math.pi / 3)
         frame = adapted_frame(spec, hyperbolic_metric3)
-        data = integrability_data(spec, hyperbolic_metric3)
+        data = integrability_data(spec, frame)
         pts = base_sweep(hyperbolic_metric3.box, (3, 3))
         report = validate_frame(frame, data, pts, tol=1e-6)
         assert not report.passed
@@ -247,7 +269,7 @@ class TestValidateFrame:
             np.random.default_rng(5), 1
         ))
         frame = adapted_frame(spec, metric)
-        data = integrability_data(spec, metric)
+        data = integrability_data(spec, frame)
         pts = base_sweep(metric.box, (4, 4))
         assert validate_frame(frame, data, pts, tol=1e-6).passed
         bad = replace(data, kappa1=data.kappa1 * 1.1)
@@ -279,7 +301,7 @@ class TestValidateFrame:
             np.random.default_rng(13), 4
         ):
             frame = adapted_frame(spec, metric)
-            data = integrability_data(spec, metric)
+            data = integrability_data(spec, frame)
             p = base_sweep(metric.box, (3, 3))[4]
             br = bracket_vector(frame, 0, 2, p)
             w = metric.weights(p)
@@ -299,7 +321,7 @@ class TestValidateFrame:
         assert specs
         for label, metric, spec in specs:
             frame = adapted_frame(spec, metric)
-            data = integrability_data(spec, metric)
+            data = integrability_data(spec, frame)
             for p in base_sweep(metric.box, (3, 3)):
                 kn = target_curvature(data, frame)(p)
                 assert kn == pytest.approx(
@@ -319,7 +341,7 @@ class TestCurvatureRowsPerPoint:
         rng = np.random.default_rng(31)
         for _, metric, spec in in_mode(mode, random_adapted_specs(rng, 8)):
             frame = adapted_frame(spec, metric)
-            data = integrability_data(spec, metric)
+            data = integrability_data(spec, frame)
             pts = base_sweep(metric.box, (5, 5))
             report = validate_frame(frame, data, pts, tol)
             batch = np.array(pts)

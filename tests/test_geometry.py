@@ -163,7 +163,7 @@ class TestRiemann:
         metric = ProductMetric3(field_of(q, 2), box)
         spec = AdaptedFrameSpec(math.pi / 2, field_of(S, 3))
         frame = adapted_frame(spec, metric)
-        data = integrability_data(spec, metric)
+        data = integrability_data(spec, frame)
         p = (0.2, 0.8, 0.0)
         # printed index pattern (1,2,1,2) means <R(e1,e2)e2, e1>
         lhs = riemann_component(metric, p, frame, (0, 1, 1, 0))

@@ -159,7 +159,7 @@ def test_walk_contract(kind):
             assert b is a, (kind, a)
         elif isinstance(a, Record):
             assert type(b) is type(a) and b is not a
-            # cached_property values and owner memos stay behind
+            # cached_property values stay behind
             assert set(vars(b)) <= set(b._fields), kind
 
 
@@ -200,8 +200,9 @@ def test_every_node_of_an_fd_graph_reads_an_axis():
     families = set()
     for label, metric, spec in random_adapted_specs(SeededUniform(7), 4):
         metric, spec = numeric_only((metric, spec))
-        roots += _fields_below(adapted_frame(spec, metric))
-        roots += _fields_below(integrability_data(spec, metric))
+        frame = adapted_frame(spec, metric)
+        roots += _fields_below(frame)
+        roots += _fields_below(integrability_data(spec, frame))
         families.add(label)
     assert len(families) == 4
     seen = {}

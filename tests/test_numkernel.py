@@ -771,9 +771,9 @@ def test_a_graph_level_takes_two_frames():
 
 class TestDirectionalComponents:
     """A directional field decides per component: an exact number is zero
-    at every point or none, an array may be zero on part of the batch (only
-    the rest is evaluated) or everywhere.  Either way the values are those
-    of one point at a time, bit for bit."""
+    at every point or none, an array may be zero on part of the batch or
+    everywhere.  Either way the values are those of one point at a time,
+    bit for bit."""
 
     # t is zero, of either sign, on part of the batch
     POINTS = [(0.0, 0.3, 0.2), (0.4, -0.5, 0.6), (-0.0, 0.8, -0.9),
@@ -803,6 +803,28 @@ class TestDirectionalComponents:
         d = directional_field([comps[k] for k in kinds], f)
         one_at_a_time = np.array([d(p) for p in self.POINTS])
         assert d(batch).tobytes() == one_at_a_time.tobytes()
+
+    def test_partials_are_read_on_the_batch_evaluated(self, monkeypatch):
+        # t is zero at the first point alone; its partial is read on the
+        # whole batch, so the evaluation makes no batch of the other point
+        t, s = ScalarField.coordinate(0, 2), ScalarField.coordinate(1, 2)
+        d = directional_field((t, const(1.0, 2)), fsin(t) * s)
+        made = []
+        new_batch = numkernel._new_batch
+
+        def counted(array):
+            made.append(array)
+            return new_batch(array)
+
+        points = [(0.0, 0.5), (0.3, 0.7)]
+        with numkernel.sweep():
+            batch = numkernel.as_batch(points)
+            monkeypatch.setattr(numkernel, "_new_batch", counted)
+            values = d(batch)
+        assert made == []
+        assert values.tolist() == pytest.approx(
+            [x * math.cos(x) * y + math.sin(x) for x, y in points],
+            rel=1e-15, abs=1e-15)
 
 
 class TestEvaluatorResults:
@@ -977,7 +999,7 @@ class TestStackedLegs:
         rng = np.random.default_rng(2024)
         for label, metric, spec in in_mode("fd", random_adapted_specs(rng, 4)):
             frame = adapted_frame(spec, metric)
-            data = integrability_data(spec, metric)
+            data = integrability_data(spec, frame)
             points = base_sweep(metric.box, (5, 5))
             batch = numkernel.as_batch(points)
 

@@ -75,8 +75,8 @@ class TestBaseCurvature:
     def test_constant_data_substitution(self, hyperbolic_metric3):
         # fbar = 1, alpha = pi/3: f2 = -1/4 so the formula gives -1/16
         spec = AdaptedFrameSpec(math.pi / 2, math.pi / 3)
-        data = integrability_data(spec, hyperbolic_metric3)
         frame = adapted_frame(spec, hyperbolic_metric3)
+        data = integrability_data(spec, frame)
         val = target_curvature(data, frame)((0.1, 0.3, 0.0))
         assert val == pytest.approx(-1.0 / 16.0, abs=1e-10)
 
