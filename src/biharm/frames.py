@@ -40,7 +40,6 @@ from .geometry import (
     ProductMetric3,
     _require_orthonormal,
     base_sweep,
-    covariant_leg,
     frame_contraction,
     gauss_curvature_2d,
     riemann_chart,
@@ -141,35 +140,35 @@ def integrability_data(spec: AdaptedFrameSpec,
 
 # -- identity suite -----------------------------------------------------------
 
-# Curvature table rows: (label, (i,j,k,l) as printed, data expression,
-# coefficient pattern (sign, a-row-1, a-row-2)) where the right side is
-# sign * a_{r1}^3 * a_{r2}^3 * K with K the base Gauss curvature, and the
-# printed 4-tuple means <R(e_i,e_j) e_l, e_k>.
+# Curvature table rows: (label, (i,j,k,l) as printed, data expression of
+# (D, e, e3(sigma)), coefficient pattern (sign, a-row-1, a-row-2)) where the
+# right side is sign * a_{r1}^3 * a_{r2}^3 * K with K the base Gauss
+# curvature, and the printed 4-tuple means <R(e_i,e_j) e_l, e_k>.
 _CURVATURE_ROWS = (
     ("curv_1312", (1, 3, 1, 2),
-     lambda D, e: -1.0 * e[1](D.sigma) + 2.0 * (D.kappa1 * D.sigma),
+     lambda D, e, _: -1.0 * e[1](D.sigma) + 2.0 * (D.kappa1 * D.sigma),
      (-1.0, 2, 3)),
     ("curv_1313", (1, 3, 1, 3),
-     lambda D, e: e[1](D.kappa1) + D.sigma * D.sigma
+     lambda D, e, _: e[1](D.kappa1) + D.sigma * D.sigma
      - D.kappa1 * D.kappa1 + D.kappa2 * D.f1,
      (1.0, 2, 2)),
     ("curv_1323", (1, 3, 2, 3),
-     lambda D, e: e[1](D.kappa2) - e[3](D.sigma)
+     lambda D, e, e3_sigma: e[1](D.kappa2) - e3_sigma
      - D.kappa1 * D.f1 - D.kappa1 * D.kappa2,
      (-1.0, 1, 2)),
     ("curv_1212", (1, 2, 1, 2),
-     lambda D, e: e[1](D.f2) + e[2](D.f1) - D.f1 * D.f1 - D.f2 * D.f2
+     lambda D, e, _: e[1](D.f2) + e[2](D.f1) - D.f1 * D.f1 - D.f2 * D.f2
      + 2.0 * (D.f3 * D.sigma) - 3.0 * (D.sigma * D.sigma),
      (1.0, 3, 3)),
     ("curv_1223", (1, 2, 2, 3),
-     lambda D, e: -1.0 * e[2](D.sigma) + 2.0 * (D.kappa2 * D.sigma),
+     lambda D, e, _: -1.0 * e[2](D.sigma) + 2.0 * (D.kappa2 * D.sigma),
      (1.0, 1, 3)),
     ("curv_2313", (2, 3, 1, 3),
-     lambda D, e: e[2](D.kappa1) + e[3](D.sigma)
+     lambda D, e, e3_sigma: e[2](D.kappa1) + e3_sigma
      + D.kappa2 * D.f2 - D.kappa1 * D.kappa2,
      (-1.0, 1, 2)),
     ("curv_2323", (2, 3, 2, 3),
-     lambda D, e: D.sigma * D.sigma + e[2](D.kappa2)
+     lambda D, e, _: D.sigma * D.sigma + e[2](D.kappa2)
      - D.kappa1 * D.f2 - D.kappa2 * D.kappa2,
      (1.0, 1, 1)),
 )
@@ -181,22 +180,17 @@ def _frame_identity_channels(frame: FrameField, data: IntegrabilityData):
     Returns (name, component fields) pairs; each identity is vector-valued
     with one residual field per chart component.
     """
-    metric = frame.metric
     rows = frame.components
-    gamma = metric.christoffel_fields
+    de = frame.leg_derivatives
     zero = ScalarField.constant(0.0, 3)
     D = data
 
     def bracket(i, j):
         # [e_i, e_j]^l = e_i(e_j^l) - e_j(e_i^l)
-        return [
-            directional_field(rows[i - 1], rows[j - 1][l])
-            - directional_field(rows[j - 1], rows[i - 1][l])
-            for l in range(3)
-        ]
+        return list(map(operator.sub, de[i - 1][j - 1], de[j - 1][i - 1]))
 
     def nabla(i, j):
-        return covariant_leg(rows[i - 1], rows[j - 1], gamma)
+        return frame.covariant(i - 1, j - 1)
 
     def combo(*pairs):
         # sum of coeff-field * frame-row combinations, componentwise
@@ -259,7 +253,8 @@ def validate_frame(frame: FrameField, data: IntegrabilityData, points,
     def e_op(leg):
         return lambda fld: directional_field(rows[leg - 1], fld)
 
-    ops = {1: e_op(1), 2: e_op(2), 3: e_op(3)}
+    ops = {1: e_op(1), 2: e_op(2)}
+    e3_sigma = directional_field(rows[2], data.sigma)  # read by two rows
     # the frame is orthonormal on every point (checked above), so the chart
     # curvature contracts directly; it is shared by all the rows
     low = riemann_chart(metric, batch)
@@ -267,7 +262,7 @@ def validate_frame(frame: FrameField, data: IntegrabilityData, points,
     a = frame.coeff_matrix(batch)
     k_base = gauss_curvature_2d(metric, batch)
     for name, printed, data_expr, (sign, r1, r2) in _CURVATURE_ROWS:
-        mid = data_expr(data, ops)(batch)
+        mid = data_expr(data, ops, e3_sigma)(batch)
         i, j, k, l = printed
         lhs = frame_contraction(low, m, (i - 1, j - 1, l - 1, k - 1))
         rhs = sign * a[:, r1 - 1, 2] * a[:, r2 - 1, 2] * k_base

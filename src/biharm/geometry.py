@@ -13,9 +13,10 @@ with frame components; the sign conventions are
 
 so that on a sphere chart <R(E1,E2)E2, E1> equals the Gauss curvature.
 The Laplacian convention is Delta f = sum_i [e_i e_i f - (grad_{e_i} e_i) f];
-``laplacian_field`` builds it for any orthonormal legs, those of a 3-chart
-frame and those of a surface's induced metric alike.  A single point gives
-one value and a batch a leading batch axis (``numkernel.one_or_all``).
+``laplacian_field(legs, connection, field, gradient)`` reads the e_i f its
+caller owns, and grad_{e_i} e_j comes from ``FrameField.covariant``, on a
+3-chart frame or on a surface's tangent frame over its immersion.  A single
+point gives one value and a batch a leading axis (``numkernel.one_or_all``).
 """
 
 from __future__ import annotations
@@ -185,11 +186,25 @@ class FrameField(Record):
             np.max(np.abs(gram - np.eye(self.dim)), axis=(-2, -1)), point)
 
     @functools.cached_property
+    def leg_derivatives(self):
+        """The fields e_i(e_j^l) as ``[i][j][l]``: built once per frame, so
+        its brackets and covariant derivatives share them."""
+        rows = self.components
+        return tuple(tuple(tuple(directional_field(e_i, c) for c in e_j)
+                           for e_j in rows) for e_i in rows)
+
+    def covariant(self, i, j):
+        """Chart components of grad_{e_i} e_j, e_i(e_j^l) + G^l_{bm} e_i^b
+        e_j^m, with the Christoffel fields of the frame's metric."""
+        rows, gamma = self.components, self.metric.christoffel_fields
+        return tuple(add_christoffel_terms(term, l, gamma, rows[i], rows[j])
+                     for l, term in enumerate(self.leg_derivatives[i][j]))
+
+    @functools.cached_property
     def connection(self):
         """Chart components of grad_{e_i} e_i for each leg, as fields: built
         once per frame, so every Laplacian on it shares them."""
-        gamma = self.metric.christoffel_fields
-        return tuple(covariant_leg(row, row, gamma) for row in self.components)
+        return tuple(self.covariant(i, i) for i in range(self.dim))
 
 
 def _field_matrix(rows, point):
@@ -294,23 +309,13 @@ def add_christoffel_terms(term, l, gamma, u, v):
     return term
 
 
-def covariant_leg(e_i, e_j, gamma):
-    """Chart components of grad_{e_i} e_j, e_i(e_j^l) + G^l_{bm} e_i^b e_j^m,
-    for legs given by their chart component fields and Christoffel fields
-    {(l, b, m): field}."""
-    return tuple(add_christoffel_terms(directional_field(e_i, e_j[l]), l,
-                                       gamma, e_i, e_j)
-                 for l in range(len(e_j)))
-
-
-def laplacian_field(legs, connection, field) -> ScalarField:
+def laplacian_field(legs, connection, field, gradient) -> ScalarField:
     """Delta f = sum_i [e_i(e_i f) - (grad_{e_i} e_i) f] as a field, for
-    orthonormal legs e_i given by their chart component fields and
-    ``connection``, the chart components of each grad_{e_i} e_i (such as
-    ``FrameField.connection``)."""
+    orthonormal legs e_i given by chart component fields, ``connection`` the
+    components of each grad_{e_i} e_i (``FrameField.connection``) and
+    ``gradient`` the fields e_i f, which the caller owns."""
     total = None
-    for row, conn in zip(legs, connection):
-        term = directional_field(row, directional_field(row, field))
-        term = term - directional_field(conn, field)
+    for row, conn, e_f in zip(legs, connection, gradient):
+        term = directional_field(row, e_f) - directional_field(conn, field)
         total = term if total is None else total + term
     return total

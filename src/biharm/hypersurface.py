@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import DegenerateImmersion, NonFiniteValue, NotCMC
 from .geometry import (
+    FrameField,
     ProductMetric3,
     add_christoffel_terms,
-    covariant_leg,
     frame_contraction,
     gauss_curvature_2d,
     laplacian_field,
@@ -194,7 +194,7 @@ class SurfaceImmersion(Record):
         return 0.5 * (a11 + a22)
 
     @cached_property
-    def _induced_christoffels(self):
+    def christoffel_fields(self):
         """Christoffel fields of the induced 2-metric, {(c,a,b): field}."""
         g11, g12, g22 = self.induced_metric_fields
         det = self._det_field
@@ -221,9 +221,9 @@ class SurfaceImmersion(Record):
     @cached_property
     def _laplacian_H(self):
         """Laplace-Beltrami of H in the induced metric."""
-        legs, gamma = self.frame_fields, self._induced_christoffels
-        connection = tuple(covariant_leg(eps, eps, gamma) for eps in legs)
-        return laplacian_field(legs, connection, self.mean_curvature_field)
+        frame = FrameField(self.frame_fields, self)
+        return laplacian_field(frame.components, frame.connection,
+                               self.mean_curvature_field, self._gradient_H)
 
     @cached_property
     def _gradient_H(self):

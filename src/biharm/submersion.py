@@ -81,9 +81,6 @@ class SubmersionSpec(Record):
     def data(self):
         return integrability_data(self.frame_spec, self.frame)
 
-    def _edir(self, leg):
-        return lambda fld: directional_field(self.frame.components[leg], fld)
-
     @cached_property
     def target_curvature_field(self) -> ScalarField:
         return target_curvature(self.data, self.frame)
@@ -91,18 +88,20 @@ class SubmersionSpec(Record):
     @cached_property
     def residual_fields(self):
         d = self.data
-        e1, e2 = self._edir(0), self._edir(1)
         legs, conn = self.frame.components, self.frame.connection
-        lap1 = laplacian_field(legs, conn, d.kappa1)
-        lap2 = laplacian_field(legs, conn, d.kappa2)
-        div = (e1(d.f1) - d.kappa1 * d.f1) + (e2(d.f2) - d.kappa2 * d.f2)
+        grad1 = [directional_field(e, d.kappa1) for e in legs]
+        grad2 = [directional_field(e, d.kappa2) for e in legs]
+        lap1 = laplacian_field(legs, conn, d.kappa1, grad1)
+        lap2 = laplacian_field(legs, conn, d.kappa2, grad2)
+        div = ((directional_field(legs[0], d.f1) - d.kappa1 * d.f1)
+               + (directional_field(legs[1], d.f2) - d.kappa2 * d.f2))
         fsq = d.f1 * d.f1 + d.f2 * d.f2
         coeff = -1.0 * self.target_curvature_field + fsq
         r1 = (-1.0 * lap1
-              - 2.0 * (d.f1 * e1(d.kappa2) + d.f2 * e2(d.kappa2))
+              - 2.0 * (d.f1 * grad2[0] + d.f2 * grad2[1])
               - d.kappa2 * div + d.kappa1 * coeff)
         r2 = (-1.0 * lap2
-              + 2.0 * (d.f1 * e1(d.kappa1) + d.f2 * e2(d.kappa1))
+              + 2.0 * (d.f1 * grad1[0] + d.f2 * grad1[1])
               + d.kappa1 * div + d.kappa2 * coeff)
         return r1, r2
 

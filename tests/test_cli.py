@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -228,6 +229,29 @@ class TestVerifyCommand:
         assert alone == [whole[0]] + [
             line for line in whole if '"case_label": "y4"' in line]
         assert grid == {"y4.csv": grids["y4.csv"]}
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_no_directional_node_built_twice(self, tmp_path, monkeypatch,
+                                             mode):
+        # each e_i(f) has one owner (a frame its leg derivatives, a residual
+        # its gradients, validate_frame its e3(sigma)), so no (components,
+        # field) pair is built twice
+        from biharm import numkernel
+
+        built = []  # the args themselves, so that no id is reused
+        derived = numkernel._derived
+
+        def counted(dim, values, derive, *args):
+            if values is numkernel._directional_values:
+                built.append(args)
+            return derived(dim, values, derive, *args)
+
+        monkeypatch.setattr(numkernel, "_derived", counted)
+        assert run(["verify", "--mode", mode, "--grid", "5", "--specs", "8",
+                    "--seed", "7", "--out", str(tmp_path / "v.jsonl")]) == 0
+        keys = collections.Counter((id(c), id(f)) for c, f in built)
+        assert len(built) > 0
+        assert len(built) - len(keys) == 0
 
 
 class TestConstructCommand:

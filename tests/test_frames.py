@@ -351,12 +351,13 @@ class TestCurvatureRowsPerPoint:
             k_base = gauss_curvature_2d(metric, batch)
             ops = {leg: (lambda f, row=frame.components[leg - 1]:
                          directional_field(row, f)) for leg in (1, 2, 3)}
+            e3_sigma = directional_field(frame.components[2], data.sigma)
             for name, (i, j, k, l), expr, (sign, r1, r2) in _CURVATURE_ROWS:
                 lhs = np.array([
                     float(np.einsum("a,b,c,d,abcd->", m[n, i - 1], m[n, j - 1],
                                     m[n, l - 1], m[n, k - 1], low[n]))
                     for n in range(len(pts))])
-                mid = expr(data, ops)(batch)
+                mid = expr(data, ops, e3_sigma)(batch)
                 rhs = sign * a[:, r1 - 1, 2] * a[:, r2 - 1, 2] * k_base
                 values = np.maximum(np.abs(lhs - mid), np.abs(mid - rhs))
                 assert (report.channel(name).to_record()

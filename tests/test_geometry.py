@@ -237,7 +237,9 @@ class TestLaplacian:
     def test_flat_square(self, flat_metric3):
         frame = semi_geodesic_frame(flat_metric3)
         f = field_of_text("s**2", ("t", "s", "z"))
-        lap = laplacian_field(frame.components, frame.connection, f)
+        lap = laplacian_field(frame.components, frame.connection, f,
+                              [directional_field(e, f)
+                               for e in frame.components])
         assert lap((0.1, 0.3, -0.2)) == pytest.approx(2.0)
 
     def test_constant_field_everywhere_zero(self, hyperbolic_metric3):
@@ -246,7 +248,9 @@ class TestLaplacian:
         # here (see submersion.hyperbolic_uniqueness_scan)
         frame = semi_geodesic_frame(hyperbolic_metric3)
         f = ScalarField.constant(0.7, 3)
-        lap = laplacian_field(frame.components, frame.connection, f)
+        lap = laplacian_field(frame.components, frame.connection, f,
+                              [directional_field(e, f)
+                               for e in frame.components])
         assert lap((0.2, 0.1, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_projection_slope_is_base_harmonic(self):
@@ -257,7 +261,9 @@ class TestLaplacian:
         )
         frame = semi_geodesic_frame(metric2)
         slope = metric2.conformal_exponent.diff(1)
-        lap = laplacian_field(frame.components, frame.connection, slope)
+        lap = laplacian_field(frame.components, frame.connection, slope,
+                              [directional_field(e, slope)
+                               for e in frame.components])
         for s in np.linspace(-1.2, 1.2, 7):
             assert lap((0.2, float(s))) == pytest.approx(0.0, abs=1e-10)
 
@@ -268,8 +274,12 @@ class TestLaplacian:
             AdaptedFrameSpec(0.7, 0.4), sphere_metric3
         )
         p = (0.3, 1.0, 0.1)
-        va = laplacian_field(frame_a.components, frame_a.connection, f)(p)
-        vb = laplacian_field(frame_b.components, frame_b.connection, f)(p)
+        va = laplacian_field(frame_a.components, frame_a.connection, f,
+                             [directional_field(e, f)
+                              for e in frame_a.components])(p)
+        vb = laplacian_field(frame_b.components, frame_b.connection, f,
+                             [directional_field(e, f)
+                              for e in frame_b.components])(p)
         assert va == pytest.approx(vb, abs=1e-6)
 
 

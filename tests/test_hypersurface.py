@@ -10,7 +10,7 @@ from biharm.errors import (
     NonFiniteValue,
     NotCMC,
 )
-from biharm.geometry import covariant_leg
+from biharm.geometry import add_christoffel_terms
 from biharm.hypersurface import (
     HopfCylinderSpec,
     SurfaceImmersion,
@@ -36,6 +36,7 @@ from conftest import (
     flat_ambient,
     flipped,
     graph_immersion,
+    graph_nodes,
     round_sphere,
     slice_immersion,
     tilted_plane,
@@ -166,12 +167,15 @@ class TestBatchEqualsPoints:
 def _induced_laplacian_field(immersion, field):
     """Reference for ``_laplacian_H``: the induced-metric Laplacian written
     out with its own loop over the tangent legs."""
-    gamma = immersion._induced_christoffels
+    gamma = immersion.christoffel_fields
     total = None
     for eps in immersion.frame_fields:
         term = directional_field(eps, directional_field(eps, field))
-        term = term - directional_field(covariant_leg(eps, eps, gamma),
-                                        field)
+        nabla = tuple(
+            add_christoffel_terms(directional_field(eps, eps[l]), l, gamma,
+                                  eps, eps)
+            for l in range(2))
+        term = term - directional_field(nabla, field)
         total = term if total is None else total + term
     return total
 
@@ -185,6 +189,13 @@ def test_laplacian_H_matches_written_out_loop(make):
     batch = np.array(surface_points(imm, (4, 5)))
     oracle = _induced_laplacian_field(imm, imm.mean_curvature_field)
     assert imm._laplacian_H(batch).tobytes() == oracle(batch).tobytes()
+
+
+def test_laplacian_H_reads_the_gradient_H_fields():
+    imm = vertical_cylinder(2.0, 4.0)
+    nodes = {id(f) for f in graph_nodes(imm._laplacian_H)}
+    grad = [g for g in imm._gradient_H if g.number is None]
+    assert grad and all(id(g) in nodes for g in grad)
 
 
 class TestPointOrBatch:
