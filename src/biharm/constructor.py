@@ -722,12 +722,9 @@ def verify_construction(spec: SubmersionSpec, tol=1e-4, grid=(21, 21)):
     sigma = d.sigma(batch)[:n]
     channels.append(max_over_batch("slope_plus_sigma", pts,
                                    e1_alpha(batch)[:n] + sigma))
-    for name, fld in (("f2", d.f2), ("kappa1", d.kappa1),
-                      ("sigma", d.sigma), ("alpha", alpha)):
-        for leg in (1, 2):
-            der = directional_field(frame.components[leg], fld)
-            channels.append(max_over_batch(
-                f"transverse_e{leg + 1}_{name}", pts, der(batch)[:n]))
+    for name, der in spec.transverse_derivatives:
+        channels.append(max_over_batch(f"transverse_{name}", pts,
+                                       der(batch)[:n]))
 
     profile = spec.profile
     if profile is not None:

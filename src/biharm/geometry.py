@@ -9,14 +9,14 @@ Curvature is computed through the chart Christoffel symbols and contracted
 with frame components; the sign conventions are
 
     R(X,Y)Z = grad_X grad_Y Z - grad_Y grad_X Z - grad_[X,Y] Z,
-    riemann_component(i,j,k,l) = <R(e_i,e_j) e_k, e_l>,
+    frame_contraction(low, m, (i,j,k,l)) = <R(e_i,e_j) e_k, e_l>,
 
 so that on a sphere chart <R(E1,E2)E2, E1> equals the Gauss curvature.
 The Laplacian convention is Delta f = sum_i [e_i e_i f - (grad_{e_i} e_i) f];
 ``laplacian_field(legs, connection, field, gradient)`` reads the e_i f its
 caller owns, and grad_{e_i} e_j comes from ``FrameField.covariant``, on a
-3-chart frame or on a surface's tangent frame over its immersion.  A single
-point gives one value and a batch a leading axis (``numkernel.one_or_all``).
+3-chart frame or on a surface's tangent frame over its immersion.  Functions
+take (n, dim) batches; a field evaluates a single point as a batch of one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .numkernel import (
     directional_field,
     fexp,
     lift,
-    one_or_all,
     sample_grid,
     sweep,
 )
@@ -106,16 +105,16 @@ class ProductMetric3(Record):
     def dim(self):
         return 3
 
-    def weights(self, point):
-        """Diagonal metric coefficients at a point, or (n, 3) for a batch."""
-        return _diagonal_weights(self, point)
+    def weights(self, batch):
+        """Diagonal metric coefficients, (n, 3) for a batch."""
+        return _diagonal_weights(self, batch)
 
 
-def _diagonal_weights(metric, point):
-    batch = as_batch(point)
+def _diagonal_weights(metric, batch):
+    batch = as_batch(batch)
     w = np.ones((len(batch), metric.dim))
     w[:, metric.weighted_axis] = np.exp(2.0 * metric.conformal_exponent(batch))
-    return one_or_all(w, point)
+    return w
 
 
 def base_sweep(box: ChartBox, grid):
@@ -147,8 +146,8 @@ class SurfaceMetric(Record):
     def dim(self):
         return 2
 
-    def weights(self, point):
-        return _diagonal_weights(self, point)
+    def weights(self, batch):
+        return _diagonal_weights(self, batch)
 
 
 class FrameField(Record):
@@ -167,23 +166,22 @@ class FrameField(Record):
     def dim(self):
         return len(self.components)
 
-    def matrix(self, point):
-        """Leg-by-component matrix at a point, or (n, d, d) for a batch."""
-        return _field_matrix(self.components, point)
+    def matrix(self, batch):
+        """Leg-by-component matrices, (n, d, d) for a batch."""
+        return _field_matrix(self.components, batch)
 
-    def coeff_matrix(self, point):
+    def coeff_matrix(self, batch):
         if self.coeff is None:
             return None
-        return _field_matrix(self.coeff, point)
+        return _field_matrix(self.coeff, batch)
 
-    def orthonormality_defect(self, point):
-        """Worst entry of |Gram - I| at a point, or per point of a batch."""
-        batch = as_batch(point)
+    def orthonormality_defect(self, batch):
+        """Worst entry of |Gram - I| per point of a batch."""
+        batch = as_batch(batch)
         w = self.metric.weights(batch)
         m = self.matrix(batch)
         gram = (m * w[:, None, :]) @ np.swapaxes(m, -1, -2)
-        return one_or_all(
-            np.max(np.abs(gram - np.eye(self.dim)), axis=(-2, -1)), point)
+        return np.max(np.abs(gram - np.eye(self.dim)), axis=(-2, -1))
 
     @functools.cached_property
     def leg_derivatives(self):
@@ -207,32 +205,31 @@ class FrameField(Record):
         return tuple(self.covariant(i, i) for i in range(self.dim))
 
 
-def _field_matrix(rows, point):
-    batch = as_batch(point)
+def _field_matrix(rows, batch):
+    batch = as_batch(batch)
     stacked = np.array([[c(batch) for c in row] for row in rows])
-    return one_or_all(np.moveaxis(stacked, -1, 0), point)
+    return np.moveaxis(stacked, -1, 0)
 
 
 # -- Christoffel symbols ------------------------------------------------------
 
 
-def christoffel_symbols(metric, point):
-    """Chart Christoffel symbols as an array G[k, i, j] (G[n, k, i, j] for a
-    batch)."""
+def christoffel_symbols(metric, batch):
+    """Chart Christoffel symbols G[n, k, i, j] of a batch."""
     d = metric.dim
-    batch = as_batch(point)
+    batch = as_batch(batch)
     out = np.zeros((len(batch), d, d, d))
     for (k, i, j), fld in metric.christoffel_fields.items():
         out[:, k, i, j] = fld(batch)
-    return one_or_all(out, point)
+    return out
 
 
 @sweep()
-def riemann_chart(metric, point):
-    """Lowered curvature R[i,j,k,l] = <R(d_i, d_j) d_k, d_l> at a point
-    (R[n, i, j, k, l] for a batch)."""
+def riemann_chart(metric, batch):
+    """Lowered curvature R[n, i, j, k, l] = <R(d_i, d_j) d_k, d_l> of a
+    batch."""
     d = metric.dim
-    batch = as_batch(point)
+    batch = as_batch(batch)
     gamma = christoffel_symbols(metric, batch)
     dgamma = np.zeros((len(batch), d, d, d, d))  # [n, a, k, i, j] = d_a G^k_ij
     for (k, i, j), fld in metric.christoffel_fields.items():
@@ -244,8 +241,7 @@ def riemann_chart(metric, point):
           - np.einsum("njlik->nlijk", dgamma))
     up += np.einsum("nlim,nmjk->nlijk", gamma, gamma)
     up -= np.einsum("nljm,nmik->nlijk", gamma, gamma)
-    low = np.moveaxis(up, 1, -1) * weights[:, None, None, None, :]
-    return one_or_all(low, point)
+    return np.moveaxis(up, 1, -1) * weights[:, None, None, None, :]
 
 
 # -- curvature ---------------------------------------------------------------
@@ -280,20 +276,6 @@ def frame_contraction(low, m, indices):
     i, j, k, l = indices
     return np.einsum("na,nb,nc,nd,nabcd->n",
                      m[:, i], m[:, j], m[:, k], m[:, l], low)
-
-
-@sweep()
-def riemann_component(metric, point, frame: FrameField, indices):
-    """<R(e_i, e_j) e_k, e_l> for the given frame legs, at a point or per
-    point of a batch.
-
-    The frame must be orthonormal for the metric at every point (checked to
-    1e-6).
-    """
-    batch = as_batch(point)
-    _require_orthonormal(frame, batch, 1e-6)
-    return one_or_all(frame_contraction(riemann_chart(metric, batch),
-                                        frame.matrix(batch), indices), point)
 
 
 # -- frame Laplacian ----------------------------------------------------------

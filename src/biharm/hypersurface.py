@@ -45,7 +45,6 @@ from .numkernel import (
     fsin,
     fsinh,
     fsqrt,
-    one_or_all,
     sample_grid,
     sweep,
 )
@@ -76,12 +75,10 @@ class SurfaceImmersion(Record):
             raise ValueError("the parameter box must be 2-dimensional")
         object.__setattr__(self, "orientation", int(self.orientation))
 
-    def point(self, uv):
-        """Chart point (an array row) of a parameter point, or the (n, 3)
-        chart batch of a parameter batch."""
-        batch = as_batch(uv)
-        return one_or_all(as_batch(
-            np.column_stack([c(batch) for c in self.components])), uv)
+    def point(self, points):
+        """The (n, 3) chart batch of a batch of parameter points."""
+        batch = as_batch(points)
+        return as_batch(np.column_stack([c(batch) for c in self.components]))
 
     # -- derived fields on the (u, v) chart -----------------------------------
 
@@ -231,29 +228,17 @@ class SurfaceImmersion(Record):
         return tuple(directional_field(eps, self.mean_curvature_field)
                      for eps in self.frame_fields)
 
-    def frame_vectors_ambient(self, uv):
-        """Chart components of the pushed-forward tangent frame at uv (one
-        2x3 matrix per point of a batch)."""
-        return (_field_matrix(self.frame_fields, uv)
-                @ _field_matrix(self.tangent_fields, uv))
-
 
 class SurfaceGeometry(Record):
-    """First/second fundamental data of an immersion at one parameter point,
-    or per point of a batch (every field then has a leading batch axis)."""
+    """First/second fundamental data of an immersion per point of a batch
+    (every field has a leading batch axis)."""
 
     induced_metric: np.ndarray
     unit_normal: np.ndarray
     shape_operator: np.ndarray  # in the orthonormal tangent frame
-    mean_curvature: float
-    shape_norm_sq: float
+    mean_curvature: np.ndarray
+    shape_norm_sq: np.ndarray
     principal_curvatures: np.ndarray  # by |k| descending
-
-
-def _at_point_or_batch(result, uv):
-    """A batch result as is, or its values at the single point ``uv``."""
-    return type(result)(**{k: one_or_all(v, uv)
-                           for k, v in vars(result).items()})
 
 
 def _pairs(a11, a12, a22):
@@ -266,14 +251,14 @@ def _normals(immersion, batch):
 
 
 @sweep()
-def surface_geometry(immersion: SurfaceImmersion, uv) -> SurfaceGeometry:
-    """Fundamental forms, unit normal, shape operator and curvatures at uv,
-    or per point of a batch of parameter points.
+def surface_geometry(immersion: SurfaceImmersion, points) -> SurfaceGeometry:
+    """Fundamental forms, unit normal, shape operator and curvatures per
+    point of a batch of parameter points.
 
     Raises DegenerateImmersion at the first point (in batch order) where
     the induced metric is degenerate.
     """
-    batch = as_batch(uv)
+    batch = as_batch(points)
     grams = _pairs(*(f(batch) for f in immersion.induced_metric_fields))
     dets = np.linalg.det(grams)
     degenerate = dets <= _RANK_TOL
@@ -288,41 +273,42 @@ def surface_geometry(immersion: SurfaceImmersion, uv) -> SurfaceGeometry:
     eig = np.linalg.eigvalsh(shapes)
     # stable, so equal |k| keep their eigvalsh order
     order = np.argsort(-np.abs(eig), axis=-1, kind="stable")
-    return _at_point_or_batch(SurfaceGeometry(
+    return SurfaceGeometry(
         induced_metric=grams,
         unit_normal=_normals(immersion, batch),
         shape_operator=shapes,
         mean_curvature=0.5 * (a11 + a22),
         shape_norm_sq=np.sum(shapes * shapes, axis=(-2, -1)),
         principal_curvatures=np.take_along_axis(eig, order, axis=-1),
-    ), uv)
+    )
 
 
 class RicciSplit(Record):
-    """Ambient Ricci curvature split along a surface normal, at a point or
-    per point of a batch.
+    """Ambient Ricci curvature split along a surface normal, per point of a
+    batch.
 
     ``normal``/``tangent`` come from contracting the chart curvature
     tensor; the ``*_closed`` values are the product-chart closed forms
     (1 - <xi,E3>^2) K and -<xi,E3> K (<e_a,E3>) for cross-checking.
     """
 
-    normal: float
+    normal: np.ndarray
     tangent: np.ndarray
-    normal_closed: float
+    normal_closed: np.ndarray
     tangent_closed: np.ndarray
 
 
 @sweep()
-def ambient_ricci(immersion: SurfaceImmersion, uv) -> RicciSplit:
-    """Ambient Ricci split along the unit normal at uv, or per point of a
-    batch of parameter points."""
-    batch = as_batch(uv)
+def ambient_ricci(immersion: SurfaceImmersion, points) -> RicciSplit:
+    """Ambient Ricci split along the unit normal per point of a batch of
+    parameter points."""
+    batch = as_batch(points)
     chart = immersion.point(batch)
     metric = immersion.ambient
     xi = _normals(immersion, batch)
-    legs = immersion.frame_vectors_ambient(batch)
-    # rows 0, 1: the tangent legs; row 2: the normal
+    # rows 0, 1: the pushed-forward tangent legs; row 2: the normal
+    legs = (_field_matrix(immersion.frame_fields, batch)
+            @ _field_matrix(immersion.tangent_fields, batch))
     vectors = np.concatenate([legs, xi[:, None, :]], axis=1)
     low = riemann_chart(metric, chart)
     # Ric(xi, v_y) = sum_r <R(v_r, xi) v_y, v_r>, for v_y = xi, e1, e2
@@ -333,23 +319,20 @@ def ambient_ricci(immersion: SurfaceImmersion, uv) -> RicciSplit:
         for y in (2, 0, 1))
     k_base = gauss_curvature_2d(metric, chart)
     a13, a23, a33 = legs[:, 0, 2], legs[:, 1, 2], xi[:, 2]
-    return _at_point_or_batch(RicciSplit(
+    return RicciSplit(
         normal=normal,
         tangent=np.column_stack([ric1, ric2]),
         normal_closed=(1.0 - a33 * a33) * k_base,
         tangent_closed=np.column_stack(
             [-a33 * a13 * k_base, -a33 * a23 * k_base]),
-    ), uv)
+    )
 
 
 @sweep()
-def biharmonic_residuals_surface(immersion: SurfaceImmersion, uv):
-    """Scalar and tangent residual channels of the surface system at uv.
-
-    For a batch of parameter points: an (n,) array of scalar residuals and
-    an (n, 2) array of tangent residuals.
-    """
-    batch = as_batch(uv)
+def biharmonic_residuals_surface(immersion: SurfaceImmersion, points):
+    """Scalar (n,) and tangent (n, 2) residual channels of the surface
+    system on a batch of parameter points."""
+    batch = as_batch(points)
     h = immersion.mean_curvature_field(batch)
     lap = immersion._laplacian_H(batch)
     grad = np.column_stack([g(batch) for g in immersion._gradient_H])
@@ -358,7 +341,7 @@ def biharmonic_residuals_surface(immersion: SurfaceImmersion, uv):
     scalars = lap - h * geo.shape_norm_sq + h * ric.normal
     tangents = ((2.0 * geo.shape_operator @ grad[:, :, None])[:, :, 0]
                 + 2.0 * h[:, None] * grad - 2.0 * h[:, None] * ric.tangent)
-    return one_or_all(scalars, uv), one_or_all(tangents, uv)
+    return scalars, tangents
 
 
 class CmcClassification(Record):

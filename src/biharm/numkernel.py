@@ -48,10 +48,9 @@ Directional derivatives and the curvature read first partials through the
 cache of ``diff``, so each is one node per field and axis, and a
 directional derivative reads every partial it takes (one for each
 component that is not the exact 0) on the batch it is evaluated on.
-Pure partials, and the stencil reach they need, follow from ``diff``, but
-for the second and third partials of a field without a derivative rule
-along an axis it reads, which take direct stencils (see
-``ScalarField._partial``).
+Pure partials follow from ``diff``, but for the second and third partials
+of a field without a derivative rule along an axis it reads, which take
+direct stencils (see ``ScalarField._partial``).
 
 Values are IEEE double arithmetic on arrays, and the unary functions apply
 the ``math`` module one value after another: numpy's vectorised exp, tan,
@@ -391,11 +390,6 @@ class ScalarField:
             raise ValueError("order must be 1, 2 or 3")
         return self._partial(axis, order)(point)
 
-    def stencil_reach(self, axis, order):
-        """Half-width of the set of points that partial() evaluates this
-        field at (0 when no stencil is involved)."""
-        return _reach(self._partial(axis, order), {})
-
     # -- algebra -------------------------------------------------------------
 
     def _binary(self, other, op):
@@ -566,22 +560,6 @@ def _inputs(field):
     return [f for arg in field._args
             for f in (arg if type(arg) is tuple else (arg,))
             if isinstance(f, ScalarField)]
-
-
-def _reach(field, memo):
-    """Half-width of the set of points an evaluation of ``field`` touches:
-    the steps of its stencils, the largest reach of a node's inputs."""
-    values, args = field._values, field._args
-    if values is _stencil_values:
-        return args[3] + _reach(args[0], memo)
-    if id(field) not in memo:
-        if values is _directional_values:  # it takes first partials
-            comps, f = args
-            inputs = comps + tuple(map(f.diff, range(f.dim)))
-        else:
-            inputs = _inputs(field)
-        memo[id(field)] = max((_reach(f, memo) for f in inputs), default=0.0)
-    return memo[id(field)]
 
 
 def _axes(field, memo):

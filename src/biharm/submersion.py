@@ -86,15 +86,36 @@ class SubmersionSpec(Record):
         return target_curvature(self.data, self.frame)
 
     @cached_property
+    def data_derivatives(self):
+        """The frame derivatives of the data that the residual fields read."""
+        d, legs = self.data, self.frame.components
+        return ([directional_field(e, d.kappa1) for e in legs],
+                [directional_field(e, d.kappa2) for e in legs],
+                directional_field(legs[0], d.f1),
+                directional_field(legs[1], d.f2))
+
+    @cached_property
+    def transverse_derivatives(self):
+        """(name, field) of e2 and e3 of f2, kappa1, sigma and alpha, which a
+        warped construction checks: those the residuals read come from
+        ``data_derivatives``, and e3(alpha) is -kappa2 in the data."""
+        d, (_, e2, e3) = self.data, self.frame.components
+        grad1, _, _, e2_f2 = self.data_derivatives
+        return (("e2_f2", e2_f2), ("e3_f2", directional_field(e3, d.f2)),
+                ("e2_kappa1", grad1[1]), ("e3_kappa1", grad1[2]),
+                ("e2_sigma", directional_field(e2, d.sigma)),
+                ("e3_sigma", directional_field(e3, d.sigma)),
+                ("e2_alpha", directional_field(e2, self.frame_spec.alpha)),
+                ("e3_alpha", -1.0 * d.kappa2))
+
+    @cached_property
     def residual_fields(self):
         d = self.data
         legs, conn = self.frame.components, self.frame.connection
-        grad1 = [directional_field(e, d.kappa1) for e in legs]
-        grad2 = [directional_field(e, d.kappa2) for e in legs]
+        grad1, grad2, e1_f1, e2_f2 = self.data_derivatives
         lap1 = laplacian_field(legs, conn, d.kappa1, grad1)
         lap2 = laplacian_field(legs, conn, d.kappa2, grad2)
-        div = ((directional_field(legs[0], d.f1) - d.kappa1 * d.f1)
-               + (directional_field(legs[1], d.f2) - d.kappa2 * d.f2))
+        div = (e1_f1 - d.kappa1 * d.f1) + (e2_f2 - d.kappa2 * d.f2)
         fsq = d.f1 * d.f1 + d.f2 * d.f2
         coeff = -1.0 * self.target_curvature_field + fsq
         r1 = (-1.0 * lap1

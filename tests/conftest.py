@@ -18,7 +18,14 @@ from biharm.numkernel import (
     fsin,
     sweep,
 )
-from biharm.geometry import FrameField, ProductMetric3, gauss_curvature_2d
+from biharm.geometry import (
+    FrameField,
+    ProductMetric3,
+    _require_orthonormal,
+    frame_contraction,
+    gauss_curvature_2d,
+    riemann_chart,
+)
 from biharm.hypersurface import (
     SurfaceImmersion,
     biharmonic_residuals_surface,
@@ -94,6 +101,41 @@ def in_mode(mode, objs):
     their finite-difference copies, made one at a time as the CLI makes
     them."""
     return map(numkernel.numeric_only, objs) if mode == "fd" else objs
+
+
+def at_point(fn, *args, point, **kwargs):
+    """What ``fn`` gives at one point: it is called with the batch
+    ``[point]`` after ``args``, and row 0 is taken of its result, of each
+    item of a tuple, or of each field of a record."""
+    result = fn(*args, [point], **kwargs)
+    if isinstance(result, Record):
+        return type(result)(**{name: value[0]
+                               for name, value in vars(result).items()})
+    if type(result) is tuple:
+        return tuple(value[0] for value in result)
+    return result[0]
+
+
+def stencil_reach(field, axis, order):
+    """Half-width of the set of points that ``field.partial`` evaluates the
+    field at for this axis and order (0 when no stencil is involved)."""
+    return _reach(field._partial(axis, order), {})
+
+
+def _reach(field, memo):
+    """Half-width of the set of points an evaluation of ``field`` touches:
+    the steps of its stencils, the largest reach of a node's inputs."""
+    values, args = field._values, field._args
+    if values is numkernel._stencil_values:
+        return args[3] + _reach(args[0], memo)
+    if id(field) not in memo:
+        if values is numkernel._directional_values:  # it takes first partials
+            comps, f = args
+            inputs = comps + tuple(map(f.diff, range(f.dim)))
+        else:
+            inputs = numkernel._inputs(field)
+        memo[id(field)] = max((_reach(f, memo) for f in inputs), default=0.0)
+    return memo[id(field)]
 
 
 def graph_nodes(field, seen=None):
@@ -320,6 +362,19 @@ def biharmonic_residuals(spec: SubmersionSpec, point):
     """The two residual channels at a point; (0, 0) iff biharmonic there."""
     r1, r2 = spec.residual_fields
     return r1(point), r2(point)
+
+
+@sweep()
+def riemann_component(metric, batch, frame: FrameField, indices):
+    """<R(e_i, e_j) e_k, e_l> for the given frame legs, per point of a batch.
+
+    The frame must be orthonormal for the metric at every point (checked to
+    1e-6).
+    """
+    batch = as_batch(batch)
+    _require_orthonormal(frame, batch, 1e-6)
+    return frame_contraction(riemann_chart(metric, batch),
+                             frame.matrix(batch), indices)
 
 
 # -- builders and readers that no command runs -------------------------------------

@@ -230,12 +230,19 @@ class TestVerifyCommand:
             line for line in whole if '"case_label": "y4"' in line]
         assert grid == {"y4.csv": grids["y4.csv"]}
 
-    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--mode", "analytic", "--grid", "5", "--specs", "8",
+         "--seed", "7"],
+        ["verify", "--mode", "fd", "--grid", "5", "--specs", "8",
+         "--seed", "7"],
+        ["construct", "--alpha0", "0.8", "--alpha1", "0.1", "--u0", "-1",
+         "--yspan", "0:1", "--step", "1e-3"],
+    ], ids=["analytic", "fd", "construct"])
     def test_no_directional_node_built_twice(self, tmp_path, monkeypatch,
-                                             mode):
-        # each e_i(f) has one owner (a frame its leg derivatives, a residual
-        # its gradients, validate_frame its e3(sigma)), so no (components,
-        # field) pair is built twice
+                                             argv):
+        # each e_i(f) has one owner (a frame its leg derivatives, a spec the
+        # derivatives of its data that the residuals read, validate_frame
+        # its e3(sigma)), so no (components, field) pair is built twice
         from biharm import numkernel
 
         built = []  # the args themselves, so that no id is reused
@@ -247,8 +254,7 @@ class TestVerifyCommand:
             return derived(dim, values, derive, *args)
 
         monkeypatch.setattr(numkernel, "_derived", counted)
-        assert run(["verify", "--mode", mode, "--grid", "5", "--specs", "8",
-                    "--seed", "7", "--out", str(tmp_path / "v.jsonl")]) == 0
+        assert run(argv + ["--out", str(tmp_path / "out.jsonl")]) == 0
         keys = collections.Counter((id(c), id(f)) for c, f in built)
         assert len(built) > 0
         assert len(built) - len(keys) == 0

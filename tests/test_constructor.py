@@ -35,6 +35,7 @@ from biharm.report import write_report
 from conftest import (
     S,
     T,
+    at_point,
     build_flat_target,
     field_of,
     profile_from_text,
@@ -1094,10 +1095,11 @@ class TestNonflatBuilder:
                             np.zeros_like(ys))
         built = build_nonflat_target(ConstructionSpec(prof))
         y = 0.7
-        w = built.canonical.domain_metric.weights((0.1, y, 0.0))
+        w = at_point(built.canonical.domain_metric.weights,
+                     point=(0.1, y, 0.0))
         assert w[0] == pytest.approx(math.tan(y) ** 2, abs=1e-10)
         assert w[1] == w[2] == 1.0
-        tw = built.target.weights((y, 0.3))
+        tw = at_point(built.target.weights, point=(y, 0.3))
         assert tw[1] == pytest.approx(math.sin(y) ** 2, abs=1e-10)
         assert built.target_curvature(y) == pytest.approx(1.0, abs=1e-9)
 
@@ -1119,8 +1121,9 @@ class TestNonflatBuilder:
         assert "z - t(x)" in minus.map_note
         # identical metrics either way
         p = (0.1, 0.5, 0.0)
-        assert plus.canonical.domain_metric.weights(p) == pytest.approx(
-            minus.canonical.domain_metric.weights(p)
+        assert at_point(plus.canonical.domain_metric.weights,
+                        point=p) == pytest.approx(
+            at_point(minus.canonical.domain_metric.weights, point=p)
         )
 
     def test_solved_profile_pipeline(self, solved_profile):

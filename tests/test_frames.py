@@ -37,6 +37,7 @@ from conftest import (
     S,
     T,
     Z,
+    at_point,
     data_channels,
     field_of,
     graph_nodes,
@@ -59,7 +60,8 @@ def bracket_vector(frame, i, j, point):
 class TestSemiGeodesicFrame:
     def test_flat_coordinate_frame(self, flat_metric3):
         frame = semi_geodesic_frame(flat_metric3)
-        assert np.allclose(frame.matrix((0.1, 0.2, 0.3)), np.eye(3))
+        assert np.allclose(at_point(frame.matrix, point=(0.1, 0.2, 0.3)),
+                           np.eye(3))
 
     def test_bracket_slope(self, sphere_metric3):
         # [E1, E2] = f E1 with f = q_s = cot(s); it vanishes at the equator
@@ -69,7 +71,7 @@ class TestSemiGeodesicFrame:
         p = (0.2, 0.9, 0.0)
         br = bracket_vector(frame, 0, 1, p)
         f = 1.0 / math.tan(0.9)
-        e1 = frame.matrix(p)[0]
+        e1 = at_point(frame.matrix, point=p)[0]
         assert np.allclose(br, f * e1, atol=1e-9)
 
     def test_flat_factor_parallel(self, sphere_metric3):
@@ -95,7 +97,7 @@ class TestAdaptedFrame:
         frame = adapted_frame(AdaptedFrameSpec(math.pi / 2, 0.0), sphere_metric3)
         p = (0.4, 1.0, 0.0)
         einv = math.exp(-sphere_metric3.conformal_exponent(p))
-        m = frame.matrix(p)
+        m = at_point(frame.matrix, point=p)
         assert np.allclose(m[0], [0.0, 1.0, 0.0], atol=1e-12)
         assert np.allclose(m[1], [-einv, 0.0, 0.0], atol=1e-12)
         assert np.allclose(m[2], [0.0, 0.0, 1.0], atol=1e-12)
@@ -107,7 +109,7 @@ class TestAdaptedFrame:
         )
         p = (0.4, 1.0, 0.0)
         einv = math.exp(-sphere_metric3.conformal_exponent(p))
-        m = frame.matrix(p)
+        m = at_point(frame.matrix, point=p)
         assert np.allclose(m[0], [0.0, 1.0, 0.0], atol=1e-12)
         assert np.allclose(m[1], [0.0, 0.0, 1.0], atol=1e-12)
         assert np.allclose(m[2], [einv, 0.0, 0.0], atol=1e-12)
@@ -127,9 +129,11 @@ class TestAdaptedFrame:
                 [math.sin(al) * math.sin(th), -math.sin(al) * math.cos(th),
                  math.cos(al)],
             ])
-            assert np.allclose(frame.coeff_matrix(p), expected, atol=1e-12)
-            assert np.linalg.det(frame.coeff_matrix(p)) == pytest.approx(1.0)
-            assert frame.orthonormality_defect(p) < 1e-10
+            assert np.allclose(at_point(frame.coeff_matrix, point=p),
+                               expected, atol=1e-12)
+            assert np.linalg.det(
+                at_point(frame.coeff_matrix, point=p)) == pytest.approx(1.0)
+            assert at_point(frame.orthonormality_defect, point=p) < 1e-10
 
 
 class TestIntegrabilityData:
@@ -178,7 +182,7 @@ class TestIntegrabilityData:
         rng = np.random.default_rng(3)
         for _ in range(5):
             p = tuple(rng.uniform(-0.8, 0.8, size=3))
-            a = frame.coeff_matrix(p)
+            a = at_point(frame.coeff_matrix, point=p)
             lhs1 = data.kappa1(p) * a[2][2]
             rhs1 = (data.sigma(p) - data.f3(p)) * a[1][2]
             assert lhs1 == pytest.approx(rhs1, abs=1e-10)
@@ -304,8 +308,8 @@ class TestValidateFrame:
             data = integrability_data(spec, frame)
             p = base_sweep(metric.box, (3, 3))[4]
             br = bracket_vector(frame, 0, 2, p)
-            w = metric.weights(p)
-            e2 = frame.matrix(p)[1]
+            w = at_point(metric.weights, point=p)
+            e2 = at_point(frame.matrix, point=p)[1]
             f3_bracket = float(np.sum(w * br * e2))
             assert f3_bracket == pytest.approx(data.f3(p), abs=1e-9)
             assert f3_bracket == pytest.approx(

@@ -21,7 +21,6 @@ from biharm.geometry import (
     gauss_curvature_2d,
     laplacian_field,
     riemann_chart,
-    riemann_component,
 )
 from biharm import numkernel
 from biharm.numkernel import (
@@ -31,31 +30,40 @@ from biharm.numkernel import (
     fsin,
     numeric_only,
 )
-from conftest import S, T, field_of, field_of_text, semi_geodesic_frame
+from conftest import (
+    S,
+    T,
+    at_point,
+    field_of,
+    field_of_text,
+    riemann_component,
+    semi_geodesic_frame,
+)
 
 
 def _frame_components(metric, frame, p):
     """Every <R(e_i, e_j) e_k, e_l> at p, as one (3, 3, 3, 3) array."""
-    m = frame.matrix(p)
+    m = at_point(frame.matrix, point=p)
     return np.einsum("ia,jb,kc,ld,abcd->ijkl", m, m, m, m,
-                     riemann_chart(metric, p))
+                     at_point(riemann_chart, metric, point=p))
 
 
 class TestChristoffel:
     def test_flat_all_zero(self, flat_metric3):
-        g = christoffel_symbols(flat_metric3, (0.1, 0.2, 0.3))
+        g = at_point(christoffel_symbols, flat_metric3, point=(0.1, 0.2, 0.3))
         assert np.max(np.abs(g)) == 0.0
 
     def test_linear_exponent(self, hyperbolic_metric3):
         # q = s: the weighted block is G^s_tt = -e^{2s}, G^t_ts = 1
         p = (0.3, 0.5, 0.0)
-        g = christoffel_symbols(hyperbolic_metric3, p)
+        g = at_point(christoffel_symbols, hyperbolic_metric3, point=p)
         assert g[1, 0, 0] == pytest.approx(-math.exp(2 * 0.5), abs=1e-10)
         assert g[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
         assert g[0, 1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_lower_indices(self, sphere_metric3):
-        g = christoffel_symbols(sphere_metric3, (0.2, 0.9, 0.1))
+        g = at_point(christoffel_symbols, sphere_metric3,
+                     point=(0.2, 0.9, 0.1))
         assert np.max(np.abs(g - np.transpose(g, (0, 2, 1)))) < 1e-12
 
     def test_sphere_surface_chart(self):
@@ -65,7 +73,7 @@ class TestChristoffel:
             ChartBox((0.3, -1.0), (2.8, 1.0), 0.02),
             weighted_axis=1,
         )
-        g = christoffel_symbols(metric, (math.pi / 4, 0.0))
+        g = at_point(christoffel_symbols, metric, point=(math.pi / 4, 0.0))
         assert g[0, 1, 1] == pytest.approx(-0.5, abs=1e-12)
 
 
@@ -108,14 +116,16 @@ class TestRiemann:
         frame = semi_geodesic_frame(flat_metric3)
         p = (0.3, -0.2, 0.5)
         for idx in itertools.product(range(3), repeat=4):
-            assert riemann_component(flat_metric3, p, frame, idx) == pytest.approx(
+            assert at_point(riemann_component, flat_metric3, point=p,
+                            frame=frame, indices=idx) == pytest.approx(
                 0.0, abs=1e-12
             )
 
     def test_sphere_sectional(self, sphere_metric3):
         frame = semi_geodesic_frame(sphere_metric3)
         p = (0.4, 1.2, 0.0)
-        val = riemann_component(sphere_metric3, p, frame, (0, 1, 1, 0))
+        val = at_point(riemann_component, sphere_metric3, point=p,
+                       frame=frame, indices=(0, 1, 1, 0))
         assert val == pytest.approx(1.0, abs=1e-10)
         assert val == pytest.approx(gauss_curvature_2d(sphere_metric3, p), abs=1e-10)
 
@@ -128,7 +138,8 @@ class TestRiemann:
             metric = ProductMetric3(field_of(q, 2), box)
             frame = semi_geodesic_frame(metric)
             p = tuple(rng.uniform(-0.8, 0.8, size=3))
-            lhs = riemann_component(metric, p, frame, (0, 1, 1, 0))
+            lhs = at_point(riemann_component, metric, point=p, frame=frame,
+                           indices=(0, 1, 1, 0))
             assert lhs == pytest.approx(gauss_curvature_2d(metric, p), abs=1e-6)
 
     def test_first_bianchi(self):
@@ -166,12 +177,13 @@ class TestRiemann:
         data = integrability_data(spec, frame)
         p = (0.2, 0.8, 0.0)
         # printed index pattern (1,2,1,2) means <R(e1,e2)e2, e1>
-        lhs = riemann_component(metric, p, frame, (0, 1, 1, 0))
+        lhs = at_point(riemann_component, metric, point=p, frame=frame,
+                       indices=(0, 1, 1, 0))
         e1f2 = directional_field(frame.components[0], data.f2)(p)
         e2f1 = directional_field(frame.components[1], data.f1)(p)
         mid = (e1f2 + e2f1 - data.f1(p) ** 2 - data.f2(p) ** 2
                + 2 * data.f3(p) * data.sigma(p) - 3 * data.sigma(p) ** 2)
-        a33 = frame.coeff_matrix(p)[2][2]
+        a33 = at_point(frame.coeff_matrix, point=p)[2][2]
         rhs = a33**2 * gauss_curvature_2d(metric, p)
         assert lhs == pytest.approx(mid, abs=1e-9)
         assert mid == pytest.approx(rhs, abs=1e-9)
@@ -184,7 +196,8 @@ class TestRiemann:
             pts = base_sweep(metric.box, (3, 3))
             for idx in ((0, 1, 1, 0), (0, 2, 1, 2), (2, 0, 1, 1)):
                 batch = riemann_component(metric, np.array(pts), frame, idx)
-                single = [riemann_component(metric, p, frame, idx)
+                single = [at_point(riemann_component, metric, point=p,
+                                   frame=frame, indices=idx)
                           for p in pts]
                 assert batch.tobytes() == np.array(single).tobytes()
 
@@ -196,7 +209,8 @@ class TestRiemann:
             flat_metric3,
         )
         with pytest.raises(NonOrthonormalFrame):
-            riemann_component(flat_metric3, (0.0, 0.0, 0.0), bad, (0, 1, 1, 0))
+            at_point(riemann_component, flat_metric3, point=(0.0, 0.0, 0.0),
+                     frame=bad, indices=(0, 1, 1, 0))
 
 
 class TestSharedFirstPartials:
@@ -281,37 +295,3 @@ class TestLaplacian:
                              [directional_field(e, f)
                               for e in frame_b.components])(p)
         assert va == pytest.approx(vb, abs=1e-6)
-
-
-_POINT_OR_BATCH = {
-    "weights": lambda metric, frame, p: metric.weights(p),
-    "matrix": lambda metric, frame, p: frame.matrix(p),
-    "coeff_matrix": lambda metric, frame, p: frame.coeff_matrix(p),
-    "orthonormality_defect":
-        lambda metric, frame, p: frame.orthonormality_defect(p),
-    "christoffel_symbols":
-        lambda metric, frame, p: christoffel_symbols(metric, p),
-    "riemann_chart": lambda metric, frame, p: riemann_chart(metric, p),
-    "riemann_component":
-        lambda metric, frame, p: riemann_component(metric, p, frame,
-                                                   (0, 2, 1, 2)),
-}
-_SCALAR_RESULTS = ("orthonormality_defect", "riemann_component")
-
-
-@pytest.mark.parametrize("name", list(_POINT_OR_BATCH))
-def test_point_or_batch(sphere_metric3, name):
-    # a single point gives the row of the batch result, a float where the
-    # row is one number
-    frame = adapted_frame(AdaptedFrameSpec(0.7, 0.4), sphere_metric3)
-    pts = [(0.1, 0.9, 0.2), (-0.3, 1.4, 0.0), (0.5, 2.1, -0.4)]
-    call = _POINT_OR_BATCH[name]
-    batch = call(sphere_metric3, frame, np.array(pts))
-    assert type(batch) is np.ndarray and len(batch) == len(pts)
-    for p, row in zip(pts, batch):
-        one = call(sphere_metric3, frame, p)
-        if name in _SCALAR_RESULTS:
-            assert type(one) is float
-        else:
-            assert type(one) is np.ndarray and one.shape == row.shape
-        assert np.asarray(one).tobytes() == row.tobytes()

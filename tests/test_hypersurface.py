@@ -31,6 +31,7 @@ from biharm.numkernel import (
 from conftest import (
     NotUmbilic,
     X,
+    at_point,
     field_of,
     field_of_text,
     flat_ambient,
@@ -54,13 +55,13 @@ def unit_cylinder():
 class TestSurfaceGeometry:
     def test_flat_slice_totally_geodesic(self):
         sl = slice_immersion(flat_ambient())
-        geo = surface_geometry(sl, (0.3, -0.4))
+        geo = at_point(surface_geometry, sl, point=(0.3, -0.4))
         assert geo.mean_curvature == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(geo.shape_operator)) < 1e-12
         assert np.allclose(geo.induced_metric, np.eye(2))
 
     def test_unit_cylinder(self, unit_cylinder):
-        geo = surface_geometry(unit_cylinder, (0.2, 0.1))
+        geo = at_point(surface_geometry, unit_cylinder, point=(0.2, 0.1))
         assert geo.mean_curvature == pytest.approx(0.5, abs=1e-12)
         assert geo.shape_norm_sq == pytest.approx(1.0, abs=1e-12)
         # principal curvatures (2H, 0)
@@ -71,7 +72,7 @@ class TestSurfaceGeometry:
 
     def test_parabolic_graph_origin(self):
         g = graph_immersion(field_of(U**2 / 2, 2))
-        geo = surface_geometry(g, (0.0, 0.0))
+        geo = at_point(surface_geometry, g, point=(0.0, 0.0))
         assert geo.mean_curvature == pytest.approx(0.5, abs=1e-10)
 
     def test_fundamental_form_contracts(self):
@@ -79,9 +80,9 @@ class TestSurfaceGeometry:
         rng = np.random.default_rng(31)
         g = graph_immersion(
             field_of(0.4 * U**2 + 0.3 * sp.sin(V) + 0.2 * U * V, 2))
-        w = g.ambient.weights((0, 0, 0))
+        w = at_point(g.ambient.weights, point=(0, 0, 0))
         for p in surface_points(g, (3, 3)):
-            geo = surface_geometry(g, p)
+            geo = at_point(surface_geometry, g, point=p)
             xi = geo.unit_normal
             assert float(np.sum(w * xi * xi)) == pytest.approx(1.0, abs=1e-8)
             for a in range(2):
@@ -101,7 +102,7 @@ class TestSurfaceGeometry:
         )
         imm = SurfaceImmersion(comps, amb, ChartBox((-1, -1), (1, 1), 0.02))
         with pytest.raises(DegenerateImmersion):
-            surface_geometry(imm, (0.2, 0.3))
+            at_point(surface_geometry, imm, point=(0.2, 0.3))
 
     def test_degenerate_names_first_point_in_batch_order(self):
         # (u, u v, 0) has det g = u^2: degenerate on u = 0 only
@@ -149,17 +150,18 @@ class TestBatchEqualsPoints:
     def test_surface_geometry(self, make):
         imm, pts, batch = self._setup(make)
         self._check(surface_geometry(imm, batch),
-                    [surface_geometry(imm, p) for p in pts])
+                    [at_point(surface_geometry, imm, point=p) for p in pts])
 
     def test_ambient_ricci(self, make):
         imm, pts, batch = self._setup(make)
         self._check(ambient_ricci(imm, batch),
-                    [ambient_ricci(imm, p) for p in pts])
+                    [at_point(ambient_ricci, imm, point=p) for p in pts])
 
     def test_residuals(self, make):
         imm, pts, batch = self._setup(make)
         scalars, tangents = biharmonic_residuals_surface(imm, batch)
-        singles = [biharmonic_residuals_surface(imm, p) for p in pts]
+        singles = [at_point(biharmonic_residuals_surface, imm, point=p)
+                   for p in pts]
         assert scalars.tobytes() == _stacked(s for s, _ in singles).tobytes()
         assert tangents.tobytes() == _stacked(t for _, t in singles).tobytes()
 
@@ -198,64 +200,19 @@ def test_laplacian_H_reads_the_gradient_H_fields():
     assert grad and all(id(g) in nodes for g in grad)
 
 
-class TestPointOrBatch:
-    """A single parameter point gives the batch result's row: a float where
-    the row is one number."""
-
-    SCALARS = ("mean_curvature", "shape_norm_sq", "normal", "normal_closed")
-
-    def _check(self, batch_result, single):
-        for name, row in vars(batch_result).items():
-            one = getattr(single, name)
-            if name in self.SCALARS:
-                assert type(one) is float, name
-            else:
-                assert type(one) is np.ndarray, name
-            assert np.asarray(one).tobytes() == row[0].tobytes(), name
-
-    def test_surface_geometry_and_ricci(self, unit_cylinder):
-        pts = surface_points(unit_cylinder, (2, 2))
-        for fn in (surface_geometry, ambient_ricci):
-            self._check(fn(unit_cylinder, np.array(pts)),
-                        fn(unit_cylinder, pts[0]))
-
-    def test_residuals(self, unit_cylinder):
-        pts = surface_points(unit_cylinder, (2, 2))
-        scalars, tangents = biharmonic_residuals_surface(
-            unit_cylinder, np.array(pts))
-        scalar, tangent = biharmonic_residuals_surface(unit_cylinder, pts[0])
-        assert type(scalar) is float and scalar == scalars[0]
-        assert type(tangent) is np.ndarray
-        assert tangent.tobytes() == tangents[0].tobytes()
-
-    @pytest.mark.parametrize("make", [
-        lambda: vertical_cylinder(2.0, -1.0), lambda: round_sphere(1.3),
-        lambda: numeric_only(vertical_cylinder(0.7, 0.2))],
-        ids=["cylinder", "sphere", "fd-cylinder"])
-    def test_chart_point(self, make):
-        imm = make()
-        pts = surface_points(imm, (2, 3))
-        batch = imm.point(np.array(pts))
-        assert batch.shape == (len(pts), 3)
-        for k, p in enumerate(pts):
-            one = imm.point(p)
-            assert type(one) is np.ndarray and one.shape == (3,)
-            assert one.tobytes() == batch[k].tobytes()
-
-
 class TestAmbientRicci:
     def test_unit_cylinder_normal_part(self, unit_cylinder):
-        ric = ambient_ricci(unit_cylinder, (0.1, 0.2))
+        ric = at_point(ambient_ricci, unit_cylinder, point=(0.1, 0.2))
         assert ric.normal == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(ric.tangent)) < 1e-10
 
     def test_horizontal_slice_zero(self):
         sl = slice_immersion(flat_ambient())
-        ric = ambient_ricci(sl, (0.4, 0.1))
+        ric = at_point(ambient_ricci, sl, point=(0.4, 0.1))
         assert ric.normal == pytest.approx(0.0, abs=1e-12)
 
     def test_tilted_plane_flat(self):
-        ric = ambient_ricci(tilted_plane(), (0.2, -0.3))
+        ric = at_point(ambient_ricci, tilted_plane(), point=(0.2, -0.3))
         assert ric.normal == pytest.approx(0.0, abs=1e-10)
         assert np.max(np.abs(ric.tangent)) < 1e-10
 
@@ -277,7 +234,7 @@ class TestAmbientRicci:
             imm = SurfaceImmersion(comps, ambient,
                                    ChartBox((-1, -1), (1, 1), 0.05))
             for p in surface_points(imm, (3, 3)):
-                ric = ambient_ricci(imm, p)
+                ric = at_point(ambient_ricci, imm, point=p)
                 assert ric.normal == pytest.approx(ric.normal_closed, abs=1e-6)
                 assert np.allclose(ric.tangent, ric.tangent_closed, atol=1e-6)
 
@@ -285,37 +242,41 @@ class TestAmbientRicci:
 class TestSurfaceResiduals:
     def test_unit_cylinder_biharmonic(self, unit_cylinder):
         for p in surface_points(unit_cylinder, (3, 3)):
-            scalar, tangent = biharmonic_residuals_surface(unit_cylinder, p)
+            scalar, tangent = at_point(biharmonic_residuals_surface,
+                                       unit_cylinder, point=p)
             assert abs(scalar) < 1e-8
             assert np.max(np.abs(tangent)) < 1e-8
 
     def test_minimal_slice(self):
         sl = slice_immersion(flat_ambient())
-        scalar, tangent = biharmonic_residuals_surface(sl, (0.3, 0.2))
+        scalar, tangent = at_point(biharmonic_residuals_surface, sl,
+                                   point=(0.3, 0.2))
         assert scalar == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(tangent)) < 1e-12
 
     def test_doubled_curvature_cylinder(self):
         # k_g = 2 in the unit-curvature base: H = 1, |A|^2 = 4, Ric = 1
         cyl = vertical_cylinder(2.0, 1.0)
-        scalar, _ = biharmonic_residuals_surface(cyl, (0.1, 0.0))
+        scalar, _ = at_point(biharmonic_residuals_surface, cyl,
+                             point=(0.1, 0.0))
         assert scalar == pytest.approx(-3.0, abs=1e-9)
 
     def test_orientation_flip(self, unit_cylinder):
         flip = flipped(unit_cylinder)
         p = (0.15, -0.1)
-        geo = surface_geometry(unit_cylinder, p)
-        geo_f = surface_geometry(flip, p)
+        geo = at_point(surface_geometry, unit_cylinder, point=p)
+        geo_f = at_point(surface_geometry, flip, point=p)
         assert geo_f.mean_curvature == pytest.approx(-geo.mean_curvature)
         assert np.allclose(geo_f.shape_operator, -geo.shape_operator,
                            atol=1e-12)
-        s, t = biharmonic_residuals_surface(unit_cylinder, p)
-        s_f, t_f = biharmonic_residuals_surface(flip, p)
+        s, t = at_point(biharmonic_residuals_surface, unit_cylinder, point=p)
+        s_f, t_f = at_point(biharmonic_residuals_surface, flip, point=p)
         # scalar channel is odd under the flip, tangent channel even
         assert s_f == pytest.approx(-s, abs=1e-10)
         assert np.allclose(t_f, t, atol=1e-10)
         cyl2 = vertical_cylinder(2.0, 1.0)
-        s2, _ = biharmonic_residuals_surface(flipped(cyl2), (0.1, 0.0))
+        s2, _ = at_point(biharmonic_residuals_surface, flipped(cyl2),
+                         point=(0.1, 0.0))
         assert s2 == pytest.approx(3.0, abs=1e-9)
 
 
@@ -414,11 +375,11 @@ class TestUmbilicTest:
 class TestCylinderBuilders:
     def test_hyperbolic_circle_exists(self):
         cyl = vertical_cylinder(2.0, -1.0)
-        geo = surface_geometry(cyl, (0.1, 0.0))
+        geo = at_point(surface_geometry, cyl, point=(0.1, 0.0))
         assert geo.mean_curvature == pytest.approx(1.0, abs=1e-10)
         from biharm.geometry import gauss_curvature_2d
 
-        p3 = cyl.point((0.1, 0.0))
+        p3 = at_point(cyl.point, point=(0.1, 0.0))
         assert gauss_curvature_2d(cyl.ambient, p3) == pytest.approx(
             -1.0, abs=1e-9
         )
@@ -428,5 +389,5 @@ class TestCylinderBuilders:
             vertical_cylinder(0.5, -1.0)
 
     def test_arc_length_parametrization(self, unit_cylinder):
-        geo = surface_geometry(unit_cylinder, (0.3, 0.2))
+        geo = at_point(surface_geometry, unit_cylinder, point=(0.3, 0.2))
         assert np.allclose(geo.induced_metric, np.eye(2), atol=1e-12)

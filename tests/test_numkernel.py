@@ -34,6 +34,7 @@ from conftest import (
     field_of_text,
     graph_nodes,
     in_mode,
+    stencil_reach,
 )
 
 
@@ -392,29 +393,29 @@ class TestDerivativeRoute:
             for order in (1, 2, 3):
                 for label in ("closed-form", "explicit", "alpha-profile",
                               "lifted-explicit"):
-                    assert kinds[label].stencil_reach(axis, order) == 0.0
+                    assert stencil_reach(kinds[label], axis, order) == 0.0
         fd = kinds["numeric-only"]
         # an opaque leaf: its diff, then one direct stencil per order
-        assert fd.stencil_reach(1, 1) == H_FD
-        assert fd.stencil_reach(1, 2) == H_FD
-        assert fd.stencil_reach(1, 3) == H_FD3 + H_FD
+        assert stencil_reach(fd, 1, 1) == H_FD
+        assert stencil_reach(fd, 1, 2) == H_FD
+        assert stencil_reach(fd, 1, 3) == H_FD3 + H_FD
         # stencils over stencil nodes: the sum of their steps; a first
         # partial is diff's, with H_FD3 from the third stacked difference on
         node = fd.diff(0)
-        assert node.stencil_reach(0, 1) == H_FD + H_FD
-        assert fd.diff(0).diff(0).diff(0).stencil_reach(1, 1) == \
+        assert stencil_reach(node, 0, 1) == H_FD + H_FD
+        assert stencil_reach(fd.diff(0).diff(0).diff(0), 1, 1) == \
             H_FD + H_FD + H_FD3 + H_FD3
         # explicit partials beyond the given ones are differenced
-        assert kinds["explicit-two-partials"].stencil_reach(1, 3) == H_FD
+        assert stencil_reach(kinds["explicit-two-partials"], 1, 3) == H_FD
         # a derived field: the largest reach among its inputs
         prod = fd * node
-        assert prod.stencil_reach(0, 1) == H_FD + H_FD
-        assert prod.stencil_reach(0, 3) == H_FD + H_FD + H_FD3 + H_FD3
-        assert kinds["algebra"].stencil_reach(2, 2) == H_FD + H_FD
+        assert stencil_reach(prod, 0, 1) == H_FD + H_FD
+        assert stencil_reach(prod, 0, 3) == H_FD + H_FD + H_FD3 + H_FD3
+        assert stencil_reach(kinds["algebra"], 2, 2) == H_FD + H_FD
         # a directional derivative differences its field as it evaluates
-        assert kinds["directional"].stencil_reach(0, 1) == H_FD + H_FD
-        assert kinds["lifted-numeric-only"].stencil_reach(1, 1) == 0.0
-        assert kinds["lifted-numeric-only"].stencil_reach(2, 1) == H_FD
+        assert stencil_reach(kinds["directional"], 0, 1) == H_FD + H_FD
+        assert stencil_reach(kinds["lifted-numeric-only"], 1, 1) == 0.0
+        assert stencil_reach(kinds["lifted-numeric-only"], 2, 1) == H_FD
 
     @pytest.mark.parametrize("order,reach", [
         (1, H_FD), (2, H_FD), (3, H_FD3 + H_FD)])
@@ -422,7 +423,7 @@ class TestDerivativeRoute:
         # the clearance from a box edge that a pure partial of an opaque
         # leaf needs
         f = ScalarField(fn=lambda b: np.sin(b[:, 0]), dim=1)
-        assert f.stencil_reach(0, order) == reach
+        assert stencil_reach(f, 0, order) == reach
 
 
 # -- chain rule against sympy ------------------------------------------------
@@ -493,7 +494,7 @@ def test_numeric_only_number_keeps_zero_derivative():
         for axis in range(3):
             assert number.diff(axis) is ScalarField.constant(0.0, 3)
             for order in (1, 2, 3):
-                assert number.stencil_reach(axis, order) == 0.0
+                assert stencil_reach(number, axis, order) == 0.0
         if math.isfinite(value):
             assert numeric_only(x * 3.0 + number)(batch).tobytes() == (
                 numeric_only(x * 3.0)(batch) + value).tobytes()
@@ -507,7 +508,7 @@ def test_numeric_only_number_keeps_zero_derivative():
     assert x.diff(1).number == 1.0 and x.diff(0).number == 0.0
     fd = numeric_only(x)
     assert fd is not x and fd.number is None
-    assert fd.stencil_reach(1, 1) == H_FD
+    assert stencil_reach(fd, 1, 1) == H_FD
     assert fd.diff(0) is ScalarField.constant(0.0, 3)
 
 

@@ -20,6 +20,7 @@ from biharm.numkernel import ChartBox, ScalarField
 from biharm.record import Record, replace
 from biharm.report import Channel, build_report
 from biharm.submersion import ScanRoot, catalog_examples
+from conftest import at_point
 
 # counts the code objects compiled from strings that run while biharm and
 # its command line are imported, after the modules they share with any
@@ -124,8 +125,9 @@ class TestEquality:
                      lambda: ScanRoot(1.0, "proper"),
                      lambda: HopfCylinderSpec(1.0, 2.0),
                      lambda: catalog_examples()[0],
-                     lambda: surface_geometry(vertical_cylinder(1.0, 1.0),
-                                              (0.1, 0.0))):
+                     lambda: at_point(surface_geometry,
+                                      vertical_cylinder(1.0, 1.0),
+                                      point=(0.1, 0.0))):
             a, b = make(), make()
             assert a == a and a != b and not a == b
             assert hash(a) == object.__hash__(a) and len({a, b}) == 2
